@@ -3,7 +3,29 @@
 The solver recovers a finite element Hessian (continuous or discontinuous),
 solves the resulting matrix-free system with preconditioned GMRES, estimates
 the error a posteriori and refines adaptively by newest-vertex bisection.
+
+Setting NONDIVFEM_THREADS caps the BLAS/OpenMP thread pools.  The cap is
+applied here, before any submodule imports numpy, because the libraries
+read their thread variables once, when they load; a variable that is
+already set wins over the cap.
 """
+
+import os
+
+
+def _cap_threads():
+    cap = os.environ.get("NONDIVFEM_THREADS")
+    if cap:
+        for var in (
+            "OMP_NUM_THREADS",
+            "OPENBLAS_NUM_THREADS",
+            "MKL_NUM_THREADS",
+            "NUMEXPR_NUM_THREADS",
+        ):
+            os.environ.setdefault(var, cap)
+
+
+_cap_threads()
 
 from .mesh import (
     Mesh,
@@ -45,7 +67,15 @@ from .operator import (
     make_problem,
 )
 from .solve import gmres, solve_problem, Solution, SolveReport
-from .estimate import ErrorNorms, EstimatorField, error_norms, local_estimator, eoc, ls_slope
+from .estimate import (
+    ErrorNorms,
+    EstimatorField,
+    error_norms,
+    estimate_level,
+    local_estimator,
+    eoc,
+    ls_slope,
+)
 from .adapt import doerfler_mark, adaptive_loop, initial_mesh, AdaptiveRecord
 
 __all__ = [
@@ -88,6 +118,7 @@ __all__ = [
     "EstimatorField",
     "error_norms",
     "local_estimator",
+    "estimate_level",
     "eoc",
     "ls_slope",
     "doerfler_mark",

@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimate import error_norms, local_estimator
+from .estimate import estimate_level
 from .mesh import bisect, build_rect_mesh
 from .solve import solve_problem
 
@@ -17,6 +17,7 @@ class AdaptiveRecord:
     n_dofs: int
     eta_global: float
     gmres_iterations: int
+    converged: bool
     errors: object = None
     h_max: float = np.nan
     mesh: object = field(default=None, repr=False)
@@ -88,17 +89,14 @@ def adaptive_loop(
             problem, mesh, p, scheme=scheme, eta1=eta1, eta2=eta2, tol=tol,
             quad_degree=quad_degree,
         )
-        est = local_estimator(sol.u_h, problem, sol.cordes.gamma, quad_degree)
-        errors = None
-        if problem.has_exact:
-            exact = {"u": problem.exact_u, "grad": problem.exact_grad, "hess": problem.exact_hess}
-            errors = error_norms(sol.u_h, exact, quad_degree)
+        est, errors = estimate_level(sol.u_h, problem, sol.cordes.gamma, quad_degree)
         records.append(
             AdaptiveRecord(
                 level=level,
                 n_dofs=n_dofs,
                 eta_global=est.eta_global,
                 gmres_iterations=sol.report.iterations,
+                converged=sol.report.converged,
                 errors=errors,
                 h_max=mesh.h_max,
                 mesh=mesh if keep_meshes else None,

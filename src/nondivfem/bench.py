@@ -10,14 +10,13 @@ byte-identical files and every value round-trips exactly.
 """
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .adapt import adaptive_loop, initial_mesh
-from .estimate import error_norms, local_estimator
+from .estimate import error_norms, estimate_level
 from .mesh import build_rect_mesh
 from .operator import CordesViolated, make_problem
 from .solve import normalize_scheme, solve_problem
@@ -135,11 +134,9 @@ def _solve_row(problem, mesh, config):
         tol=(config.tol_abs, config.tol_rel),
         quad_degree=config.quad_degree,
     )
-    est = local_estimator(sol.u_h, problem, sol.cordes.gamma, config.quad_degree)
+    est, err = estimate_level(sol.u_h, problem, sol.cordes.gamma, config.quad_degree)
     l2 = h1 = h2h = None
-    if problem.has_exact:
-        exact = {"u": problem.exact_u, "grad": problem.exact_grad, "hess": problem.exact_hess}
-        err = error_norms(sol.u_h, exact, config.quad_degree)
+    if err is not None:
         l2, h1, h2h = err.l2, err.h1, err.h2h
     n_dofs = sol.u_h.space.n_dofs
     row = [n_dofs, mesh.h_max, l2, h1, h2h, est.eta_global, sol.report.iterations]
@@ -166,6 +163,7 @@ def run_convergence(config):
             tol=(config.tol_abs, config.tol_rel),
             convention=config.convention,
         )
+        ok = all(r.converged for r in records)
         for r in records:
             e = r.errors
             rows.append(
@@ -276,18 +274,6 @@ def run_scheme_comparison(config, degrees=(1, 2, 3, 4)):
 # CLI
 
 
-def _cap_threads():
-    cap = os.environ.get("NONDIVFEM_THREADS")
-    if cap:
-        for var in (
-            "OMP_NUM_THREADS",
-            "OPENBLAS_NUM_THREADS",
-            "MKL_NUM_THREADS",
-            "NUMEXPR_NUM_THREADS",
-        ):
-            os.environ.setdefault(var, cap)
-
-
 def _add_common(sub):
     sub.add_argument("--experiment", required=True, choices=_EXPERIMENTS)
     sub.add_argument("--kappa", type=float, default=0.5, help="exp1 anisotropy")
@@ -371,7 +357,6 @@ def build_parser():
 
 
 def main(argv=None):
-    _cap_threads()
     ap = build_parser()
     args = ap.parse_args(argv)
     try:

@@ -22,7 +22,15 @@ from .space import (
     tabulate_at,
 )
 
-__all__ = ["ErrorNorms", "EstimatorField", "error_norms", "local_estimator", "eoc", "ls_slope"]
+__all__ = [
+    "ErrorNorms",
+    "EstimatorField",
+    "error_norms",
+    "local_estimator",
+    "estimate_level",
+    "eoc",
+    "ls_slope",
+]
 
 
 @dataclass
@@ -42,6 +50,22 @@ class EstimatorField:
         return float(np.sqrt(np.sum(self.eta_T**2)))
 
 
+@dataclass
+class _LevelData:
+    """What the estimator and the error norms share on one mesh: u_h and
+    its derivatives at the volume quadrature points, and the interior-facet
+    gradient jumps."""
+
+    mesh: object
+    pts: np.ndarray
+    wdet: np.ndarray
+    vals: np.ndarray
+    grads: np.ndarray
+    hess: np.ndarray
+    int_f: np.ndarray
+    jumps: np.ndarray
+
+
 def _gradient_jumps_sq(u_h, quad_deg):
     """Per-interior-facet values of h_F^-1 int_F [grad(u_h) . n_F]^2."""
     space = u_h.space
@@ -53,41 +77,54 @@ def _gradient_jumps_sq(u_h, quad_deg):
     phys = facet_points(mesh, int_f, t)
     plus = mesh.facet_cells[int_f, 0]
     minus = mesh.facet_cells[int_f, 1]
-    rp = pullback_points(mesh, plus, phys)
-    rm = pullback_points(mesh, minus, phys)
-    _, gp, _ = tabulate_at(space, plus, rp)
-    _, gm, _ = tabulate_at(space, minus, rm)
+    _, gp = tabulate_at(space, plus, pullback_points(mesh, plus, phys))
+    _, gm = tabulate_at(space, minus, pullback_points(mesh, minus, phys))
     cp = u_h.coeffs[space.dof_map[plus]]
     cm = u_h.coeffs[space.dof_map[minus]]
-    gup = np.einsum("ftli,fl->fti", gp, cp)
-    gum = np.einsum("ftli,fl->fti", gm, cm)
+    gup = np.einsum("ftli,fl->fti", gp, cp, optimize=True)
+    gum = np.einsum("ftli,fl->fti", gm, cm, optimize=True)
     n_f = mesh.facet_normals[int_f]
     jump = np.einsum("fti,fi->ft", gup - gum, n_f)
-    h_f = mesh.facet_lengths[int_f]
     # h_F^-1 int_F [..]^2 = h_F^-1 * (sum_t w_t h_F [..]^2); the lengths cancel
     return int_f, np.einsum("t,ft->f", wt, jump**2)
 
 
-def error_norms(u_h, exact, quad_degree=None):
-    """L2, full H1 and broken H2_h errors of u_h against pointwise fields.
-
-    `exact` maps the keys "u", "grad", "hess" to vectorized callables.
-    """
+def _level_data(u_h, quad_degree):
     space = u_h.space
     mesh = space.mesh
     deg = quad_degree if quad_degree is not None else 2 * space.degree + 4
     q = quadrature(deg)
     vals, grads, hess = evaluate(u_h, q)
-    pts = physical_points(mesh, np.arange(mesh.n_cells), np.broadcast_to(q.points, (mesh.n_cells,) + q.points.shape))
-    du = vals - exact["u"](pts)
-    dg = grads - exact["grad"](pts)
-    dh = hess - exact["hess"](pts)
+    cells = np.arange(mesh.n_cells)
+    pts = physical_points(mesh, cells, np.broadcast_to(q.points, (mesh.n_cells,) + q.points.shape))
     wdet = q.weights[None, :] * mesh.cell_det[:, None]
-    l2_sq = float(np.einsum("cq,cq->", wdet, du**2))
-    h1_semi_sq = float(np.einsum("cq,cqi->", wdet, dg**2))
-    h2_broken_sq = float(np.einsum("cq,cqij->", wdet, dh**2))
-    _, jumps = _gradient_jumps_sq(u_h, deg)
-    h2h_sq = h2_broken_sq + float(jumps.sum())
+    int_f, jumps = _gradient_jumps_sq(u_h, deg)
+    return _LevelData(mesh, pts, wdet, vals, grads, hess, int_f, jumps)
+
+
+def _charge_jumps(d, cell_sq):
+    """Add each interior facet's jump term to both cells next to it."""
+    n = d.mesh.n_cells
+    for side in (0, 1):
+        cell_sq = cell_sq + np.bincount(d.mesh.facet_cells[d.int_f, side], d.jumps, minlength=n)
+    return cell_sq
+
+
+def _estimator(d, problem, gamma):
+    AH = np.einsum("cqij,cqij->cq", problem.A(d.pts), d.hess)
+    resid = gamma(d.pts) * (problem.f(d.pts) - AH)
+    eta_sq = _charge_jumps(d, np.einsum("cq,cq->c", d.wdet, resid**2))
+    return EstimatorField(eta_T=np.sqrt(eta_sq))
+
+
+def _error_norms(d, exact):
+    du = d.vals - exact["u"](d.pts)
+    dg = d.grads - exact["grad"](d.pts)
+    dh = d.hess - exact["hess"](d.pts)
+    l2_sq = float(np.einsum("cq,cq->", d.wdet, du**2))
+    h1_semi_sq = float(np.einsum("cq,cqi->", d.wdet, dg**2))
+    h2_broken_sq = float(np.einsum("cq,cqij->", d.wdet, dh**2))
+    h2h_sq = h2_broken_sq + float(d.jumps.sum())
     return ErrorNorms(
         l2=np.sqrt(l2_sq),
         h1=np.sqrt(l2_sq + h1_semi_sq),
@@ -96,28 +133,34 @@ def error_norms(u_h, exact, quad_degree=None):
     )
 
 
+def estimate_level(u_h, problem, gamma, quad_degree=None):
+    """Estimator and, when the problem has an exact solution, error norms of
+    one solved level, from a single evaluation of u_h and its jumps.
+
+    Returns (EstimatorField, ErrorNorms or None); the values equal those of
+    separate local_estimator and error_norms calls bit for bit.
+    """
+    d = _level_data(u_h, quad_degree)
+    errors = None
+    if problem.has_exact:
+        exact = {"u": problem.exact_u, "grad": problem.exact_grad, "hess": problem.exact_hess}
+        errors = _error_norms(d, exact)
+    return _estimator(d, problem, gamma), errors
+
+
+def error_norms(u_h, exact, quad_degree=None):
+    """L2, full H1 and broken H2_h errors of u_h against pointwise fields.
+
+    `exact` maps the keys "u", "grad", "hess" to vectorized callables.
+    """
+    return _error_norms(_level_data(u_h, quad_degree), exact)
+
+
 def local_estimator(u_h, problem, gamma, quad_degree=None):
     """Cellwise eta_T: volume residual of the rescaled equation plus
     normal-gradient jump terms, each interior facet charged to both cells.
     """
-    space = u_h.space
-    mesh = space.mesh
-    deg = quad_degree if quad_degree is not None else 2 * space.degree + 4
-    q = quadrature(deg)
-    _, _, hess = evaluate(u_h, q)
-    pts = physical_points(mesh, np.arange(mesh.n_cells), np.broadcast_to(q.points, (mesh.n_cells,) + q.points.shape))
-    gq = gamma(pts)
-    Aq = problem.A(pts)
-    fq = problem.f(pts)
-    resid = gq * (fq - np.einsum("cqij,cqij->cq", Aq, hess))
-    wdet = q.weights[None, :] * mesh.cell_det[:, None]
-    eta_sq = np.einsum("cq,cq->c", wdet, resid**2)
-
-    int_f, jumps = _gradient_jumps_sq(u_h, deg)
-    if len(int_f):
-        np.add.at(eta_sq, mesh.facet_cells[int_f, 0], jumps)
-        np.add.at(eta_sq, mesh.facet_cells[int_f, 1], jumps)
-    return EstimatorField(eta_T=np.sqrt(eta_sq))
+    return _estimator(_level_data(u_h, quad_degree), problem, gamma)
 
 
 def local_h2h_errors(u_h, exact, quad_degree=None):
@@ -125,20 +168,9 @@ def local_h2h_errors(u_h, exact, quad_degree=None):
     jump terms of every adjacent interior facet (both-cells attribution,
     matching the estimator's convention).  Returns sqrt of the cell sums.
     """
-    space = u_h.space
-    mesh = space.mesh
-    deg = quad_degree if quad_degree is not None else 2 * space.degree + 4
-    q = quadrature(deg)
-    _, _, hess = evaluate(u_h, q)
-    pts = physical_points(mesh, np.arange(mesh.n_cells), np.broadcast_to(q.points, (mesh.n_cells,) + q.points.shape))
-    dh = hess - exact["hess"](pts)
-    wdet = q.weights[None, :] * mesh.cell_det[:, None]
-    err_sq = np.einsum("cq,cqij->c", wdet, dh**2)
-    int_f, jumps = _gradient_jumps_sq(u_h, deg)
-    if len(int_f):
-        np.add.at(err_sq, mesh.facet_cells[int_f, 0], jumps)
-        np.add.at(err_sq, mesh.facet_cells[int_f, 1], jumps)
-    return np.sqrt(err_sq)
+    d = _level_data(u_h, quad_degree)
+    dh = d.hess - exact["hess"](d.pts)
+    return np.sqrt(_charge_jumps(d, np.einsum("cq,cqij->c", d.wdet, dh**2)))
 
 
 def eoc(series):

@@ -440,7 +440,7 @@ def assemble_B(space_W, problem, gamma, quad_degree=None):
     for i in range(2):
         for j in range(2):
             coeff = gq * Aq[..., i, j] * mesh.cell_det[:, None]
-            blk = np.einsum("q,cq,qk,ql->ckl", q.weights, coeff, phi, phi)
+            blk = np.einsum("q,cq,qk,ql->ckl", q.weights, coeff, phi, phi, optimize=True)
             B[i][j] = sp.coo_matrix((blk.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     return B
 
@@ -454,9 +454,7 @@ def assemble_load(space_W, problem, gamma, quad_degree=None):
     pts = _volume_points(space_W, q)
     fq = problem.f(pts) * gamma(pts) * mesh.cell_det[:, None]
     blk = np.einsum("q,cq,qk->ck", q.weights, fq, phi)
-    out = np.zeros(space_W.n_scalar_dofs)
-    np.add.at(out, space_W.dof_map.ravel(), blk.ravel())
-    return out
+    return np.bincount(space_W.dof_map.ravel(), blk.ravel(), minlength=space_W.n_scalar_dofs)
 
 
 def assemble_stabilization(space_V, eta1, eta2):
@@ -477,8 +475,6 @@ def assemble_stabilization(space_V, eta1, eta2):
     minus = mesh.facet_cells[int_f, 1]
     rp = pullback_points(mesh, plus, phys)
     rm = pullback_points(mesh, minus, phys)
-    _, gp, Hp = tabulate_at(space_V, plus, rp)
-    _, gm, Hm = tabulate_at(space_V, minus, rm)
     n_f = mesh.facet_normals[int_f]
     h_f = mesh.facet_lengths[int_f]
     wlen = wt[None, :] * h_f[:, None]
@@ -491,18 +487,26 @@ def assemble_stabilization(space_V, eta1, eta2):
 
     S_parts = []
     if eta1 > 0:
+        _, gp = tabulate_at(space_V, plus, rp)
+        _, gm = tabulate_at(space_V, minus, rm)
         jn_p = np.einsum("ftli,fi->ftl", gp, n_f)
         jn_m = np.einsum("ftli,fi->ftl", gm, n_f)
         jump = np.concatenate([jn_p, -jn_m], axis=2)       # (F, t, 2 nloc)
-        blk = eta1 * np.einsum("ft,ftk,ftl,f->fkl", wlen, jump, jump, 1.0 / h_f)
+        blk = eta1 * np.einsum("ft,ftk,ftl,f->fkl", wlen, jump, jump, 1.0 / h_f, optimize=True)
         S_parts.append(blk)
     if eta2 > 0:
         # matrix jump of the Hessian contracted with the facet normal:
-        # [D2 u] = D2u+ n+ + D2u- n- = (D2u- - D2u+) n_F
-        hn_p = np.einsum("ftlij,fj->ftli", Hp, n_f)
-        hn_m = np.einsum("ftlij,fj->ftli", Hm, n_f)
+        # [D2 u] = D2u+ n+ + D2u- n- = (D2u- - D2u+) n_F, where the physical
+        # Hessian of a basis function is Jinv^T (reference Hessian) Jinv
+        def hess_normal(cells, ref_pts):
+            Jinv = mesh.cell_inv_jacobians[cells]
+            H = space_V.ref.tabulate_hess(ref_pts)
+            return np.einsum("fki,ftlkm,fmj,fj->ftli", Jinv, H, Jinv, n_f, optimize=True)
+
+        hn_p = hess_normal(plus, rp)
+        hn_m = hess_normal(minus, rm)
         jump = np.concatenate([-hn_p, hn_m], axis=2)       # (F, t, 2 nloc, 2)
-        blk = eta2 * np.einsum("ft,ftki,ftli,f->fkl", wlen, jump, jump, h_f)
+        blk = eta2 * np.einsum("ft,ftki,ftli,f->fkl", wlen, jump, jump, h_f, optimize=True)
         S_parts.append(blk)
     blk = S_parts[0] if len(S_parts) == 1 else S_parts[0] + S_parts[1]
     return sp.coo_matrix((blk.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)).tocsr()
@@ -672,8 +676,7 @@ def assemble_nsz(space_V, problem, gamma, eta1, quad_degree=None):
 
     fq = problem.f(pts) * gq * wdet
     rhs_blk = np.einsum("cq,cqk->ck", fq, trH)
-    rhs = np.zeros(n)
-    np.add.at(rhs, dm.ravel(), rhs_blk.ravel())
+    rhs = np.bincount(dm.ravel(), rhs_blk.ravel(), minlength=n)
 
     free = np.ones(n, dtype=bool)
     free[boundary_dofs(space_V)] = False

@@ -21,7 +21,6 @@ __all__ = [
     "boundary_dofs",
     "interpolate",
     "evaluate",
-    "evaluate_function",
     "tabulate_at",
 ]
 
@@ -319,7 +318,7 @@ def build_space(mesh, p, continuity="CG", value_shape="scalar"):
 
     # physical node coordinates (consistent across cells for CG by construction)
     v0 = mesh.vertices[mesh.cells[:, 0]]
-    phys = v0[:, None, :] + np.einsum("cij,nj->cni", mesh.cell_jacobians, ref.nodes)
+    phys = v0[:, None, :] + np.einsum("cij,nj->cni", mesh.cell_jacobians, ref.nodes, optimize=True)
     node_coords = np.empty((n_scalar, 2))
     node_coords[dof_map.ravel()] = phys.reshape(-1, 2)
 
@@ -358,7 +357,7 @@ def interpolate(space, f):
 
 
 def tabulate_at(space, cells, ref_pts):
-    """Physical basis values/gradients/hessians at per-cell reference points.
+    """Physical basis values and gradients at per-cell reference points.
 
     Parameters
     ----------
@@ -367,17 +366,15 @@ def tabulate_at(space, cells, ref_pts):
 
     Returns
     -------
-    vals (n, q, n_loc), grads (n, q, n_loc, 2), hess (n, q, n_loc, 2, 2)
-    in physical coordinates.
+    vals (n, q, n_loc) and grads (n, q, n_loc, 2) in physical coordinates.
+    Callers that need second derivatives map ``space.ref.tabulate_hess``
+    themselves.
     """
-    ref = space.ref
-    vals = ref.tabulate(ref_pts)
-    g = ref.tabulate_grad(ref_pts)
-    H = ref.tabulate_hess(ref_pts)
+    vals = space.ref.tabulate(ref_pts)
+    g = space.ref.tabulate_grad(ref_pts)
     Jinv = space.mesh.cell_inv_jacobians[cells]        # (n, 2, 2)
-    grads = np.einsum("nji,nqlj->nqli", Jinv, g)
-    hess = np.einsum("nki,nqlkm,nmj->nqlij", Jinv, H, Jinv)
-    return vals, grads, hess
+    grads = np.einsum("nji,nqlj->nqli", Jinv, g, optimize=True)
+    return vals, grads
 
 
 def evaluate(fn, quad):
@@ -395,35 +392,25 @@ def evaluate(fn, quad):
     Jinv = mesh.cell_inv_jacobians
 
     vals = coeffs @ vals_ref.T                         # (c, q)
-    g_loc = np.einsum("cl,qlj->cqj", coeffs, g_ref)
-    grads = np.einsum("cji,cqj->cqi", Jinv, g_loc)
-    H_loc = np.einsum("cl,qlkm->cqkm", coeffs, H_ref)
-    hess = np.einsum("cki,cqkm,cmj->cqij", Jinv, H_loc, Jinv)
+    g_loc = np.einsum("cl,qlj->cqj", coeffs, g_ref, optimize=True)
+    grads = np.einsum("cji,cqj->cqi", Jinv, g_loc, optimize=True)
+    H_loc = np.einsum("cl,qlkm->cqkm", coeffs, H_ref, optimize=True)
+    hess = np.einsum("cki,cqkm,cmj->cqij", Jinv, H_loc, Jinv, optimize=True)
     return vals, grads, hess
-
-
-def evaluate_function(fn, cells, ref_pts):
-    """Point evaluation of a scalar FE function at per-cell reference points."""
-    vals, grads, hess = tabulate_at(fn.space, cells, ref_pts)
-    coeffs = fn.coeffs[fn.space.dof_map[cells]]        # (n, n_loc)
-    v = np.einsum("nql,nl->nq", vals, coeffs)
-    g = np.einsum("nqli,nl->nqi", grads, coeffs)
-    H = np.einsum("nqlij,nl->nqij", hess, coeffs)
-    return v, g, H
 
 
 def physical_points(mesh, cells, ref_pts):
     """Map per-cell reference points to physical coordinates."""
     v0 = mesh.vertices[mesh.cells[cells, 0]]
     J = mesh.cell_jacobians[cells]
-    return v0[:, None, :] + np.einsum("nij,nqj->nqi", J, ref_pts)
+    return v0[:, None, :] + np.einsum("nij,nqj->nqi", J, ref_pts, optimize=True)
 
 
 def pullback_points(mesh, cells, phys_pts):
     """Inverse affine map: physical points (n, q, 2) to reference coordinates."""
     v0 = mesh.vertices[mesh.cells[cells, 0]]
     Jinv = mesh.cell_inv_jacobians[cells]
-    return np.einsum("nij,nqj->nqi", Jinv, phys_pts - v0[:, None, :])
+    return np.einsum("nij,nqj->nqi", Jinv, phys_pts - v0[:, None, :], optimize=True)
 
 
 def facet_points(mesh, facet_ids, t):

@@ -194,6 +194,26 @@ def test_cli_adapt(tmp_path):
     assert len(rows) >= 2
 
 
+def test_cli_adapt_exits_3_when_gmres_fails(tmp_path, monkeypatch):
+    import dataclasses
+
+    import nondivfem.adapt
+
+    real_solve = nondivfem.adapt.solve_problem
+
+    def unconverged(*args, **kwargs):
+        sol = real_solve(*args, **kwargs)
+        sol.report = dataclasses.replace(sol.report, converged=False)
+        return sol
+
+    monkeypatch.setattr(nondivfem.adapt, "solve_problem", unconverged)
+    for command in (["adapt"], ["run", "--refine", "adaptive"]):
+        rc = main(command + [
+            "--experiment", "exp2", "--max-dofs", "200", "--out", str(tmp_path / "ad.csv"),
+        ])
+        assert rc == 3
+
+
 def test_cli_iters(tmp_path):
     path = str(tmp_path / "it.csv")
     rc = main([
@@ -220,10 +240,38 @@ def test_thread_cap_env(monkeypatch):
                 "NUMEXPR_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setenv("NONDIVFEM_THREADS", "1")
-    from nondivfem.bench import _cap_threads
+    from nondivfem import _cap_threads
 
     _cap_threads()
     import os
 
     assert os.environ["OMP_NUM_THREADS"] == "1"
     assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+
+
+def test_thread_cap_applies_to_blas(tmp_path):
+    # the cap must be in the environment before numpy loads its BLAS, so
+    # it is checked in a fresh interpreter that imports nondivfem first
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    if not Path("/proc/self/status").exists():
+        pytest.skip("needs /proc/self/status")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                        "NUMEXPR_NUM_THREADS")}
+    env["NONDIVFEM_THREADS"] = "1"
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    code = (
+        "import nondivfem, numpy as np\n"
+        "a = np.random.default_rng(0).standard_normal((300, 300))\n"
+        "a @ a\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    print([ln.split()[1] for ln in fh if ln.startswith('Threads:')][0])\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True, cwd=str(tmp_path))
+    assert int(out.stdout.strip()) == 1

@@ -14,7 +14,7 @@ from nondivfem import (
     solve_problem,
     uniform_refine,
 )
-from nondivfem.estimate import local_h2h_errors
+from nondivfem.estimate import estimate_level, local_h2h_errors
 from nondivfem.space import FEFunction
 
 
@@ -71,6 +71,21 @@ def test_h2h_dominates_broken_seminorm():
     sol = solve_problem(problem, mesh, p=2)
     err = error_norms(sol.u_h, _exact_dict(problem))
     assert err.h2h >= err.h2_broken
+
+
+@pytest.mark.parametrize("name", ["exp2", "exp4"])
+def test_estimate_level_matches_separate_calls(name):
+    problem = make_problem(name)
+    x0, x1, y0, y1 = problem.bounds
+    mesh = build_rect_mesh(x0, x1, y0, y1, 4, 4)
+    sol = solve_problem(problem, mesh, 2)
+    gamma = sol.cordes.gamma
+    est, err = estimate_level(sol.u_h, problem, gamma)
+    assert np.array_equal(est.eta_T, local_estimator(sol.u_h, problem, gamma).eta_T)
+    if problem.has_exact:
+        assert err == error_norms(sol.u_h, _exact_dict(problem))
+    else:
+        assert err is None
 
 
 def test_local_h2h_squares_sum_to_more_than_global():

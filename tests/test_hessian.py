@@ -4,6 +4,7 @@ import scipy.sparse as sp
 
 from nondivfem import (
     assemble_mass_W,
+    bisect,
     build_hessian_operator,
     build_rect_mesh,
     build_space,
@@ -17,6 +18,15 @@ from nondivfem.space import evaluate, facet_quadrature, physical_points, quadrat
 
 def _mesh(n=2):
     return build_rect_mesh(0, 1, 0, 1, n, n)
+
+
+def _randomly_bisected_mesh(seed, rounds=3):
+    rng = np.random.default_rng(seed)
+    mesh = _mesh(2)
+    for _ in range(rounds):
+        marked = rng.choice(mesh.n_cells, size=max(1, mesh.n_cells // 3), replace=False)
+        mesh = bisect(mesh, marked)
+    return mesh
 
 
 def test_mass_matrix_basic_properties():
@@ -48,6 +58,35 @@ def test_recovery_operator_shapes():
         for i in range(2):
             for j in range(2):
                 assert op.C[i][j].shape == (op.space_W.n_scalar_dofs, V.n_dofs)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("continuity", ["CG", "DG"])
+def test_volume_C_matches_pointwise_quadrature(p, continuity):
+    # -int_T d_i(phi_l) d_j(psi_k), summed cell by cell and point by point
+    # from physical gradients on an over-integrating rule
+    from nondivfem.hessian import _volume_C
+
+    mesh = _randomly_bisected_mesh(seed=p)
+    V = build_space(mesh, p, "CG")
+    W = build_space(mesh, p, continuity)
+    q = quadrature(2 * p + 2)
+    gV_ref = V.ref.tabulate_grad(q.points)                 # (q, nV, 2)
+    gW_ref = W.ref.tabulate_grad(q.points)
+    C = _volume_C(V, W)
+    for i in range(2):
+        for j in range(2):
+            dense = np.zeros((W.n_scalar_dofs, V.n_dofs))
+            for c in range(mesh.n_cells):
+                Jinv = mesh.cell_inv_jacobians[c]
+                for t, w in enumerate(q.weights):
+                    gV = gV_ref[t] @ Jinv                  # physical gradients (nV, 2)
+                    gW = gW_ref[t] @ Jinv
+                    dense[np.ix_(W.dof_map[c], V.dof_map[c])] -= (
+                        w * mesh.cell_det[c] * np.outer(gW[:, j], gV[:, i])
+                    )
+            scale = np.abs(dense).max()
+            assert np.abs(C[i][j].toarray() - dense).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("mode", ["CG", "DG"])
@@ -145,8 +184,8 @@ def _dense_dg_oracle(V, u):
 
     refpts = np.broadcast_to(q.points, (mesh.n_cells,) + q.points.shape)
     cells = np.arange(mesh.n_cells)
-    _, gV, _ = tabulate_at(V, cells, refpts)
-    _, gW, _ = tabulate_at(W, cells, refpts)
+    _, gV = tabulate_at(V, cells, refpts)
+    _, gW = tabulate_at(W, cells, refpts)
     uloc = u[V.dof_map]
     for c in range(mesh.n_cells):
         det = mesh.cell_det[c]
@@ -170,12 +209,12 @@ def _dense_dg_oracle(V, u):
             from nondivfem.space import pullback_points
 
             ref = pullback_points(mesh, np.array([c_test]), pts[None])
-            vals_w, _, _ = tabulate_at(W, np.array([c_test]), ref)
+            vals_w, _ = tabulate_at(W, np.array([c_test]), ref)
             # average of grad u over the available sides
             gu_avg = np.zeros((len(pts), 2))
             for c_tr, _ in sides:
                 ref_tr = pullback_points(mesh, np.array([c_tr]), pts[None])
-                _, g_tr, _ = tabulate_at(V, np.array([c_tr]), ref_tr)
+                _, g_tr = tabulate_at(V, np.array([c_tr]), ref_tr)
                 gu_avg += avg_w * np.einsum("tli,l->ti", g_tr[0], uloc[c_tr])
             for t in range(len(tq)):
                 for k in range(W.ref.n_basis):
@@ -222,7 +261,7 @@ def test_recovery_is_l2_projection_for_smooth_u():
 
     refpts = np.broadcast_to(q.points, (m.n_cells,) + q.points.shape)
     cells = np.arange(m.n_cells)
-    vals_w, _, _ = tabulate_at(W, cells, refpts)
+    vals_w, _ = tabulate_at(W, cells, refpts)
     pts = physical_points(m, cells, refpts)
     X, Y = pts[..., 0], pts[..., 1]
     targets = {(0, 0): 6 * X, (0, 1): -np.ones_like(X), (1, 1): 6 * Y}

@@ -8,6 +8,7 @@ from nondivfem import (
     apply_system,
     assemble_nsz,
     assemble_rhs,
+    bisect,
     build_preconditioner,
     build_rect_mesh,
     build_space,
@@ -24,6 +25,7 @@ from nondivfem.operator import (
     assemble_load,
     assemble_stabilization,
 )
+from nondivfem.space import facet_quadrature
 
 
 def _sample_points(problem, n=200, seed=0):
@@ -344,6 +346,47 @@ def test_stabilization_symmetric_psd():
     for _ in range(100):
         v = rng.standard_normal(V.n_dofs)
         assert v @ (S @ v) >= -1e-12
+
+
+def _stabilization_oracle(V, eta1, eta2):
+    """Dense facet penalty summed facet by facet and point by point, with
+    physical gradients and Hessians built from the reference element."""
+    mesh = V.mesh
+    ref = V.ref
+    t, wt = facet_quadrature(2 * V.degree + 2)
+    S = np.zeros((V.n_dofs, V.n_dofs))
+    for f in mesh.interior_facets():
+        va, vb = mesh.vertices[mesh.facets[f]]
+        h = np.linalg.norm(vb - va)
+        n = mesh.facet_normals[f]
+        for tk, wk in zip(t, wt):
+            x = va + tk * (vb - va)
+            dofs, dn, hn = [], [], []
+            for side, c in zip((1.0, -1.0), mesh.facet_cells[f]):
+                Jinv = mesh.cell_inv_jacobians[c]
+                xr = (Jinv @ (x - mesh.vertices[mesh.cells[c, 0]]))[None]
+                g = ref.tabulate_grad(xr)[0] @ Jinv                 # (nloc, 2)
+                H = Jinv.T @ ref.tabulate_hess(xr)[0] @ Jinv        # (nloc, 2, 2)
+                dofs.append(V.dof_map[c])
+                dn.append(side * g @ n)
+                hn.append(side * H @ n)
+            d = np.concatenate(dofs)
+            jd = np.concatenate(dn)
+            jh = np.concatenate(hn)
+            blk = wk * h * (eta1 / h * np.outer(jd, jd) + eta2 * h * jh @ jh.T)
+            np.add.at(S, np.ix_(d, d), blk)
+    return S
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_stabilization_matches_pointwise_oracle(p):
+    rng = np.random.default_rng(p)
+    mesh = build_rect_mesh(0, 1, 0, 1, 2, 2)
+    mesh = bisect(mesh, rng.choice(mesh.n_cells, size=3, replace=False))
+    V = build_space(mesh, p, "CG")
+    oracle = _stabilization_oracle(V, 1.0, 1.0)
+    S = assemble_stabilization(V, 1.0, 1.0).toarray()
+    assert np.abs(S - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
 
 def test_stabilization_detects_kinks():
