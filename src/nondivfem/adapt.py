@@ -82,7 +82,7 @@ def adaptive_loop(
     records = []
     level = 0
     while True:
-        n_dofs = build_space(mesh, p, "CG", "scalar").n_dofs
+        n_dofs = build_space(mesh, p, "CG").n_dofs
         if n_dofs > max_dofs:
             break
         sol = solve_problem(

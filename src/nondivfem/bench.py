@@ -231,7 +231,11 @@ def run_iteration_table(
 
 
 def run_scheme_comparison(config, degrees=(1, 2, 3, 4)):
-    """Error columns of all three schemes side by side on shared meshes."""
+    """Error columns of all three schemes side by side on shared meshes.
+
+    Returns (header, rows, failed): a cell whose solve raised is left empty
+    and named in `failed`; without an exact solution every cell is empty.
+    """
     config.validate()
     problem = config.make_problem()
     schemes = ["recovery-cg", "recovery-dg", "nsz"]
@@ -244,12 +248,12 @@ def run_scheme_comparison(config, degrees=(1, 2, 3, 4)):
         exact = {"u": problem.exact_u, "grad": problem.exact_grad, "hess": problem.exact_hess}
     n0 = config.initial_n if config.initial_n is not None else problem.initial_n
     x0, x1, y0, y1 = problem.bounds
-    rows = []
+    rows, failed = [], []
     for p in degrees:
         for level in range(config.levels):
             n = n0 * 2**level
             mesh = build_rect_mesh(x0, x1, y0, y1, n, n)
-            n_dofs = build_space(mesh, p, "CG", "scalar").n_dofs
+            n_dofs = build_space(mesh, p, "CG").n_dofs
             row = [p, n_dofs, mesh.h_max]
             for s in schemes:
                 try:
@@ -263,11 +267,12 @@ def run_scheme_comparison(config, degrees=(1, 2, 3, 4)):
                         row += [err.l2, err.h1, err.h2h]
                     else:
                         row += [None, None, None]
-                except (CordesViolated, RuntimeError, ValueError):
+                except (CordesViolated, RuntimeError, ValueError) as exc:
+                    failed.append("degree %d, Ndofs %d, %s: %s" % (p, n_dofs, s, exc))
                     row += [None, None, None]
             rows.append(row)
     write_csv(config.out, header, rows)
-    return header, rows
+    return header, rows, failed
 
 
 # ----------------------------------------------------------------------
@@ -381,8 +386,10 @@ def main(argv=None):
         if args.command == "compare":
             config = _config_from(args, "uniform")
             degrees = [int(t) for t in args.degrees.split(",")]
-            run_scheme_comparison(config, degrees)
-            return 0
+            _, _, failed = run_scheme_comparison(config, degrees)
+            for cell in failed:
+                print("failed cell: %s" % cell, file=sys.stderr)
+            return 3 if failed else 0
     except (ValueError, KeyError) as exc:
         print("configuration error: %s" % exc, file=sys.stderr)
         return 2

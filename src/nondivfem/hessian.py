@@ -7,8 +7,10 @@ matrix-valued space W_h (CG or DG, same degree) and is defined via
 
 tested against all w in W_h.  With continuous test functions only the
 domain boundary contributes; discontinuous test functions see an
-average-times-jump term on every facet.  Componentwise this reduces to
-four scalar systems M_W h_ij = C_ij u sharing one mass matrix.
+average-times-jump term on every interior facet as well.  Componentwise
+this reduces to four scalar systems M_W h_ij = C_ij u sharing one mass
+matrix; `assemble_C` builds the four C_ij for either test space with one
+volume kernel and one facet loop.
 """
 
 from dataclasses import dataclass, field
@@ -30,8 +32,7 @@ from .space import (
 __all__ = [
     "HessianOperator",
     "assemble_mass_W",
-    "assemble_C_cg",
-    "assemble_C_dg",
+    "assemble_C",
     "build_hessian_operator",
     "recover_hessian",
     "fe_laplacian",
@@ -49,145 +50,82 @@ def assemble_mass_W(space):
     nloc = space.ref.n_basis
     rows = np.repeat(dm, nloc, axis=1).ravel()
     cols = np.tile(dm, (1, nloc)).ravel()
-    n = space.n_scalar_dofs
+    n = space.n_dofs
     return sp.coo_matrix((data.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
-def _scatter(blocks, rows, cols, shape):
-    """Sum COO triplets into a CSR matrix."""
-    return sp.coo_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())), shape=shape).tocsr()
+def assemble_C(space_V, space_W):
+    """Recovery blocks as a 2x2 list of CSR matrices: (C_ij u)_k = int H_ij(u) psi_k.
 
-
-def _volume_C(space_V, space_W):
-    """-int_T d_i(phi_l) d_j(psi_k) blocks, returned as 2x2 list of CSR parts.
-
-    Physical gradients on an affine cell are Jinv^T times reference ones, so
-    a block is the geometry tensor -det_T Jinv[a, i] Jinv[b, j] contracted
-    with the reference tensor R[a, b, k, l] = int d_a(phi_l) d_b(psi_k) over
-    the reference cell (Kirby & Logg, ACM TOMS 2006): one (cells x 4) @
-    (4 x nW nV) product per block.  The integrand has degree pV + pW - 2.
+    Integration by parts of d_j(d_i u) psi_k gives
+        C_ij[k, l] = -int_T d_i(phi_l) d_j(psi_k)  +  sum_F int_F {d_i phi_l} [psi_k n_j].
+    The volume part is the geometry tensor -det_T Jinv[a, i] Jinv[b, j]
+    contracted with the reference tensor R[a, b, k, l] = int d_a(phi_l) d_b(psi_k)
+    over the reference cell (Kirby & Logg, ACM TOMS 2006), whose integrand has
+    degree pV + pW - 2.  The facet part runs over groups of facets, each a list
+    of (trial side, test side, weight) terms: boundary facets always contribute
+    (plus, plus, 1); a discontinuous test space adds every interior facet, where
+    psi on one side sees that side's outward normal (n_plus = -n_F,
+    n_minus = +n_F) and {.} averages the two traces of grad phi.  Each block is
+    one COO sum, from which the sums that vanish in exact arithmetic are dropped.
     """
     mesh = space_V.mesh
+    nW, nV = space_W.ref.n_basis, space_V.ref.n_basis
+    rows, cols, data = [], [], []
+
+    def add(blk, dofs_W, dofs_V):                          # blk (2, 2, n, nW, nV)
+        rows.append(np.repeat(dofs_W, nV, axis=1).ravel())
+        cols.append(np.tile(dofs_V, (1, nW)).ravel())
+        data.append(blk.reshape(2, 2, -1))
+
     q = quadrature(max(space_V.degree + space_W.degree - 2, 1))
     gV = space_V.ref.tabulate_grad(q.points)               # (q, nV, 2)
     gW = space_W.ref.tabulate_grad(q.points)               # (q, nW, 2)
-    nW, nV = space_W.ref.n_basis, space_V.ref.n_basis
     R = np.einsum("q,qla,qkb->abkl", q.weights, gV, gW).reshape(4, nW * nV)
     # R's entries are rationals; those that vanish exactly come out as
     # round-off (<1e-13 of the largest up to p = 6, against >1e-4 for the
-    # smallest true entry) and would be scattered into the pattern of C and
-    # of the preconditioner built from it
+    # smallest true entry)
     R[np.abs(R) < 1e-10 * np.abs(R).max()] = 0.0
     Jinv = mesh.cell_inv_jacobians
-    det = mesh.cell_det
-    rows = np.repeat(space_W.dof_map, nV, axis=1)
-    cols = np.tile(space_V.dof_map, (1, nW))
-    shape = (space_W.n_scalar_dofs, space_V.n_dofs)
+    G = -np.einsum("c,cai,cbj->ijcab", mesh.cell_det, Jinv, Jinv)
+    add(G.reshape(2, 2, -1, 4) @ R, space_W.dof_map, space_V.dof_map)
+
+    groups = [(mesh.boundary_facets(), [(0, 0, 1.0)])]
+    if space_W.continuity == "DG":
+        groups.append((mesh.interior_facets(),
+                       [(r, s, 0.5 * (1.0 if s else -1.0)) for s in (0, 1) for r in (0, 1)]))
+    t, wt = facet_quadrature(2 * space_V.degree + 2)
+    for facets, terms in groups:
+        if len(facets) == 0:
+            continue
+        phys = facet_points(mesh, facets, t)
+        wlen = wt[None, :] * mesh.facet_lengths[facets][:, None]
+        normals = mesh.facet_normals[facets]
+        cells, grads, vals = {}, {}, {}
+        for side in {side for r, s, _ in terms for side in (r, s)}:
+            cells[side] = mesh.facet_cells[facets, side]
+            ref_pts = pullback_points(mesh, cells[side], phys)
+            _, grads[side] = tabulate_at(space_V, cells[side], ref_pts)   # (F, t, nV, 2)
+            vals[side] = space_W.ref.tabulate(ref_pts)                      # (F, t, nW)
+        for r, s, w in terms:
+            blk = np.einsum("ft,ftli,ftk,fj->ijfkl", w * wlen, grads[r], vals[s], normals,
+                            optimize=True)
+            add(blk, space_W.dof_map[cells[s]], space_V.dof_map[cells[r]])
+
+    rows, cols, data = np.concatenate(rows), np.concatenate(cols), np.concatenate(data, axis=2)
+    shape = (space_W.n_dofs, space_V.n_dofs)
     C = [[None, None], [None, None]]
     for i in range(2):
         for j in range(2):
-            G = -det[:, None, None] * Jinv[:, :, i, None] * Jinv[:, None, :, j]
-            C[i][j] = _scatter(G.reshape(-1, 4) @ R, rows, cols, shape)
+            Cij = sp.coo_matrix((data[i, j], (rows, cols)), shape=shape).tocsr()
+            # the volume and facet parts cancel exactly at many positions;
+            # their round-off (about 1e-14 of the largest entry, against
+            # >1e-4 for the smallest true one) would enter every apply and
+            # the pattern of the preconditioner built from C
+            Cij.data[np.abs(Cij.data) < 1e-12 * np.abs(Cij.data).max(initial=0.0)] = 0.0
+            Cij.eliminate_zeros()
+            C[i][j] = Cij
     return C
-
-
-def _facet_tabulation(space, cells, phys):
-    """Trace values and physical gradients of a space's basis on given cells."""
-    return tabulate_at(space, cells, pullback_points(space.mesh, cells, phys))
-
-
-def _boundary_C(space_V, space_W):
-    """+int_F d_i(phi_l) psi_k n_j over domain-boundary facets."""
-    mesh = space_V.mesh
-    bf = mesh.boundary_facets()
-    shape = (space_W.n_scalar_dofs, space_V.n_dofs)
-    C = [[sp.csr_matrix(shape) for _ in range(2)] for _ in range(2)]
-    if len(bf) == 0:
-        return C
-    p = space_V.degree
-    t, wt = facet_quadrature(2 * p + 2)
-    phys = facet_points(mesh, bf, t)
-    owner = mesh.facet_cells[bf, 0]
-    _, gV = _facet_tabulation(space_V, owner, phys)    # (F, t, nV, 2)
-    vW, _ = _facet_tabulation(space_W, owner, phys)    # (F, t, nW)
-    wlen = wt[None, :] * mesh.facet_lengths[bf][:, None]
-    normals = mesh.facet_normals[bf]
-    nW, nV = space_W.ref.n_basis, space_V.ref.n_basis
-    rows = np.repeat(space_W.dof_map[owner], nV, axis=1)
-    cols = np.tile(space_V.dof_map[owner], (1, nW))
-    for i in range(2):
-        for j in range(2):
-            blk = np.einsum(
-                "ft,ftl,ftk,f->fkl", wlen, gV[..., i], vW, normals[:, j], optimize=True
-            )
-            C[i][j] = _scatter(blk, rows, cols, shape)
-    return C
-
-
-def _interior_C_dg(space_V, space_W):
-    """Average-gradient x test-jump terms on interior facets (DG test space).
-
-    For a test function psi living on one side of a facet, the matrix jump
-    turns into psi times the outward normal of that side, so each facet
-    contributes int_F {d_i phi} psi n_j with the sign of n chosen per side.
-    """
-    mesh = space_V.mesh
-    int_f = mesh.interior_facets()
-    shape = (space_W.n_scalar_dofs, space_V.n_dofs)
-    C = [[sp.csr_matrix(shape) for _ in range(2)] for _ in range(2)]
-    if len(int_f) == 0:
-        return C
-    p = space_V.degree
-    t, wt = facet_quadrature(2 * p + 2)
-    phys = facet_points(mesh, int_f, t)
-    plus = mesh.facet_cells[int_f, 0]
-    minus = mesh.facet_cells[int_f, 1]
-    _, gVp = _facet_tabulation(space_V, plus, phys)
-    _, gVm = _facet_tabulation(space_V, minus, phys)
-    vWp, _ = _facet_tabulation(space_W, plus, phys)
-    vWm, _ = _facet_tabulation(space_W, minus, phys)
-    wlen = wt[None, :] * mesh.facet_lengths[int_f][:, None]
-    n_f = mesh.facet_normals[int_f]                        # outward of minus side
-    nW, nV = space_W.ref.n_basis, space_V.ref.n_basis
-
-    dV = {0: space_V.dof_map[plus], 1: space_V.dof_map[minus]}
-    dW = {0: space_W.dof_map[plus], 1: space_W.dof_map[minus]}
-    gV = {0: gVp, 1: gVm}
-    vW = {0: vWp, 1: vWm}
-    sign = {0: -1.0, 1: +1.0}                              # n_plus = -n_F, n_minus = +n_F
-
-    for i in range(2):
-        for j in range(2):
-            parts = []
-            for s in (0, 1):                               # side carrying psi
-                for r in (0, 1):                           # side providing the trace of grad phi
-                    blk = 0.5 * sign[s] * np.einsum(
-                        "ft,ftl,ftk,f->fkl", wlen, gV[r][..., i], vW[s], n_f[:, j], optimize=True
-                    )
-                    rows = np.repeat(dW[s], nV, axis=1)
-                    cols = np.tile(dV[r], (1, nW))
-                    parts.append(_scatter(blk, rows, cols, shape))
-            C[i][j] = parts[0] + parts[1] + parts[2] + parts[3]
-    return C
-
-
-def assemble_C_cg(space_V, space_W):
-    """C_ij for the continuous recovery: volume plus domain-boundary terms."""
-    if space_W.continuity != "CG":
-        raise ValueError("assemble_C_cg expects a CG test space")
-    C = _volume_C(space_V, space_W)
-    Cb = _boundary_C(space_V, space_W)
-    return [[C[i][j] + Cb[i][j] for j in range(2)] for i in range(2)]
-
-
-def assemble_C_dg(space_V, space_W):
-    """C_ij for the discontinuous recovery: facet sum over all facets."""
-    if space_W.continuity != "DG":
-        raise ValueError("assemble_C_dg expects a DG test space")
-    C = _volume_C(space_V, space_W)
-    Cb = _boundary_C(space_V, space_W)
-    Ci = _interior_C_dg(space_V, space_W)
-    return [[C[i][j] + Cb[i][j] + Ci[i][j] for j in range(2)] for i in range(2)]
 
 
 @dataclass
@@ -213,13 +151,13 @@ class HessianOperator:
 
 def build_hessian_operator(space_V, mode="CG"):
     """Assemble M_W, C_ij and factor the mass matrix for a recovery variant."""
-    if space_V.continuity != "CG" or space_V.value_shape != "scalar":
-        raise ValueError("the trial space must be scalar CG")
+    if space_V.continuity != "CG":
+        raise ValueError("the trial space must be CG")
     if mode not in ("CG", "DG"):
         raise ValueError("mode must be 'CG' or 'DG'")
-    space_W = build_space(space_V.mesh, space_V.degree, mode, "scalar")
+    space_W = build_space(space_V.mesh, space_V.degree, mode)
     M = assemble_mass_W(space_W)
-    C = assemble_C_cg(space_V, space_W) if mode == "CG" else assemble_C_dg(space_V, space_W)
+    C = assemble_C(space_V, space_W)
     lu = splu(M.tocsc())
     return HessianOperator(mode=mode, space_V=space_V, space_W=space_W, M_W=M, C=C, M_lu=lu)
 

@@ -184,13 +184,6 @@ class Mesh:
     def boundary_vertices(self):
         return np.unique(self.facets[self.boundary_flags])
 
-    def refinement_edge_vertices(self, t):
-        """Global (sorted) vertex pair of cell t's refinement edge."""
-        k = self.refinement_edges[t]
-        c = self.cells[t]
-        a, b = c[(k + 1) % 3], c[(k + 2) % 3]
-        return (a, b) if a < b else (b, a)
-
     def cell_diameters(self):
         v = self.vertices[self.cells]
         e = np.stack(
@@ -402,17 +395,21 @@ def mesh_quality(mesh):
 
 
 def write_mesh(mesh, path):
-    """Plain-text dump: `vertices N cells M`, N coordinate lines, M index lines."""
+    """Plain-text dump: `vertices N cells M`, N coordinate lines, M cell lines.
+
+    A cell line holds the three vertex indices and the local index of the
+    cell's refinement edge, so a mesh read back bisects as the original.
+    """
     with open(path, "w") as fh:
         fh.write("vertices %d cells %d\n" % (mesh.n_vertices, mesh.n_cells))
         for x, y in mesh.vertices:
             fh.write("%r %r\n" % (float(x), float(y)))
-        for i, j, k in mesh.cells:
-            fh.write("%d %d %d\n" % (i, j, k))
+        for (i, j, k), e in zip(mesh.cells, mesh.refinement_edges):
+            fh.write("%d %d %d %d\n" % (i, j, k, e))
 
 
 def read_mesh(path):
-    """Read a mesh written by `write_mesh`; refinement edges are re-initialized."""
+    """Read a mesh written by `write_mesh`, refinement edges included."""
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 4 or header[0] != "vertices" or header[2] != "cells":
@@ -424,4 +421,6 @@ def read_mesh(path):
         cells = np.array(
             [[int(w) for w in fh.readline().split()] for _ in range(m)], dtype=np.int64
         )
-    return Mesh(vertices, cells)
+    if cells.shape != (m, 4):
+        raise ValueError("cell lines must hold three vertex indices and a refinement edge")
+    return Mesh(vertices, cells[:, :3], cells[:, 3])

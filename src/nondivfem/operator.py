@@ -373,9 +373,6 @@ class CordesInfo:
     gamma: object
     min_eigenvalue: float = np.nan
 
-    def gamma_at(self, x):
-        return self.gamma(x)
-
 
 def _gamma_field(problem):
     def gamma(x):
@@ -435,7 +432,7 @@ def assemble_B(space_W, problem, gamma, quad_degree=None):
     nloc = space_W.ref.n_basis
     rows = np.repeat(dm, nloc, axis=1).ravel()
     cols = np.tile(dm, (1, nloc)).ravel()
-    n = space_W.n_scalar_dofs
+    n = space_W.n_dofs
     B = [[None, None], [None, None]]
     for i in range(2):
         for j in range(2):
@@ -454,7 +451,7 @@ def assemble_load(space_W, problem, gamma, quad_degree=None):
     pts = _volume_points(space_W, q)
     fq = problem.f(pts) * gamma(pts) * mesh.cell_det[:, None]
     blk = np.einsum("q,cq,qk->ck", q.weights, fq, phi)
-    return np.bincount(space_W.dof_map.ravel(), blk.ravel(), minlength=space_W.n_scalar_dofs)
+    return np.bincount(space_W.dof_map.ravel(), blk.ravel(), minlength=space_W.n_dofs)
 
 
 def assemble_stabilization(space_V, eta1, eta2):
@@ -464,7 +461,7 @@ def assemble_stabilization(space_V, eta1, eta2):
     if eta1 < 0 or eta2 < 0:
         raise ValueError("penalty weights must be >= 0")
     mesh = space_V.mesh
-    n = space_V.n_scalar_dofs
+    n = space_V.n_dofs
     if (eta1 == 0 and eta2 == 0) or len(mesh.interior_facets()) == 0:
         return sp.csr_matrix((n, n))
     int_f = mesh.interior_facets()
@@ -552,7 +549,7 @@ def build_system(problem, mesh, p, mode="CG", eta1=None, eta2=None, quad_degree=
     Penalty defaults depend on the measured Cordes eps: well-conditioned
     coefficients (eps >= 0.5) run penalty-free, otherwise eta1 = 1.
     """
-    space_V = build_space(mesh, p, "CG", "scalar")
+    space_V = build_space(mesh, p, "CG")
     hop = build_hessian_operator(space_V, mode)
     deg = quad_degree if quad_degree is not None else 2 * p + 2
     q = quadrature(deg)
@@ -585,7 +582,7 @@ def apply_system(op, u):
     hop = op.hessian_op
     u = np.asarray(u, dtype=np.float64)
     ui = np.where(op.free_mask, u, 0.0)
-    g = np.zeros(hop.space_W.n_scalar_dofs)
+    g = np.zeros(hop.space_W.n_dofs)
     for i in range(2):
         for j in range(2):
             h_ij = hop.mass_solve(hop.C[i][j] @ ui)
@@ -670,7 +667,7 @@ def assemble_nsz(space_V, problem, gamma, eta1, quad_degree=None):
     nloc = ref.n_basis
     rows = np.repeat(dm, nloc, axis=1).ravel()
     cols = np.tile(dm, (1, nloc)).ravel()
-    n = space_V.n_scalar_dofs
+    n = space_V.n_dofs
     K = sp.coo_matrix((blk.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     K = K + assemble_stabilization(space_V, eta1, 0.0)
 

@@ -153,7 +153,7 @@ def solve_problem(
     tol_abs, tol_rel = tol
 
     if scheme == "nsz":
-        space_V = build_space(mesh, p, "CG", "scalar")
+        space_V = build_space(mesh, p, "CG")
         q = quadrature(quad_degree if quad_degree is not None else 2 * p + 2)
         sample = _volume_points(space_V, q).reshape(-1, 2)
         cordes = cordes_analyze(problem, sample)

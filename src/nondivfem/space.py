@@ -235,32 +235,15 @@ def reference_element(p):
 
 @dataclass
 class FunctionSpace:
-    """Scalar or matrix-valued Lagrange space on a mesh.
-
-    `dof_map` maps cells to the global dofs of one scalar component; a
-    matrix-valued space uses four stacked copies (component-major), so
-    n_dofs = 4 * n_scalar_dofs.
-    """
+    """Scalar Lagrange space on a mesh; `dof_map` maps cells to global dofs."""
 
     mesh: object
     degree: int
     continuity: str
-    value_shape: str
     ref: ReferenceElement
     dof_map: np.ndarray
-    n_scalar_dofs: int
+    n_dofs: int
     node_coords: np.ndarray = field(repr=False)
-
-    @property
-    def n_components(self):
-        return 1 if self.value_shape == "scalar" else 4
-
-    @property
-    def n_dofs(self):
-        return self.n_components * self.n_scalar_dofs
-
-    def component_dof_map(self, comp):
-        return self.dof_map + comp * self.n_scalar_dofs
 
 
 @dataclass
@@ -274,22 +257,20 @@ class FEFunction:
             raise ValueError("coefficient vector length does not match space")
 
 
-def build_space(mesh, p, continuity="CG", value_shape="scalar"):
+def build_space(mesh, p, continuity="CG"):
     """Build a Lagrange space of degree p, continuity 'CG' or 'DG'."""
     p = int(p)
     if p < 1:
         raise ValueError("degree must be >= 1")
     if continuity not in ("CG", "DG"):
         raise ValueError("continuity must be 'CG' or 'DG'")
-    if value_shape not in ("scalar", "matrix"):
-        raise ValueError("value_shape must be 'scalar' or 'matrix'")
     ref = reference_element(p)
     n_loc = ref.n_basis
     n_cells = mesh.n_cells
 
     if continuity == "DG":
         dof_map = np.arange(n_cells * n_loc, dtype=np.int64).reshape(n_cells, n_loc)
-        n_scalar = n_cells * n_loc
+        n_dofs = n_cells * n_loc
     else:
         dof_map = np.empty((n_cells, n_loc), dtype=np.int64)
         dof_map[:, 0:3] = mesh.cells
@@ -314,22 +295,21 @@ def build_space(mesh, p, continuity="CG", value_shape="scalar"):
             dof_map[:, 3 + 3 * ne :] = (
                 offset + np.arange(n_cells)[:, None] * ni + np.arange(ni)[None, :]
             )
-        n_scalar = offset + n_cells * ni
+        n_dofs = offset + n_cells * ni
 
     # physical node coordinates (consistent across cells for CG by construction)
     v0 = mesh.vertices[mesh.cells[:, 0]]
     phys = v0[:, None, :] + np.einsum("cij,nj->cni", mesh.cell_jacobians, ref.nodes, optimize=True)
-    node_coords = np.empty((n_scalar, 2))
+    node_coords = np.empty((n_dofs, 2))
     node_coords[dof_map.ravel()] = phys.reshape(-1, 2)
 
     return FunctionSpace(
         mesh=mesh,
         degree=p,
         continuity=continuity,
-        value_shape=value_shape,
         ref=ref,
         dof_map=dof_map,
-        n_scalar_dofs=n_scalar,
+        n_dofs=n_dofs,
         node_coords=node_coords,
     )
 
@@ -350,8 +330,6 @@ def boundary_dofs(space):
 
 def interpolate(space, f):
     """Nodal interpolant of a pointwise function f(points (n,2)) -> (n,)."""
-    if space.value_shape != "scalar":
-        raise ValueError("interpolate expects a scalar space")
     vals = np.asarray(f(space.node_coords), dtype=np.float64)
     return FEFunction(space, vals)
 

@@ -121,7 +121,7 @@ def test_iteration_table_structure(tmp_path):
 
 def test_scheme_comparison_columns():
     config = RunConfig(experiment="exp1", levels=1, initial_n=8, params={"kappa": 0.5})
-    header, rows = run_scheme_comparison(config, degrees=(2,))
+    header, rows, _ = run_scheme_comparison(config, degrees=(2,))
     assert header[:3] == ["degree", "Ndofs", "h_max"]
     assert "recovery_cg_L2" in header and "nsz_H2h" in header
     assert len(rows) == 1
@@ -141,7 +141,7 @@ def test_comparison_shows_degree_one_gap():
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        header, rows = run_scheme_comparison(config, degrees=(1,))
+        header, rows, _ = run_scheme_comparison(config, degrees=(1,))
     byname = [dict(zip(header, r)) for r in rows]
     cg = [r["recovery_cg_L2"] for r in byname]
     nsz = [r["nsz_L2"] for r in byname]
@@ -233,6 +233,45 @@ def test_cli_compare(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0].startswith("degree,Ndofs,h_max")
+
+
+def test_cli_compare_exits_3_on_failed_cells(capsys):
+    # the direct scheme rejects eta1 = 0: its cells stay empty and are named
+    rc = main([
+        "compare", "--experiment", "exp1", "--degrees", "2", "--levels", "1",
+        "--initial-n", "2", "--eta1", "0",
+    ])
+    assert rc == 3
+    captured = capsys.readouterr()
+    row = dict(zip(*(ln.split(",") for ln in captured.out.splitlines())))
+    assert row["nsz_L2"] == "" and row["recovery_cg_L2"] != ""
+    failed = [ln for ln in captured.err.splitlines() if ln.startswith("failed cell")]
+    assert len(failed) == 1 and "nsz" in failed[0]
+
+
+def test_cli_compare_without_exact_solution_exits_0(capsys):
+    rc = main([
+        "compare", "--experiment", "exp4", "--degrees", "2", "--levels", "1",
+        "--initial-n", "2",
+    ])
+    assert rc == 0
+    captured = capsys.readouterr()
+    header, row = (ln.split(",") for ln in captured.out.splitlines())
+    assert all(v == "" for v in row[3:]) and len(row) == len(header)
+    assert "failed" not in captured.err
+
+
+def test_benchmark_selftest_passes():
+    # the benchmark pins the layer structure it traces (e.g. five mass
+    # solves per apply); a change that breaks it should fail here too
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=str(root),
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr[-2000:]
 
 
 def test_thread_cap_env(monkeypatch):

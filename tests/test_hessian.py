@@ -13,6 +13,7 @@ from nondivfem import (
     recover_hessian,
     uniform_refine,
 )
+from nondivfem.hessian import assemble_C
 from nondivfem.space import evaluate, facet_quadrature, physical_points, quadrature
 
 
@@ -57,36 +58,89 @@ def test_recovery_operator_shapes():
         op = build_hessian_operator(V, mode)
         for i in range(2):
             for j in range(2):
-                assert op.C[i][j].shape == (op.space_W.n_scalar_dofs, V.n_dofs)
+                assert op.C[i][j].shape == (op.space_W.n_dofs, V.n_dofs)
+
+
+def _pointwise_C(V, W):
+    """Dense C_ij summed cell by cell, facet by facet and point by point.
+
+    Volume: -int_T d_i(phi_l) d_j(psi_k).  Facets: int_F {d_i phi_l} psi_k n_j
+    with n the outward normal of the cell carrying psi; boundary facets
+    always, interior facets only for a DG test space.  Normals come from
+    the cell geometry, not from the mesh's facet orientation.
+    """
+    mesh = V.mesh
+    p = V.degree
+    dense = np.zeros((2, 2, W.n_dofs, V.n_dofs))
+    q = quadrature(2 * p + 2)
+    gV_ref = V.ref.tabulate_grad(q.points)                 # (q, nV, 2)
+    gW_ref = W.ref.tabulate_grad(q.points)
+    for c in range(mesh.n_cells):
+        Jinv = mesh.cell_inv_jacobians[c]
+        for t, w in enumerate(q.weights):
+            gV = gV_ref[t] @ Jinv                          # physical gradients (nV, 2)
+            gW = gW_ref[t] @ Jinv
+            for i in range(2):
+                for j in range(2):
+                    dense[i, j][np.ix_(W.dof_map[c], V.dof_map[c])] -= (
+                        w * mesh.cell_det[c] * np.outer(gW[:, j], gV[:, i])
+                    )
+
+    def to_ref(c, x):
+        return mesh.cell_inv_jacobians[c] @ (x - mesh.vertices[mesh.cells[c, 0]])
+
+    tq, wq = facet_quadrature(2 * p + 4)
+    for f in range(mesh.n_facets):
+        cells = [c for c in mesh.facet_cells[f] if c >= 0]
+        if len(cells) == 2 and W.continuity == "CG":
+            continue
+        va, vb = mesh.vertices[mesh.facets[f]]
+        length = np.linalg.norm(vb - va)
+        for c_test in cells:
+            n = np.array([vb[1] - va[1], va[0] - vb[0]]) / length
+            if n @ (0.5 * (va + vb) - mesh.vertices[mesh.cells[c_test]].mean(axis=0)) < 0:
+                n = -n
+            for t, w in zip(tq, wq):
+                x = va + t * (vb - va)
+                psi = W.ref.tabulate(to_ref(c_test, x)[None])[0]
+                for c_tr in cells:
+                    g = V.ref.tabulate_grad(to_ref(c_tr, x)[None])[0] @ mesh.cell_inv_jacobians[c_tr]
+                    for i in range(2):
+                        for j in range(2):
+                            dense[i, j][np.ix_(W.dof_map[c_test], V.dof_map[c_tr])] += (
+                                w * length / len(cells) * n[j] * np.outer(psi, g[:, i])
+                            )
+    return dense
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 @pytest.mark.parametrize("continuity", ["CG", "DG"])
-def test_volume_C_matches_pointwise_quadrature(p, continuity):
-    # -int_T d_i(phi_l) d_j(psi_k), summed cell by cell and point by point
-    # from physical gradients on an over-integrating rule
-    from nondivfem.hessian import _volume_C
-
+def test_assemble_C_matches_pointwise_quadrature(p, continuity):
     mesh = _randomly_bisected_mesh(seed=p)
     V = build_space(mesh, p, "CG")
     W = build_space(mesh, p, continuity)
-    q = quadrature(2 * p + 2)
-    gV_ref = V.ref.tabulate_grad(q.points)                 # (q, nV, 2)
-    gW_ref = W.ref.tabulate_grad(q.points)
-    C = _volume_C(V, W)
+    C = assemble_C(V, W)
+    dense = _pointwise_C(V, W)
     for i in range(2):
         for j in range(2):
-            dense = np.zeros((W.n_scalar_dofs, V.n_dofs))
-            for c in range(mesh.n_cells):
-                Jinv = mesh.cell_inv_jacobians[c]
-                for t, w in enumerate(q.weights):
-                    gV = gV_ref[t] @ Jinv                  # physical gradients (nV, 2)
-                    gW = gW_ref[t] @ Jinv
-                    dense[np.ix_(W.dof_map[c], V.dof_map[c])] -= (
-                        w * mesh.cell_det[c] * np.outer(gW[:, j], gV[:, i])
-                    )
-            scale = np.abs(dense).max()
-            assert np.abs(C[i][j].toarray() - dense).max() <= 1e-12 * scale
+            scale = np.abs(dense[i, j]).max()
+            assert np.abs(C[i][j].toarray() - dense[i, j]).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["CG", "DG"])
+def test_C_01_equals_C_10_without_round_off_entries(p, mode):
+    # tangential derivatives of a C0 trial function are continuous, so the
+    # mixed blocks agree; entries that vanish in exact arithmetic are not stored
+    mesh = _randomly_bisected_mesh(seed=10 + p)
+    op = build_hessian_operator(build_space(mesh, p, "CG"), mode)
+    C01, C10 = op.C[0][1].sorted_indices(), op.C[1][0].sorted_indices()
+    assert np.array_equal(C01.indptr, C10.indptr)
+    assert np.array_equal(C01.indices, C10.indices)
+    assert np.abs(C01.data - C10.data).max() <= 1e-13 * np.abs(C01.data).max()
+    for row in op.C:
+        for blk in row:
+            assert np.abs(blk.data).min() >= 1e-12 * np.abs(blk.data).max()
 
 
 @pytest.mark.parametrize("mode", ["CG", "DG"])
@@ -177,7 +231,7 @@ def _dense_dg_oracle(V, u):
     tq, wq = facet_quadrature(2 * V.degree + 2)
 
     M = assemble_mass_W(W).toarray()
-    rhs = np.zeros((2, 2, W.n_scalar_dofs))
+    rhs = np.zeros((2, 2, W.n_dofs))
 
     # volume: -int grad(u)_i d_j(psi)
     from nondivfem.space import tabulate_at
@@ -267,7 +321,7 @@ def test_recovery_is_l2_projection_for_smooth_u():
     targets = {(0, 0): 6 * X, (0, 1): -np.ones_like(X), (1, 1): 6 * Y}
     lu = sp.linalg.splu(M)
     for (i, j), E in targets.items():
-        b = np.zeros(W.n_scalar_dofs)
+        b = np.zeros(W.n_dofs)
         contrib = np.einsum("q,cq,cqk,c->ck", q.weights, E, vals_w, m.cell_det)
         np.add.at(b, W.dof_map, contrib)
         proj = lu.solve(b)

@@ -158,6 +158,28 @@ def test_write_read_roundtrip(tmp_path):
     assert np.array_equal(m.cells, m2.cells)
 
 
+def test_write_read_keeps_refinement_edges(tmp_path):
+    # on a 2x1 rectangle the longest edges are [1, 2]; a reader that
+    # re-derived them would bisect cell 0 into 4 cells instead of 3
+    r = build_rect_mesh(0, 2, 0, 1, 1, 1)
+    m = Mesh(r.vertices, r.cells, refinement_edges=[2, 1])
+    path = tmp_path / "mesh.txt"
+    write_mesh(m, str(path))
+    m2 = read_mesh(str(path))
+    assert np.array_equal(m2.refinement_edges, [2, 1])
+    b, b2 = bisect(m, [0]), bisect(m2, [0])
+    assert b.n_cells == b2.n_cells == 3
+    assert np.array_equal(b.vertices, b2.vertices)
+    assert np.array_equal(b.cells, b2.cells)
+    assert np.array_equal(b.refinement_edges, b2.refinement_edges)
+    # a cell line without the edge column is rejected
+    lines = path.read_text().splitlines()
+    lines[-1] = " ".join(lines[-1].split()[:3])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError):
+        read_mesh(str(path))
+
+
 def test_read_malformed_header(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("not a mesh\n")

@@ -178,7 +178,7 @@ def test_solve_with_recovered_hessian():
     mesh = build_rect_mesh(0, 1, 0, 1, 4, 4)
     sol = solve_problem(problem, mesh, p=2, recover=True)
     assert sol.hessian is not None
-    assert sol.hessian[0][1].coeffs.shape == (sol.system.hessian_op.space_W.n_scalar_dofs,)
+    assert sol.hessian[0][1].coeffs.shape == (sol.system.hessian_op.space_W.n_dofs,)
 
 
 def test_preconditioner_reduces_iterations():

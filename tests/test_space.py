@@ -59,8 +59,6 @@ def test_dof_counts_two_cells():
     m = build_rect_mesh(0, 1, 0, 1, 1, 1)
     assert build_space(m, 2, "CG").n_dofs == 9
     assert build_space(m, 2, "DG").n_dofs == 12
-    W = build_space(m, 2, "CG", "matrix")
-    assert W.n_dofs == 4 * 9
 
 
 def test_dg_counts_no_sharing():
@@ -95,8 +93,6 @@ def test_build_space_validation():
         build_space(m, 0, "CG")
     with pytest.raises(ValueError):
         build_space(m, 1, "XXX")
-    with pytest.raises(ValueError):
-        build_space(m, 1, "CG", "tensor")
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
