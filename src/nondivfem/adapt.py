@@ -37,16 +37,23 @@ def doerfler_mark(eta, theta, convention="squared"):
     if convention not in ("squared", "linear"):
         raise ValueError("convention must be 'squared' or 'linear'")
     vals = eta_T**2 if convention == "squared" else eta_T
-    order = np.argsort(-vals, kind="stable")
+    vmax = vals.max()
+    if vmax == 0.0:
+        return np.array([], dtype=np.int64)
+    # order by the values rounded to 12 digits relative to the largest, so
+    # cells whose indicators agree in exact arithmetic (mirror-image cells)
+    # are ordered by cell id and not by round-off
+    order = np.argsort(-np.round(vals / vmax, 12), kind="stable")
     csum = np.cumsum(vals[order])
     total = csum[-1]
-    if total == 0.0:
-        return np.array([], dtype=np.int64)
     target = (theta**2 if convention == "squared" else theta) * total
     # relative slack so exact ties (csum == target up to rounding) do not
     # drag an extra cell in
     k = int(np.argmax(csum >= target - 1e-12 * total)) + 1
-    return np.sort(order[:k])
+    # zeros share the last rounded value with indicators below 5e-13 of
+    # the largest and may sit between them
+    marked = order[:k]
+    return np.sort(marked[vals[marked] > 0.0])
 
 
 def initial_mesh(problem, n=None):

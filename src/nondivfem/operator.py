@@ -15,6 +15,10 @@ Two discretizations are assembled here:
   preconditioner;
 * a direct scheme using the cellwise exact Hessian with a mandatory
   gradient-jump penalty, assembled as an ordinary sparse matrix.
+
+The preconditioner, like the mass matrix and the direct scheme's matrix,
+is factored by `hessian._factor`: a symmetric-mode sparse LU with
+minimum-degree ordering on A^T + A, which fits its symmetric pattern.
 """
 
 import warnings
@@ -22,9 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
-from .hessian import build_hessian_operator
+from .hessian import _factor, build_hessian_operator
 from .space import (
     boundary_dofs,
     build_space,
@@ -625,9 +628,8 @@ def build_preconditioner(op):
     free = op.free_mask.astype(np.float64)
     D_free = sp.diags(free)
     D_fixed = sp.diags(1.0 - free)
-    P = (D_free @ P @ D_free + D_fixed).tocsc()
-    lu = splu(P)
-    return Preconditioner(matrix=P.tocsr(), lu=lu)
+    P = (D_free @ P @ D_free + D_fixed).tocsr()
+    return Preconditioner(matrix=P, lu=_factor(P))
 
 
 # ----------------------------------------------------------------------

@@ -8,9 +8,8 @@ equal to the true residual of the original system.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import splu
 
-from .hessian import recover_hessian
+from .hessian import _factor, recover_hessian
 from .operator import (
     assemble_nsz,
     assemble_rhs,
@@ -41,6 +40,13 @@ class Solution:
     system: object = field(default=None, repr=False)
 
 
+def _grown(a, shape):
+    """Zero array of the given shape with `a` copied into its leading corner."""
+    b = np.zeros(shape)
+    b[tuple(slice(0, k) for k in a.shape)] = a
+    return b
+
+
 def gmres(apply, b, precond=None, tol_abs=1e-8, tol_rel=1e-8, max_iter=500, x0=None):
     """Full GMRES with modified Gram-Schmidt and right preconditioning.
 
@@ -61,12 +67,14 @@ def gmres(apply, b, precond=None, tol_abs=1e-8, tol_rel=1e-8, max_iter=500, x0=N
     if beta <= tol:
         return x0.copy(), SolveReport(0, history, True, beta)
 
-    m = max_iter
-    V = np.empty((m + 1, n))
-    H = np.zeros((m + 1, m))
-    cs = np.zeros(m)
-    sn = np.zeros(m)
-    g = np.zeros(m + 1)
+    # the Krylov basis and the Hessenberg matrix grow by doubling, so memory
+    # follows the iterations taken, not max_iter
+    cap = min(max_iter, 32)
+    V = np.empty((cap + 1, n))
+    H = np.zeros((cap + 1, cap))
+    cs = np.zeros(cap)
+    sn = np.zeros(cap)
+    g = np.zeros(cap + 1)
     g[0] = beta
     V[0] = r0 / beta
 
@@ -78,7 +86,12 @@ def gmres(apply, b, precond=None, tol_abs=1e-8, tol_rel=1e-8, max_iter=500, x0=N
 
     converged = False
     j_done = 0
-    for j in range(m):
+    for j in range(max_iter):
+        if j == cap:
+            cap = min(2 * cap, max_iter)
+            V = _grown(V, (cap + 1, n))
+            H = _grown(H, (cap + 1, cap))
+            cs, sn, g = _grown(cs, cap), _grown(sn, cap), _grown(g, cap + 1)
         # copy: apply or M may hand back their argument (e.g. the identity),
         # and the in-place orthogonalization below must not touch V
         w = np.array(apply(M(V[j])), dtype=np.float64)
@@ -159,7 +172,7 @@ def solve_problem(
         cordes = cordes_analyze(problem, sample)
         e1 = 1.0 if eta1 is None else float(eta1)
         K, rhs = assemble_nsz(space_V, problem, cordes.gamma, e1, quad_degree)
-        x = splu(K.tocsc()).solve(rhs)
+        x = _factor(K).solve(rhs)
         res = float(np.linalg.norm(rhs - K @ x))
         report = SolveReport(0, [float(np.linalg.norm(rhs)), res], True, res)
         u_h = FEFunction(space_V, x)

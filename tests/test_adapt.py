@@ -71,6 +71,24 @@ def test_mark_linear_convention():
     assert len(m_lin) > len(m_sq)
 
 
+def test_mark_ignores_round_off_between_tied_cells():
+    # cells 1 and 2 tie in exact arithmetic and the Doerfler cut falls
+    # between them: the lower cell id is marked whichever side round-off
+    # makes larger
+    eta = np.array([3.0, 2.0, 2.0, 1.0, 1.0, 1.0])
+    for k in (1, 2):
+        perturbed = eta.copy()
+        perturbed[k] *= 1.0 + 1e-15
+        assert np.array_equal(doerfler_mark(perturbed, theta=0.75), [0, 1])
+    # mirror-image pairs perturbed at round-off level, at many cut positions
+    rng = np.random.default_rng(8)
+    half = rng.uniform(0.1, 1.0, size=50)
+    eta = np.concatenate([half, half])
+    noisy = eta * (1.0 + 1e-15 * rng.choice([-1.0, 1.0], size=eta.size))
+    for theta in np.linspace(0.1, 1.0, 19):
+        assert np.array_equal(doerfler_mark(eta, theta), doerfler_mark(noisy, theta))
+
+
 def test_mark_rejects_bad_input():
     with pytest.raises(ValueError):
         doerfler_mark(np.array([]), 0.5)

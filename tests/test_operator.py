@@ -16,8 +16,9 @@ from nondivfem import (
     cordes_analyze,
     interpolate,
     make_problem,
+    solve_problem,
 )
-from nondivfem.hessian import assemble_mass_W
+from nondivfem.hessian import _factor, assemble_mass_W
 from nondivfem.operator import (
     ProblemData,
     _const_matrix,
@@ -540,6 +541,34 @@ def test_preconditioner_invertible_and_identity_on_boundary():
         assert np.abs(col).max() == 0.0
 
 
+def _bisected_16x16_mesh(seed):
+    rng = np.random.default_rng(seed)
+    mesh = build_rect_mesh(0, 1, 0, 1, 16, 16)
+    return bisect(mesh, rng.choice(mesh.n_cells, size=mesh.n_cells // 4, replace=False))
+
+
+def _lu_fill(lu):
+    return lu.L.nnz + lu.U.nnz
+
+
+@pytest.mark.parametrize("mode", ["CG", "DG"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_sparse_lu_fills_no_more_than_colamd(p, mode):
+    # mass matrix and preconditioner factors against SuperLU's default
+    # COLAMD ordering of the same matrix (equal only for the block-diagonal
+    # DG mass matrix, which has no fill either way)
+    rng = np.random.default_rng(p)
+    op = build_system(make_problem("exp1", kappa=0.9), _bisected_16x16_mesh(p), p, mode)
+    hop = op.hessian_op
+    pre = build_preconditioner(op)
+    for A, lu in [(hop.M_W, hop.M_lu), (pre.matrix, pre.lu)]:
+        assert _lu_fill(lu) <= _lu_fill(sp.linalg.splu(A.tocsc()))
+        # right-hand side in the range of A: the residual then measures the
+        # backward error of the factorization, not the conditioning of P
+        b = A @ rng.standard_normal(A.shape[0])
+        assert np.linalg.norm(A @ lu.solve(b) - b) <= 1e-12 * np.linalg.norm(b)
+
+
 # ----------------------------------------------------------------------
 # cellwise-Hessian direct scheme
 
@@ -600,3 +629,14 @@ def test_nsz_boundary_rows():
         r[k] = 0.0
         assert np.abs(r).max() == 0.0
     assert np.all(rhs[bd] == 0.0)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_nsz_direct_solve_residual(p):
+    problem = make_problem("exp1", kappa=0.9)
+    mesh = _bisected_16x16_mesh(p)
+    sol = solve_problem(problem, mesh, p, scheme="nsz")
+    rhs_norm, res = sol.report.residual_history
+    assert res <= 1e-12 * rhs_norm
+    K, _ = assemble_nsz(sol.u_h.space, problem, sol.cordes.gamma, eta1=1.0)
+    assert _lu_fill(_factor(K)) < _lu_fill(sp.linalg.splu(K.tocsc()))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,29 @@ def test_gmres_warm_start():
     _, rep_cold = gmres(lambda v: A @ v, b, tol_abs=1e-10, tol_rel=0.0)
     _, rep_warm = gmres(lambda v: A @ v, b, tol_abs=1e-10, tol_rel=0.0, x0=x_exact + 1e-8)
     assert rep_warm.iterations <= rep_cold.iterations
+
+
+def test_gmres_memory_follows_iterations_not_max_iter():
+    # about 100 Arnoldi steps, so the basis grows past its first chunks
+    rng = np.random.default_rng(5)
+    n = 100
+    A = 0.2 * np.eye(n) + rng.standard_normal((n, n)) / np.sqrt(n)
+    b = rng.standard_normal(n)
+    tracemalloc.start()
+    try:
+        x, rep = gmres(lambda v: A @ v, b, tol_abs=1e-10, tol_rel=0.0, max_iter=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.converged and rep.iterations > 64
+    # a basis of max_iter + 1 rows would take 800 MB
+    assert peak < 2_000_000
+    # the growth does not change a single bit of the iteration
+    x_tight, rep_tight = gmres(
+        lambda v: A @ v, b, tol_abs=1e-10, tol_rel=0.0, max_iter=rep.iterations
+    )
+    assert np.array_equal(x, x_tight)
+    assert rep_tight.residual_history == rep.residual_history
 
 
 def test_gmres_rejects_bad_max_iter():
