@@ -75,6 +75,8 @@ class RunConfig:
         for e in (self.eta1, self.eta2):
             if e is not None and e < 0:
                 raise ValueError("penalty weights must be >= 0")
+        if self.tol_abs <= 0 or self.tol_rel <= 0:
+            raise ValueError("tolerances must be > 0")
         return self
 
     def make_problem(self):
@@ -204,6 +206,8 @@ def run_iteration_table(
     Rows are mesh sizes h = 2^-k; columns are (kappa, eta1) pairs; failed
     solves are recorded as -1.
     """
+    if min(tol) <= 0:
+        raise ValueError("tolerances must be > 0")
     header = ["h"]
     for k in kappas:
         for e1 in eta1_values:
@@ -287,8 +291,10 @@ def _add_common(sub):
                      choices=["recovery-cg", "recovery-dg", "nsz"])
     sub.add_argument("--degree", type=int, default=2)
     sub.add_argument("--eta1", type=float, default=None,
-                     help="gradient-jump penalty (default: 0 if eps >= 0.5 else 1)")
-    sub.add_argument("--eta2", type=float, default=None, help="Hessian-jump penalty (default 0)")
+                     help="gradient-jump penalty (default: recovery schemes 0 if eps >= 0.5 "
+                          "else 1, nsz 1)")
+    sub.add_argument("--eta2", type=float, default=None,
+                     help="Hessian-jump penalty (default 0; recovery schemes only)")
     sub.add_argument("--quad-degree", type=int, default=None)
     sub.add_argument("--tol", type=float, default=1e-8, help="absolute and relative tolerance")
     sub.add_argument("--initial-n", type=int, default=None)

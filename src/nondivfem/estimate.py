@@ -12,15 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import (
-    evaluate,
-    facet_points,
-    facet_quadrature,
-    physical_points,
-    pullback_points,
-    quadrature,
-    tabulate_at,
-)
+from .space import evaluate, facet_quadrature, normal_jumps, physical_points, quadrature
 
 __all__ = [
     "ErrorNorms",
@@ -68,23 +60,10 @@ class _LevelData:
 
 def _gradient_jumps_sq(u_h, quad_deg):
     """Per-interior-facet values of h_F^-1 int_F [grad(u_h) . n_F]^2."""
-    space = u_h.space
-    mesh = space.mesh
-    int_f = mesh.interior_facets()
-    if len(int_f) == 0:
-        return int_f, np.zeros(0)
+    int_f = u_h.space.mesh.interior_facets()
     t, wt = facet_quadrature(quad_deg)
-    phys = facet_points(mesh, int_f, t)
-    plus = mesh.facet_cells[int_f, 0]
-    minus = mesh.facet_cells[int_f, 1]
-    _, gp = tabulate_at(space, plus, pullback_points(mesh, plus, phys))
-    _, gm = tabulate_at(space, minus, pullback_points(mesh, minus, phys))
-    cp = u_h.coeffs[space.dof_map[plus]]
-    cm = u_h.coeffs[space.dof_map[minus]]
-    gup = np.einsum("ftli,fl->fti", gp, cp, optimize=True)
-    gum = np.einsum("ftli,fl->fti", gm, cm, optimize=True)
-    n_f = mesh.facet_normals[int_f]
-    jump = np.einsum("fti,fi->ft", gup - gum, n_f)
+    dofs, jumps, _ = normal_jumps(u_h.space, int_f, t)
+    jump = np.einsum("ftl,fl->ft", jumps, u_h.coeffs[dofs])
     # h_F^-1 int_F [..]^2 = h_F^-1 * (sum_t w_t h_F [..]^2); the lengths cancel
     return int_f, np.einsum("t,ft->f", wt, jump**2)
 

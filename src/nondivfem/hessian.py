@@ -27,15 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .space import (
-    FEFunction,
-    build_space,
-    facet_points,
-    facet_quadrature,
-    pullback_points,
-    quadrature,
-    tabulate_at,
-)
+from .space import FEFunction, build_space, facet_quadrature, facet_traces, quadrature, scatter
 
 __all__ = [
     "HessianOperator",
@@ -65,12 +57,7 @@ def assemble_mass_W(space):
     phi = space.ref.tabulate(q.points)                     # (q, nloc)
     m_ref = np.einsum("q,qk,ql->kl", q.weights, phi, phi)  # reference cell
     data = mesh.cell_det[:, None, None] * m_ref[None]
-    dm = space.dof_map
-    nloc = space.ref.n_basis
-    rows = np.repeat(dm, nloc, axis=1).ravel()
-    cols = np.tile(dm, (1, nloc)).ravel()
-    n = space.n_dofs
-    return sp.coo_matrix((data.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    return scatter(data, space.dof_map, space.dof_map, (space.n_dofs, space.n_dofs))
 
 
 def assemble_C(space_V, space_W):
@@ -90,12 +77,7 @@ def assemble_C(space_V, space_W):
     """
     mesh = space_V.mesh
     nW, nV = space_W.ref.n_basis, space_V.ref.n_basis
-    rows, cols, data = [], [], []
-
-    def add(blk, dofs_W, dofs_V):                          # blk (2, 2, n, nW, nV)
-        rows.append(np.repeat(dofs_W, nV, axis=1).ravel())
-        cols.append(np.tile(dofs_V, (1, nW)).ravel())
-        data.append(blk.reshape(2, 2, -1))
+    rows, cols, data = [space_W.dof_map], [space_V.dof_map], []
 
     q = quadrature(max(space_V.degree + space_W.degree - 2, 1))
     gV = space_V.ref.tabulate_grad(q.points)               # (q, nV, 2)
@@ -107,7 +89,7 @@ def assemble_C(space_V, space_W):
     R[np.abs(R) < 1e-10 * np.abs(R).max()] = 0.0
     Jinv = mesh.cell_inv_jacobians
     G = -np.einsum("c,cai,cbj->ijcab", mesh.cell_det, Jinv, Jinv)
-    add(G.reshape(2, 2, -1, 4) @ R, space_W.dof_map, space_V.dof_map)
+    data.append((G.reshape(2, 2, -1, 4) @ R).reshape(2, 2, -1, nW, nV))
 
     groups = [(mesh.boundary_facets(), [(0, 0, 1.0)])]
     if space_W.continuity == "DG":
@@ -117,33 +99,27 @@ def assemble_C(space_V, space_W):
     for facets, terms in groups:
         if len(facets) == 0:
             continue
-        phys = facet_points(mesh, facets, t)
         wlen = wt[None, :] * mesh.facet_lengths[facets][:, None]
         normals = mesh.facet_normals[facets]
         cells, grads, vals = {}, {}, {}
         for side in {side for r, s, _ in terms for side in (r, s)}:
-            cells[side] = mesh.facet_cells[facets, side]
-            ref_pts = pullback_points(mesh, cells[side], phys)
-            _, grads[side] = tabulate_at(space_V, cells[side], ref_pts)   # (F, t, nV, 2)
-            vals[side] = space_W.ref.tabulate(ref_pts)                      # (F, t, nW)
+            cells[side], _, grads[side], _ = facet_traces(space_V, facets, side, t)
+            _, vals[side], _, _ = facet_traces(space_W, facets, side, t)
         for r, s, w in terms:
-            blk = np.einsum("ft,ftli,ftk,fj->ijfkl", w * wlen, grads[r], vals[s], normals,
-                            optimize=True)
-            add(blk, space_W.dof_map[cells[s]], space_V.dof_map[cells[r]])
+            data.append(np.einsum("ft,ftli,ftk,fj->ijfkl", w * wlen, grads[r], vals[s], normals,
+                                  optimize=True))
+            rows.append(space_W.dof_map[cells[s]])
+            cols.append(space_V.dof_map[cells[r]])
 
-    rows, cols, data = np.concatenate(rows), np.concatenate(cols), np.concatenate(data, axis=2)
-    shape = (space_W.n_dofs, space_V.n_dofs)
-    C = [[None, None], [None, None]]
-    for i in range(2):
-        for j in range(2):
-            Cij = sp.coo_matrix((data[i, j], (rows, cols)), shape=shape).tocsr()
-            # the volume and facet parts cancel exactly at many positions;
-            # their round-off (about 1e-14 of the largest entry, against
-            # >1e-4 for the smallest true one) would enter every apply and
-            # the pattern of the preconditioner built from C
-            Cij.data[np.abs(Cij.data) < 1e-12 * np.abs(Cij.data).max(initial=0.0)] = 0.0
-            Cij.eliminate_zeros()
-            C[i][j] = Cij
+    C = scatter(np.concatenate(data, axis=2), np.concatenate(rows), np.concatenate(cols),
+                (space_W.n_dofs, space_V.n_dofs))
+    for Cij in C[0] + C[1]:
+        # the volume and facet parts cancel exactly at many positions;
+        # their round-off (about 1e-14 of the largest entry, against
+        # >1e-4 for the smallest true one) would enter every apply and
+        # the pattern of the preconditioner built from C
+        Cij.data[np.abs(Cij.data) < 1e-12 * np.abs(Cij.data).max(initial=0.0)] = 0.0
+        Cij.eliminate_zeros()
     return C
 
 

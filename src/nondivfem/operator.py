@@ -31,12 +31,11 @@ from .hessian import _factor, build_hessian_operator
 from .space import (
     boundary_dofs,
     build_space,
-    facet_points,
     facet_quadrature,
+    normal_jumps,
     physical_points,
-    pullback_points,
     quadrature,
-    tabulate_at,
+    scatter,
 )
 
 __all__ = [
@@ -370,7 +369,12 @@ class CordesViolated(Exception):
 
 @dataclass
 class CordesInfo:
-    """Largest admissible eps and the rescaling field gamma = tr(A)/||A||_F^2."""
+    """Largest admissible eps and the rescaling field gamma = tr(A)/||A||_F^2.
+
+    eps is measured only at the points given to `cordes_analyze`; both
+    schemes pass the volume quadrature points of the mesh (`cordes_on_mesh`),
+    so a coefficient whose worst point lies between them reads a larger eps.
+    """
 
     epsilon: float
     gamma: object
@@ -390,7 +394,8 @@ def _gamma_field(problem):
 def cordes_analyze(problem, sample_points):
     """Measure eps = min over samples of tr(A)^2/||A||_F^2 - 1, clamped to (0, 1].
 
-    Raises CordesViolated when the ratio ||A||_F^2/tr(A)^2 reaches 1 (the
+    Only the sample points are checked, nothing between them.  Raises
+    CordesViolated when the ratio ||A||_F^2/tr(A)^2 reaches 1 (the
     two-dimensional ellipticity threshold) at any sampled point.
     """
     pts = np.asarray(sample_points, dtype=np.float64).reshape(-1, 2)
@@ -422,6 +427,20 @@ def _volume_points(space, q):
     return physical_points(mesh, cells, np.broadcast_to(q.points, (mesh.n_cells,) + q.points.shape))
 
 
+def cordes_on_mesh(problem, space_V, quad_degree=None):
+    """`cordes_analyze` at the volume quadrature points of degree
+    quad_degree (default 2p + 2), the points where both schemes assemble."""
+    deg = quad_degree if quad_degree is not None else 2 * space_V.degree + 2
+    return cordes_analyze(problem, _volume_points(space_V, quadrature(deg)).reshape(-1, 2))
+
+
+def _eliminate_dirichlet(K, free):
+    """K with the rows and columns of fixed dofs replaced by the identity."""
+    f = free.astype(np.float64)
+    D_free = sp.diags(f)
+    return (D_free @ K @ D_free + sp.diags(1.0 - f)).tocsr()
+
+
 def assemble_B(space_W, problem, gamma, quad_degree=None):
     """Weighted mass matrices (B_ij)_{kl} = int gamma A_ij psi_l psi_k."""
     mesh = space_W.mesh
@@ -431,18 +450,9 @@ def assemble_B(space_W, problem, gamma, quad_degree=None):
     pts = _volume_points(space_W, q)                       # (c, q, 2)
     Aq = problem.A(pts)                                    # (c, q, 2, 2)
     gq = gamma(pts)                                        # (c, q)
-    dm = space_W.dof_map
-    nloc = space_W.ref.n_basis
-    rows = np.repeat(dm, nloc, axis=1).ravel()
-    cols = np.tile(dm, (1, nloc)).ravel()
-    n = space_W.n_dofs
-    B = [[None, None], [None, None]]
-    for i in range(2):
-        for j in range(2):
-            coeff = gq * Aq[..., i, j] * mesh.cell_det[:, None]
-            blk = np.einsum("q,cq,qk,ql->ckl", q.weights, coeff, phi, phi, optimize=True)
-            B[i][j] = sp.coo_matrix((blk.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    return B
+    coeff = gq[..., None, None] * Aq * mesh.cell_det[:, None, None, None]
+    blk = np.einsum("q,cqij,qk,ql->ijckl", q.weights, coeff, phi, phi, optimize=True)
+    return scatter(blk, space_W.dof_map, space_W.dof_map, (space_W.n_dofs, space_W.n_dofs))
 
 
 def assemble_load(space_W, problem, gamma, quad_degree=None):
@@ -465,51 +475,18 @@ def assemble_stabilization(space_V, eta1, eta2):
         raise ValueError("penalty weights must be >= 0")
     mesh = space_V.mesh
     n = space_V.n_dofs
-    if (eta1 == 0 and eta2 == 0) or len(mesh.interior_facets()) == 0:
-        return sp.csr_matrix((n, n))
     int_f = mesh.interior_facets()
-    p = space_V.degree
-    t, wt = facet_quadrature(2 * p + 2)
-    phys = facet_points(mesh, int_f, t)
-    plus = mesh.facet_cells[int_f, 0]
-    minus = mesh.facet_cells[int_f, 1]
-    rp = pullback_points(mesh, plus, phys)
-    rm = pullback_points(mesh, minus, phys)
-    n_f = mesh.facet_normals[int_f]
+    if (eta1 == 0 and eta2 == 0) or len(int_f) == 0:
+        return sp.csr_matrix((n, n))
+    t, wt = facet_quadrature(2 * space_V.degree + 2)
     h_f = mesh.facet_lengths[int_f]
-    wlen = wt[None, :] * h_f[:, None]
-    nloc = space_V.ref.n_basis
-
-    # stacked two-sided local basis: plus block then minus block
-    dloc = np.concatenate([space_V.dof_map[plus], space_V.dof_map[minus]], axis=1)
-    rows = np.repeat(dloc, 2 * nloc, axis=1)
-    cols = np.tile(dloc, (1, 2 * nloc))
-
-    S_parts = []
-    if eta1 > 0:
-        _, gp = tabulate_at(space_V, plus, rp)
-        _, gm = tabulate_at(space_V, minus, rm)
-        jn_p = np.einsum("ftli,fi->ftl", gp, n_f)
-        jn_m = np.einsum("ftli,fi->ftl", gm, n_f)
-        jump = np.concatenate([jn_p, -jn_m], axis=2)       # (F, t, 2 nloc)
-        blk = eta1 * np.einsum("ft,ftk,ftl,f->fkl", wlen, jump, jump, 1.0 / h_f, optimize=True)
-        S_parts.append(blk)
+    dofs, jump, jump_hess = normal_jumps(space_V, int_f, t, hessians=eta2 > 0)
+    # int_F = h_F sum_t w_t, so the eta1 term's h_F^-1 int_F is sum_t w_t
+    blk = eta1 * np.einsum("t,ftk,ftl->fkl", wt, jump, jump, optimize=True)
     if eta2 > 0:
-        # matrix jump of the Hessian contracted with the facet normal:
-        # [D2 u] = D2u+ n+ + D2u- n- = (D2u- - D2u+) n_F, where the physical
-        # Hessian of a basis function is Jinv^T (reference Hessian) Jinv
-        def hess_normal(cells, ref_pts):
-            Jinv = mesh.cell_inv_jacobians[cells]
-            H = space_V.ref.tabulate_hess(ref_pts)
-            return np.einsum("fki,ftlkm,fmj,fj->ftli", Jinv, H, Jinv, n_f, optimize=True)
-
-        hn_p = hess_normal(plus, rp)
-        hn_m = hess_normal(minus, rm)
-        jump = np.concatenate([-hn_p, hn_m], axis=2)       # (F, t, 2 nloc, 2)
-        blk = eta2 * np.einsum("ft,ftki,ftli,f->fkl", wlen, jump, jump, h_f, optimize=True)
-        S_parts.append(blk)
-    blk = S_parts[0] if len(S_parts) == 1 else S_parts[0] + S_parts[1]
-    return sp.coo_matrix((blk.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)).tocsr()
+        blk += eta2 * np.einsum("ft,ftki,ftli->fkl", wt[None, :] * h_f[:, None] ** 2,
+                                jump_hess, jump_hess, optimize=True)
+    return scatter(blk, dofs, dofs, (n, n))
 
 
 # ----------------------------------------------------------------------
@@ -554,10 +531,7 @@ def build_system(problem, mesh, p, mode="CG", eta1=None, eta2=None, quad_degree=
     """
     space_V = build_space(mesh, p, "CG")
     hop = build_hessian_operator(space_V, mode)
-    deg = quad_degree if quad_degree is not None else 2 * p + 2
-    q = quadrature(deg)
-    sample = _volume_points(space_V, q).reshape(-1, 2)
-    cordes = cordes_analyze(problem, sample)
+    cordes = cordes_on_mesh(problem, space_V, quad_degree)
     if eta1 is None:
         eta1 = 0.0 if cordes.epsilon >= 0.5 else 1.0
     if eta2 is None:
@@ -624,11 +598,7 @@ def build_preconditioner(op):
         for j in range(2):
             term = sp.diags(op.B[i][j].diagonal()) @ w_inv @ hop.C[i][j]
             inner = term if inner is None else inner + term
-    P = (hop.C_trace.T @ w_inv @ inner + op.S).tocsr()
-    free = op.free_mask.astype(np.float64)
-    D_free = sp.diags(free)
-    D_fixed = sp.diags(1.0 - free)
-    P = (D_free @ P @ D_free + D_fixed).tocsr()
+    P = _eliminate_dirichlet(hop.C_trace.T @ w_inv @ inner + op.S, op.free_mask)
     return Preconditioner(matrix=P, lu=_factor(P))
 
 
@@ -666,12 +636,8 @@ def assemble_nsz(space_V, problem, gamma, eta1, quad_degree=None):
     blk = np.einsum("cq,cq,cql,cqk->ckl", wdet, gq, AH, trH)
 
     dm = space_V.dof_map
-    nloc = ref.n_basis
-    rows = np.repeat(dm, nloc, axis=1).ravel()
-    cols = np.tile(dm, (1, nloc)).ravel()
     n = space_V.n_dofs
-    K = sp.coo_matrix((blk.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    K = K + assemble_stabilization(space_V, eta1, 0.0)
+    K = scatter(blk, dm, dm, (n, n)) + assemble_stabilization(space_V, eta1, 0.0)
 
     fq = problem.f(pts) * gq * wdet
     rhs_blk = np.einsum("cq,cqk->ck", fq, trH)
@@ -679,8 +645,4 @@ def assemble_nsz(space_V, problem, gamma, eta1, quad_degree=None):
 
     free = np.ones(n, dtype=bool)
     free[boundary_dofs(space_V)] = False
-    ff = free.astype(np.float64)
-    D_free = sp.diags(ff)
-    K = (D_free @ K @ D_free + sp.diags(1.0 - ff)).tocsr()
-    rhs = np.where(free, rhs, 0.0)
-    return K, rhs
+    return _eliminate_dirichlet(K, free), np.where(free, rhs, 0.0)

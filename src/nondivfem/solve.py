@@ -15,10 +15,9 @@ from .operator import (
     assemble_rhs,
     build_preconditioner,
     build_system,
-    cordes_analyze,
+    cordes_on_mesh,
 )
-from .operator import _volume_points
-from .space import FEFunction, build_space, quadrature
+from .space import FEFunction, build_space
 
 __all__ = ["SolveReport", "Solution", "gmres", "solve_problem", "normalize_scheme"]
 
@@ -160,16 +159,17 @@ def solve_problem(
 
     recovery-cg / recovery-dg run the matrix-free preconditioned GMRES
     solve; nsz assembles its sparse matrix and uses a direct factorization.
+    nsz has no Hessian-jump penalty, so it rejects eta2 > 0 (ValueError).
     Boundary coefficients of the returned function are exactly zero.
     """
     scheme = normalize_scheme(scheme)
     tol_abs, tol_rel = tol
 
     if scheme == "nsz":
+        if eta2 is not None and eta2 > 0:
+            raise ValueError("the nsz scheme has no Hessian-jump penalty; eta2 must be 0")
         space_V = build_space(mesh, p, "CG")
-        q = quadrature(quad_degree if quad_degree is not None else 2 * p + 2)
-        sample = _volume_points(space_V, q).reshape(-1, 2)
-        cordes = cordes_analyze(problem, sample)
+        cordes = cordes_on_mesh(problem, space_V, quad_degree)
         e1 = 1.0 if eta1 is None else float(eta1)
         K, rhs = assemble_nsz(space_V, problem, cordes.gamma, e1, quad_degree)
         x = _factor(K).solve(rhs)

@@ -1,4 +1,6 @@
-"""Lagrange finite element spaces: quadrature, reference basis, dof maps.
+"""Lagrange finite element spaces: quadrature, reference basis, dof maps,
+and the two assembly steps every module shares: basis traces on facets and
+the scatter of local blocks into a sparse matrix.
 
 The reference triangle has vertices (0,0), (1,0), (0,1).  Basis functions
 are nodal (equispaced Lagrange nodes) and represented in the monomial basis
@@ -9,6 +11,7 @@ moderate degrees used here (p <= 4 in all experiments).
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "QuadratureRule",
@@ -22,6 +25,9 @@ __all__ = [
     "interpolate",
     "evaluate",
     "tabulate_at",
+    "facet_traces",
+    "normal_jumps",
+    "scatter",
 ]
 
 
@@ -160,11 +166,7 @@ def _mono_deriv(exps, pts, dx, dy):
     eb = np.maximum(exps[:, 1] - dy, 0)
     x = pts[..., 0][..., None]
     y = pts[..., 1][..., None]
-    vals = (ca * cb) * x ** ea * y ** eb
-    # kill terms whose exponent dropped below zero (coefficient is 0 already,
-    # but 0 * x**0 would wrongly survive for x != 0 ... it does not; the
-    # coefficient product above is exactly zero in that case)
-    return vals
+    return (ca * cb) * x ** ea * y ** eb
 
 
 def _equispaced_nodes(p):
@@ -391,8 +393,79 @@ def pullback_points(mesh, cells, phys_pts):
     return np.einsum("nij,nqj->nqi", Jinv, phys_pts - v0[:, None, :], optimize=True)
 
 
-def facet_points(mesh, facet_ids, t):
-    """Physical points on facets at 1D parameters t (same order on both sides)."""
-    va = mesh.vertices[mesh.facets[facet_ids, 0]]
-    vb = mesh.vertices[mesh.facets[facet_ids, 1]]
-    return va[:, None, :] + t[None, :, None] * (vb - va)[:, None, :]
+def _edge_points(t):
+    """Reference points at parameters t along each local edge k, forwards
+    (row 2k, from vertex (k+1)%3 to (k+2)%3) and backwards (row 2k+1):
+    shape (6, len(t), 2)."""
+    v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    start = v[[1, 2, 2, 0, 0, 1]]
+    end = v[[2, 1, 0, 2, 1, 0]]
+    return start[:, None, :] + t[None, :, None] * (end - start)[:, None, :]
+
+
+def _facet_edges(mesh, facets, side):
+    """Cells on one side of `facets` (0 plus, 1 minus) and, per facet, the
+    row of `_edge_points` that holds its points va + t (vb - va): the cell's
+    local edge `facet_local[f, side]`, run backwards when the cell lists the
+    facet's first (smaller) vertex second."""
+    cells = mesh.facet_cells[facets, side]
+    k = mesh.facet_local[facets, side]
+    backwards = mesh.cells[cells, (k + 1) % 3] != mesh.facets[facets, 0]
+    return cells, 2 * k + backwards
+
+
+def facet_traces(space, facets, side, t, hessians=False):
+    """Basis traces from one side of `facets` at the points va + t (vb - va).
+
+    The reference basis is tabulated once on the six (edge, direction) point
+    sets and gathered per facet.  Returns the side's cells (F,), values
+    (F, nt, n_loc), physical gradients (F, nt, n_loc, 2) and physical
+    Hessians (F, nt, n_loc, 2, 2), the last None unless `hessians` is set.
+    """
+    cells, rows = _facet_edges(space.mesh, facets, side)
+    pts = _edge_points(t)
+    ref = space.ref
+    Jinv = space.mesh.cell_inv_jacobians[cells]
+    vals = ref.tabulate(pts)[rows]
+    grads = np.einsum("fji,ftlj->ftli", Jinv, ref.tabulate_grad(pts)[rows], optimize=True)
+    hess = None
+    if hessians:
+        hess = np.einsum("fki,ftlkm,fmj->ftlij", Jinv, ref.tabulate_hess(pts)[rows], Jinv,
+                         optimize=True)
+    return cells, vals, grads, hess
+
+
+def normal_jumps(space, facets, t, hessians=False):
+    """Jumps of the basis's normal derivatives across interior `facets`.
+
+    Returns the dofs of both cells (F, 2 n_loc), plus cell first, the
+    gradient jumps [grad phi . n_F] (F, nt, 2 n_loc) and, when `hessians` is
+    set, the Hessian jumps [D2 phi] n_F (F, nt, 2 n_loc, 2), else None.  The
+    plus trace enters with sign +1 and the minus trace with -1.
+    """
+    n_f = space.mesh.facet_normals[facets]
+    dofs, dn, hn = [], [], []
+    for side, sign in ((0, 1.0), (1, -1.0)):
+        cells, _, grads, hess = facet_traces(space, facets, side, t, hessians)
+        dofs.append(space.dof_map[cells])
+        dn.append(sign * np.einsum("ftli,fi->ftl", grads, n_f))
+        if hessians:
+            hn.append(sign * np.einsum("ftlij,fj->ftli", hess, n_f))
+    jumps_hess = np.concatenate(hn, axis=2) if hessians else None
+    return np.concatenate(dofs, axis=1), np.concatenate(dn, axis=2), jumps_hess
+
+
+def scatter(blocks, rows, cols, shape):
+    """Sum local blocks (..., n, nr, nc) into CSR matrices at dofs rows
+    (n, nr) times cols (n, nc): one matrix for a 3-d array, nested lists of
+    matrices over the leading axes otherwise."""
+    nr, nc = rows.shape[1], cols.shape[1]
+    r = np.repeat(rows, nc, axis=1).ravel()
+    c = np.tile(cols, (1, nr)).ravel()
+
+    def build(b):
+        if b.ndim > 3:
+            return [build(x) for x in b]
+        return sp.coo_matrix((b.ravel(), (r, c)), shape=shape).tocsr()
+
+    return build(blocks)

@@ -183,6 +183,29 @@ def test_cli_rejects_bad_config():
     assert rc == 2
 
 
+@pytest.mark.parametrize("tol", ["-1", "0"])
+@pytest.mark.parametrize("command", [["run", "--experiment", "exp1", "--levels", "1"],
+                                     ["iters", "--kappas", "0.9", "--h-exponents", "2"]])
+def test_cli_rejects_non_positive_tol(command, tol, capsys):
+    rc = main(command + ["--tol", tol])
+    assert rc == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_cli_nsz_rejects_eta2(capsys):
+    rc = main(["run", "--experiment", "exp1", "--scheme", "nsz", "--levels", "1",
+               "--initial-n", "2", "--eta2", "5"])
+    assert rc == 2
+    assert "eta2" in capsys.readouterr().err
+
+
+def test_cli_eta1_help_names_the_nsz_default(capsys):
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "0 if eps >= 0.5 else 1, nsz 1" in text
+
+
 def test_cli_adapt(tmp_path):
     path = str(tmp_path / "ad.csv")
     rc = main([
@@ -247,6 +270,16 @@ def test_cli_compare_exits_3_on_failed_cells(capsys):
     assert row["nsz_L2"] == "" and row["recovery_cg_L2"] != ""
     failed = [ln for ln in captured.err.splitlines() if ln.startswith("failed cell")]
     assert len(failed) == 1 and "nsz" in failed[0]
+
+
+def test_cli_compare_names_nsz_cell_given_eta2(capsys):
+    rc = main([
+        "compare", "--experiment", "exp1", "--degrees", "2", "--levels", "1",
+        "--initial-n", "2", "--eta2", "5",
+    ])
+    assert rc == 3
+    failed = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("failed cell")]
+    assert len(failed) == 1 and "nsz" in failed[0] and "eta2" in failed[0]
 
 
 def test_cli_compare_without_exact_solution_exits_0(capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nondivfem import (
+    bisect,
     build_rect_mesh,
     build_space,
     cordes_analyze,
@@ -14,8 +15,8 @@ from nondivfem import (
     solve_problem,
     uniform_refine,
 )
-from nondivfem.estimate import estimate_level, local_h2h_errors
-from nondivfem.space import FEFunction
+from nondivfem.estimate import _gradient_jumps_sq, estimate_level, local_h2h_errors
+from nondivfem.space import FEFunction, facet_quadrature, pullback_points, tabulate_at
 
 
 def _exact_dict(problem):
@@ -86,6 +87,33 @@ def test_estimate_level_matches_separate_calls(name):
         assert err == error_norms(sol.u_h, _exact_dict(problem))
     else:
         assert err is None
+
+
+def test_gradient_jumps_match_pointwise_oracle():
+    # h_F^-1 int_F [grad u . n_F]^2 summed point by point, each side's
+    # reference point found by pulling the physical point back
+    rng = np.random.default_rng(7)
+    mesh = build_rect_mesh(0, 1, 0, 1, 2, 2)
+    for _ in range(3):
+        mesh = bisect(mesh, rng.choice(mesh.n_cells, size=max(1, mesh.n_cells // 3), replace=False))
+    V = build_space(mesh, 3, "CG")
+    u = FEFunction(V, rng.standard_normal(V.n_dofs))
+    t, wt = facet_quadrature(10)
+    expected = []
+    for f in mesh.interior_facets():
+        va, vb = mesh.vertices[mesh.facets[f]]
+        total = 0.0
+        for tk, wk in zip(t, wt):
+            x = (va + tk * (vb - va))[None, None]
+            jump = 0.0
+            for sign, c in zip((1.0, -1.0), mesh.facet_cells[f]):
+                _, g = tabulate_at(V, np.array([c]), pullback_points(mesh, np.array([c]), x))
+                jump += sign * (u.coeffs[V.dof_map[c]] @ g[0, 0]) @ mesh.facet_normals[f]
+            total += wk * jump**2
+        expected.append(total)
+    int_f, jumps = _gradient_jumps_sq(u, 10)
+    assert np.array_equal(int_f, mesh.interior_facets())
+    assert np.abs(jumps - expected).max() <= 1e-12 * max(expected)
 
 
 def test_local_h2h_squares_sum_to_more_than_global():

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nondivfem import boundary_dofs, build_rect_mesh, build_space, interpolate, quadrature
+from nondivfem import bisect, boundary_dofs, build_rect_mesh, build_space, interpolate, quadrature
 from nondivfem.space import (
+    _edge_points,
+    _facet_edges,
     evaluate,
     facet_quadrature,
     physical_points,
@@ -159,3 +161,21 @@ def test_interpolation_reproduces_polynomials(p, coeffs):
     pts = physical_points(m, np.arange(m.n_cells), np.broadcast_to(q.points, (m.n_cells,) + q.points.shape))
     exact = a + b * pts[..., 0] ** p + c * pts[..., 1] * pts[..., 0] ** (p - 1)
     assert np.abs(vals - exact).max() < 1e-10 * max(1.0, abs(a) + abs(b) + abs(c))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=3))
+def test_facet_trace_points_lie_on_the_facet(seed, p):
+    # the facet kernel pairs the two cells' traces point by point, so both
+    # sides must put parameter t at va + t (vb - va), va the first vertex
+    rng = np.random.default_rng(seed)
+    mesh = build_rect_mesh(0, 1, 0, 1, 2, 2)
+    for _ in range(3):
+        mesh = bisect(mesh, rng.choice(mesh.n_cells, size=max(1, mesh.n_cells // 3), replace=False))
+    t, _ = facet_quadrature(2 * p + 2)
+    va, vb = mesh.vertices[mesh.facets[:, 0]], mesh.vertices[mesh.facets[:, 1]]
+    target = va[:, None, :] + t[None, :, None] * (vb - va)[:, None, :]
+    for side, facets in ((0, np.arange(mesh.n_facets)), (1, mesh.interior_facets())):
+        cells, rows = _facet_edges(mesh, facets, side)
+        pts = physical_points(mesh, cells, _edge_points(t)[rows])
+        assert np.abs(pts - target[facets]).max() <= 1e-14
