@@ -12,22 +12,34 @@ this reduces to four scalar systems M_W h_ij = C_ij u sharing one mass
 matrix; `assemble_C` builds the four C_ij for either test space with one
 volume kernel and one facet loop.
 
-Every sparse LU of the package goes through `_factor`: the mass matrix
-here, the preconditioner in `operator` and the cellwise-Hessian matrix in
-`solve`.  All three have a symmetric sparsity pattern, so SuperLU runs in
-symmetric mode with a minimum-degree ordering of A^T + A (George & Liu,
-SIAM Review 1989).  Symmetric mode pivots on the diagonal, which keeps that
-ordering intact; it fills less than SuperLU's default COLAMD ordering with
-partial pivoting at every degree.
+Every sparse LU of the package but the DG mass matrix, which is factored
+cell by cell, goes through `_factor`: the CG mass matrix here, the
+preconditioner in `operator` and the cellwise-Hessian matrix in `solve`.
+All three have a symmetric sparsity pattern, so SuperLU runs in symmetric
+mode with a minimum-degree ordering of A^T + A (George & Liu, SIAM Review
+1989).  Symmetric mode pivots on the diagonal, which keeps that ordering
+intact; it fills less than SuperLU's default COLAMD ordering with partial
+pivoting at every degree.  The DG mass matrix is block diagonal with blocks
+det_T M_ref, so `_CellwiseLU` solves with one reference inverse per degree
+(Hesthaven & Warburton, Nodal Discontinuous Galerkin Methods, 2008).
 """
 
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .space import FEFunction, build_space, facet_quadrature, facet_traces, quadrature, scatter
+from .space import (
+    FEFunction,
+    build_space,
+    facet_quadrature,
+    facet_traces,
+    quadrature,
+    reference_element,
+    scatter,
+)
 
 __all__ = [
     "HessianOperator",
@@ -50,14 +62,72 @@ def _factor(A):
                 options=dict(SymmetricMode=True))
 
 
+@cache
+def _reference_mass(p):
+    """Read-only mass matrix int phi_l phi_k of the degree-p reference cell."""
+    q = quadrature(2 * p + 2)
+    phi = reference_element(p).tabulate(q.points)          # (q, nloc)
+    m_ref = np.einsum("q,qk,ql->kl", q.weights, phi, phi)
+    m_ref.setflags(write=False)
+    return m_ref
+
+
 def assemble_mass_W(space):
     """Scalar mass matrix (M)_{kl} = int psi_l psi_k over the mesh."""
-    mesh = space.mesh
-    q = quadrature(2 * space.degree + 2)
-    phi = space.ref.tabulate(q.points)                     # (q, nloc)
-    m_ref = np.einsum("q,qk,ql->kl", q.weights, phi, phi)  # reference cell
-    data = mesh.cell_det[:, None, None] * m_ref[None]
+    data = space.mesh.cell_det[:, None, None] * _reference_mass(space.degree)[None]
     return scatter(data, space.dof_map, space.dof_map, (space.n_dofs, space.n_dofs))
+
+
+class _CellwiseLU:
+    """Exact factor of a DG mass matrix, block diagonal with blocks det_T M_ref.
+
+    `solve` computes x_T = M_ref^-1 r_T / det_T for all cells in one matrix
+    product, for right-hand sides of shape (n,) or (n, k) like SuperLU.  The
+    sparse factors L = blockdiag(L_ref) and U = blockdiag(det_T U_ref), from
+    the unpivoted LU (LDL^T) of the SPD M_ref, are built on first access.
+    """
+
+    def __init__(self, m_ref, cell_det, dof_map):
+        if not np.array_equal(dof_map.ravel(), np.arange(dof_map.size)):
+            raise ValueError("the cellwise factor needs the cell-by-cell DG dof layout")
+        self.m_ref = m_ref
+        self.m_inv_T = np.linalg.inv(m_ref).T
+        self.cell_det = cell_det
+
+    def solve(self, rhs):
+        rhs = np.asarray(rhs, dtype=np.float64)
+        n_cells, n_loc = self.cell_det.size, self.m_ref.shape[0]
+        # rows (cell, column) of local right-hand sides; a copy only when k > 1
+        r = rhs.reshape(n_cells, n_loc, -1).transpose(0, 2, 1).reshape(-1, n_loc)
+        x = (r @ self.m_inv_T).reshape(n_cells, -1, n_loc) / self.cell_det[:, None, None]
+        return x.transpose(0, 2, 1).reshape(rhs.shape)
+
+    @cached_property
+    def _factors(self):
+        c = np.linalg.cholesky(self.m_ref)                 # M_ref = c c^T
+        d = np.diag(c)
+        l_ref, u_ref = c / d, d[:, None] * c.T             # U_ref = D L_ref^T
+        n_cells, n_loc = self.cell_det.size, self.m_ref.shape[0]
+        base = n_loc * np.arange(n_cells)[:, None]
+        n = n_cells * n_loc
+        # every position of a triangle is stored, as SuperLU stores a dense block
+        i, j = np.tril_indices(n_loc)
+
+        def block_diagonal(blocks, r, c):
+            data = np.broadcast_to(blocks, (n_cells, n_loc, n_loc))[:, r, c]
+            return sp.csc_matrix((data.ravel(), ((base + r).ravel(), (base + c).ravel())),
+                                 shape=(n, n))
+
+        return (block_diagonal(l_ref, i, j),
+                block_diagonal(self.cell_det[:, None, None] * u_ref, j, i))
+
+    @property
+    def L(self):
+        return self._factors[0]
+
+    @property
+    def U(self):
+        return self._factors[1]
 
 
 def assemble_C(space_V, space_W):
@@ -125,7 +195,11 @@ def assemble_C(space_V, space_W):
 
 @dataclass
 class HessianOperator:
-    """Factored mass matrix and mixed stiffness blocks for Hessian recovery."""
+    """Factored mass matrix and mixed stiffness blocks for Hessian recovery.
+
+    `M_lu` is SuperLU's factor of M_W for a CG test space and the exact
+    cellwise factor `_CellwiseLU` for a DG one; both offer `solve`, `L` and `U`.
+    """
 
     mode: str
     space_V: object
@@ -153,7 +227,10 @@ def build_hessian_operator(space_V, mode="CG"):
     space_W = build_space(space_V.mesh, space_V.degree, mode)
     M = assemble_mass_W(space_W)
     C = assemble_C(space_V, space_W)
-    lu = _factor(M)
+    if mode == "DG":
+        lu = _CellwiseLU(_reference_mass(space_W.degree), space_W.mesh.cell_det, space_W.dof_map)
+    else:
+        lu = _factor(M)
     return HessianOperator(mode=mode, space_V=space_V, space_W=space_W, M_W=M, C=C, M_lu=lu)
 
 

@@ -16,7 +16,7 @@ Two discretizations are assembled here:
 * a direct scheme using the cellwise exact Hessian with a mandatory
   gradient-jump penalty, assembled as an ordinary sparse matrix.
 
-The preconditioner, like the mass matrix and the direct scheme's matrix,
+The preconditioner, like the CG mass matrix and the direct scheme's matrix,
 is factored by `hessian._factor`: a symmetric-mode sparse LU with
 minimum-degree ordering on A^T + A, which fits its symmetric pattern.
 """
@@ -371,14 +371,17 @@ class CordesViolated(Exception):
 class CordesInfo:
     """Largest admissible eps and the rescaling field gamma = tr(A)/||A||_F^2.
 
-    eps is measured only at the points given to `cordes_analyze`; both
-    schemes pass the volume quadrature points of the mesh (`cordes_on_mesh`),
-    so a coefficient whose worst point lies between them reads a larger eps.
+    eps is measured only at the `n_samples` points given to `cordes_analyze`,
+    and `worst_point` is the sample where it is attained; both schemes pass
+    the volume quadrature points of the mesh (`cordes_on_mesh`), so a
+    coefficient whose worst point lies between them reads a larger eps.
     """
 
     epsilon: float
     gamma: object
     min_eigenvalue: float = np.nan
+    n_samples: int = 0
+    worst_point: np.ndarray = None
 
 
 def _gamma_field(problem):
@@ -402,19 +405,19 @@ def cordes_analyze(problem, sample_points):
     A = problem.A(pts)
     if np.abs(A - np.swapaxes(A, -1, -2)).max() > 1e-12:
         raise ValueError("coefficient matrix is not symmetric")
-    eigs = np.linalg.eigvalsh(A)
-    lam_min = float(eigs.min())
-    if lam_min <= 0.0:
-        bad = int(np.unravel_index(np.argmin(eigs), eigs.shape)[0])
+    a, b, d = A[:, 0, 0], A[:, 0, 1], A[:, 1, 1]
+    lam = 0.5 * (a + d) - np.hypot(0.5 * (a - d), b)   # smaller eigenvalue
+    bad = int(np.argmin(lam))
+    if lam[bad] <= 0.0:
         raise ValueError("A not positive definite at %s" % pts[bad])
-    tr = A[..., 0, 0] + A[..., 1, 1]
     fro2 = np.einsum("...ij,...ij->...", A, A)
-    ratio = fro2 / tr**2
+    ratio = fro2 / (a + d) ** 2
     worst = int(np.argmax(ratio))
     if ratio[worst] >= 1.0:
         raise CordesViolated(pts[worst], ratio[worst])
     eps = float(min(1.0, 1.0 / ratio[worst] - 1.0))
-    return CordesInfo(epsilon=eps, gamma=_gamma_field(problem), min_eigenvalue=lam_min)
+    return CordesInfo(epsilon=eps, gamma=_gamma_field(problem), min_eigenvalue=float(lam[bad]),
+                      n_samples=len(pts), worst_point=pts[worst])
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nondivfem import (
     assemble_mass_W,
@@ -296,6 +298,24 @@ def test_dg_recovery_against_dense_oracle():
     for i in range(2):
         for j in range(2):
             assert np.abs(H[i][j].coeffs - oracle[(i, j)]).max() < 1e-10
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=4))
+def test_cellwise_dg_mass_factor_is_exact(seed, p):
+    # the DG mass matrix is factored cell by cell; its factors, solves and
+    # fill must be those of a sparse LU of the assembled matrix
+    rng = np.random.default_rng(seed)
+    op = build_hessian_operator(build_space(_randomly_bisected_mesh(seed), p, "CG"), "DG")
+    M, lu = op.M_W, op.M_lu
+    assert abs(lu.L @ lu.U - M).max() <= 1e-14 * abs(M).max()
+    superlu = sp.linalg.splu(M.tocsc())
+    for b in (rng.standard_normal(M.shape[0]), rng.standard_normal((M.shape[0], 3))):
+        x = op.mass_solve(b)
+        assert x.shape == b.shape
+        assert np.abs(x - superlu.solve(b)).max() <= 1e-13 * np.abs(x).max()
+        assert np.linalg.norm(M @ x - b) <= 1e-14 * np.linalg.norm(b)
+    assert lu.L.nnz + lu.U.nnz == superlu.L.nnz + superlu.U.nnz
 
 
 def test_recovery_is_l2_projection_for_smooth_u():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -16,6 +18,7 @@ from nondivfem import (
     cordes_analyze,
     interpolate,
     make_problem,
+    recover_hessian,
     solve_problem,
 )
 from nondivfem.hessian import _factor, assemble_mass_W
@@ -26,7 +29,7 @@ from nondivfem.operator import (
     assemble_load,
     assemble_stabilization,
 )
-from nondivfem.space import facet_quadrature
+from nondivfem.space import facet_quadrature, quadrature
 
 
 def _sample_points(problem, n=200, seed=0):
@@ -187,6 +190,61 @@ def test_cordes_constant_matrix():
     # tr = 4, fro^2 = 10: eps = 16/10 - 1 = 0.6, gamma = 0.4
     assert np.isclose(info.epsilon, 0.6)
     assert np.isclose(info.gamma(np.array([[0.1, 0.2]]))[0], 0.4)
+
+
+def _matrix_lookup(mats):
+    # a coefficient whose value at sample (i, 0) is mats[i]
+    return ProblemData(
+        name="lookup", bounds=(0, len(mats), 0, 1),
+        A=lambda x: mats[x[:, 0].astype(int)], f=lambda x: np.zeros(x.shape[:-1]),
+    )
+
+
+def test_cordes_min_eigenvalue_matches_eigvalsh():
+    # the closed form (a + d)/2 - hypot((a - d)/2, b) against LAPACK, to
+    # round-off of the largest eigenvalue, on SPD and indefinite samples
+    rng = np.random.default_rng(0)
+    n = 200
+    theta = rng.uniform(0, np.pi, n)
+    Q = np.stack([np.stack([np.cos(theta), -np.sin(theta)], -1),
+                  np.stack([np.sin(theta), np.cos(theta)], -1)], -1)
+    lam = 10.0 ** rng.uniform(-3, 3, (n, 2))
+    lam[n // 2:, 0] *= -1.0                                # indefinite half
+    mats = np.einsum("nij,nj,nkj->nik", Q, lam, Q)
+    mats = 0.5 * (mats + np.swapaxes(mats, 1, 2))
+    pts = np.stack([np.arange(n), np.zeros(n)], -1).astype(np.float64)
+    exact = np.linalg.eigvalsh(mats)
+    prob = _matrix_lookup(mats)
+    for k in range(n // 2):
+        info = cordes_analyze(prob, pts[k:k + 1])
+        assert abs(info.min_eigenvalue - exact[k, 0]) <= 1e-13 * np.abs(exact[k]).max()
+    # the error names the sample of the smallest eigenvalue, as eigvalsh orders them
+    worst = int(np.argmin(exact[:, 0]))
+    with pytest.raises(ValueError, match=r"positive definite at \[%d\. +0\.\]" % worst):
+        cordes_analyze(prob, pts)
+
+
+def test_cordes_reports_samples_and_worst_point():
+    # the anisotropy A = diag(1 + 3 exp(-|x - x0|^2), 1) peaks at x0, one of
+    # the samples: tr = 5 and ||A||_F^2 = 17 there, so eps = 25/17 - 1
+    x0 = np.array([0.3, 0.7])
+
+    def A(x):
+        M = np.zeros(x.shape[:-1] + (2, 2))
+        M[..., 0, 0] = 1.0 + 3.0 * np.exp(-np.sum((x - x0) ** 2, axis=-1))
+        M[..., 1, 1] = 1.0
+        return M
+
+    prob = ProblemData(name="peak", bounds=(0, 1, 0, 1), A=A, f=lambda x: np.zeros(x.shape[:-1]))
+    pts = np.random.default_rng(1).uniform(size=(99, 2))
+    pts[42] = x0
+    info = cordes_analyze(prob, pts)
+    assert info.n_samples == 99
+    assert np.array_equal(info.worst_point, x0)
+    assert np.isclose(info.epsilon, 25.0 / 17.0 - 1.0, rtol=1e-14)
+    # both schemes sample at the volume quadrature points, 2p + 2 by default
+    op = build_system(make_problem("exp1", kappa=0.5), build_rect_mesh(0, 1, 0, 1, 3, 3), 2)
+    assert op.cordes.n_samples == 18 * len(quadrature(6).weights)
 
 
 def test_cordes_eps_clamped_to_one():
@@ -555,8 +613,8 @@ def _lu_fill(lu):
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_sparse_lu_fills_no_more_than_colamd(p, mode):
     # mass matrix and preconditioner factors against SuperLU's default
-    # COLAMD ordering of the same matrix (equal only for the block-diagonal
-    # DG mass matrix, which has no fill either way)
+    # COLAMD ordering of the same matrix; the block-diagonal DG mass matrix
+    # is factored cell by cell, whose dense triangles store as much as COLAMD
     rng = np.random.default_rng(p)
     op = build_system(make_problem("exp1", kappa=0.9), _bisected_16x16_mesh(p), p, mode)
     hop = op.hessian_op
@@ -567,6 +625,27 @@ def test_sparse_lu_fills_no_more_than_colamd(p, mode):
         # backward error of the factorization, not the conditioning of P
         b = A @ rng.standard_normal(A.shape[0])
         assert np.linalg.norm(A @ lu.solve(b) - b) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_dg_operators_match_superlu_mass_solves(p):
+    # the cellwise DG mass factor moves only round-off: the system action,
+    # the right-hand side and the recovered Hessian agree with the same
+    # operator whose mass solves run through SuperLU
+    problem = make_problem("exp3")
+    rng = np.random.default_rng(p)
+    mesh = build_rect_mesh(*problem.bounds, 16, 16)
+    mesh = bisect(mesh, rng.choice(mesh.n_cells, size=mesh.n_cells // 4, replace=False))
+    op = build_system(problem, mesh, p, "DG")
+    hop = op.hessian_op
+    ref = dataclasses.replace(
+        op, hessian_op=dataclasses.replace(hop, M_lu=sp.linalg.splu(hop.M_W.tocsc())))
+    u = rng.standard_normal(op.n_dofs)
+    pairs = [(apply_system(op, u), apply_system(ref, u)), (assemble_rhs(op), assemble_rhs(ref))]
+    for row, ref_row in zip(recover_hessian(hop, u), recover_hessian(ref.hessian_op, u)):
+        pairs += [(h.coeffs, h_ref.coeffs) for h, h_ref in zip(row, ref_row)]
+    for x, y in pairs:
+        assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
 
 
 # ----------------------------------------------------------------------
