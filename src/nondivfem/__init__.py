@@ -30,10 +30,8 @@ _cap_threads()
 from .mesh import (
     Mesh,
     build_rect_mesh,
-    facet_geometry,
     bisect,
     uniform_refine,
-    mesh_quality,
     write_mesh,
     read_mesh,
 )
@@ -51,7 +49,6 @@ from .hessian import (
     assemble_mass_W,
     build_hessian_operator,
     recover_hessian,
-    fe_laplacian,
 )
 from .operator import (
     ProblemData,
@@ -81,10 +78,8 @@ from .adapt import doerfler_mark, adaptive_loop, initial_mesh, AdaptiveRecord
 __all__ = [
     "Mesh",
     "build_rect_mesh",
-    "facet_geometry",
     "bisect",
     "uniform_refine",
-    "mesh_quality",
     "write_mesh",
     "read_mesh",
     "QuadratureRule",
@@ -98,7 +93,6 @@ __all__ = [
     "assemble_mass_W",
     "build_hessian_operator",
     "recover_hessian",
-    "fe_laplacian",
     "ProblemData",
     "CordesInfo",
     "CordesViolated",

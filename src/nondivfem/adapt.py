@@ -7,6 +7,7 @@ import numpy as np
 from .estimate import estimate_level
 from .mesh import bisect, build_rect_mesh
 from .solve import solve_problem
+from .space import build_space
 
 __all__ = ["AdaptiveRecord", "doerfler_mark", "adaptive_loop", "initial_mesh"]
 
@@ -72,7 +73,6 @@ def adaptive_loop(
     eta1=None,
     eta2=None,
     mesh=None,
-    quad_degree=None,
     tol=(1e-8, 1e-8),
     convention="squared",
     keep_meshes=False,
@@ -81,22 +81,21 @@ def adaptive_loop(
 
     One record per solved level; levels are solved as long as the mesh has
     at most max_dofs degrees of freedom, so n_dofs is strictly increasing
-    and bounded by the budget.
+    and bounded by the budget.  Raises ValueError when the initial mesh
+    already has more than max_dofs.
     """
-    from .space import build_space
-
     mesh = mesh if mesh is not None else initial_mesh(problem)
     records = []
     level = 0
     while True:
         n_dofs = build_space(mesh, p, "CG").n_dofs
         if n_dofs > max_dofs:
+            if not records:
+                raise ValueError("the initial mesh has %d dofs, more than max_dofs = %d"
+                                 % (n_dofs, max_dofs))
             break
-        sol = solve_problem(
-            problem, mesh, p, scheme=scheme, eta1=eta1, eta2=eta2, tol=tol,
-            quad_degree=quad_degree,
-        )
-        est, errors = estimate_level(sol.u_h, problem, sol.cordes.gamma, quad_degree)
+        sol = solve_problem(problem, mesh, p, scheme=scheme, eta1=eta1, eta2=eta2, tol=tol)
+        est, errors = estimate_level(sol.u_h, problem, sol.cordes.gamma)
         records.append(
             AdaptiveRecord(
                 level=level,

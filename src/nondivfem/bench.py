@@ -11,7 +11,7 @@ byte-identical files and every value round-trips exactly.
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -50,7 +50,6 @@ class RunConfig:
     max_dofs: int = 100000
     tol_abs: float = 1e-8
     tol_rel: float = 1e-8
-    quad_degree: int = None
     initial_n: int = None
     convention: str = "squared"
     out: str = None
@@ -134,9 +133,8 @@ def _solve_row(problem, mesh, config):
         eta1=config.eta1,
         eta2=config.eta2,
         tol=(config.tol_abs, config.tol_rel),
-        quad_degree=config.quad_degree,
     )
-    est, err = estimate_level(sol.u_h, problem, sol.cordes.gamma, config.quad_degree)
+    est, err = estimate_level(sol.u_h, problem, sol.cordes.gamma)
     l2 = h1 = h2h = None
     if err is not None:
         l2, h1, h2h = err.l2, err.h1, err.h2h
@@ -161,24 +159,14 @@ def run_convergence(config):
             eta1=config.eta1,
             eta2=config.eta2,
             mesh=initial_mesh(problem, config.initial_n),
-            quad_degree=config.quad_degree,
             tol=(config.tol_abs, config.tol_rel),
             convention=config.convention,
         )
         ok = all(r.converged for r in records)
         for r in records:
             e = r.errors
-            rows.append(
-                [
-                    r.n_dofs,
-                    r.h_max,
-                    e.l2 if e else None,
-                    e.h1 if e else None,
-                    e.h2h if e else None,
-                    r.eta_global,
-                    r.gmres_iterations,
-                ]
-            )
+            l2, h1, h2h = (e.l2, e.h1, e.h2h) if e else (None, None, None)
+            rows.append([r.n_dofs, r.h_max, l2, h1, h2h, r.eta_global, r.gmres_iterations])
     else:
         n0 = config.initial_n if config.initial_n is not None else problem.initial_n
         x0, x1, y0, y1 = problem.bounds
@@ -188,8 +176,7 @@ def run_convergence(config):
             row, sol = _solve_row(problem, mesh, config)
             ok = ok and sol.report.converged
             rows.append(row)
-    if config.out is not None or rows:
-        write_csv(config.out, CSV_HEADER, rows)
+    write_csv(config.out, CSV_HEADER, rows)
     return rows, ok
 
 
@@ -264,10 +251,9 @@ def run_scheme_comparison(config, degrees=(1, 2, 3, 4)):
                     sol = solve_problem(
                         problem, mesh, p, scheme=s, eta1=config.eta1, eta2=config.eta2,
                         tol=(config.tol_abs, config.tol_rel),
-                        quad_degree=config.quad_degree,
                     )
                     if exact is not None:
-                        err = error_norms(sol.u_h, exact, config.quad_degree)
+                        err = error_norms(sol.u_h, exact)
                         row += [err.l2, err.h1, err.h2h]
                     else:
                         row += [None, None, None]
@@ -284,50 +270,45 @@ def run_scheme_comparison(config, degrees=(1, 2, 3, 4)):
 
 
 def _add_common(sub):
-    sub.add_argument("--experiment", required=True, choices=_EXPERIMENTS)
-    sub.add_argument("--kappa", type=float, default=0.5, help="exp1 anisotropy")
-    sub.add_argument("--alpha", type=float, default=1.5, help="exp2 corner exponent")
-    sub.add_argument("--scheme", default="recovery-cg",
-                     choices=["recovery-cg", "recovery-dg", "nsz"])
-    sub.add_argument("--degree", type=int, default=2)
+    """Options of the studies built from a RunConfig."""
+    sub.add_argument("--experiment", required=True, choices=_EXPERIMENTS, help="problem to solve")
+    sub.add_argument("--kappa", type=float, help="exp1 anisotropy (default 0.5)")
+    sub.add_argument("--alpha", type=float, help="exp2 corner exponent (default 1.5)")
     sub.add_argument("--eta1", type=float, default=None,
                      help="gradient-jump penalty (default: recovery schemes 0 if eps >= 0.5 "
                           "else 1, nsz 1)")
     sub.add_argument("--eta2", type=float, default=None,
                      help="Hessian-jump penalty (default 0; recovery schemes only)")
-    sub.add_argument("--quad-degree", type=int, default=None)
     sub.add_argument("--tol", type=float, default=1e-8, help="absolute and relative tolerance")
-    sub.add_argument("--initial-n", type=int, default=None)
+    sub.add_argument("--initial-n", type=int, default=None,
+                     help="cells per side of the first mesh (default: the problem's own)")
     sub.add_argument("--out", default=None, help="CSV path (default: stdout)")
 
 
+def _add_study(sub):
+    """Options of the uniform and adaptive studies of one scheme."""
+    _add_common(sub)
+    sub.add_argument("--scheme", default="recovery-cg",
+                     choices=["recovery-cg", "recovery-dg", "nsz"], help="discretization")
+    sub.add_argument("--degree", type=int, default=2, help="polynomial degree p")
+    sub.add_argument("--theta", type=float, default=0.9,
+                     help="Doerfler marking fraction (adaptive refinement)")
+    sub.add_argument("--max-dofs", type=int, default=100000,
+                     help="dof budget of adaptive refinement; the first mesh must fit in it")
+    sub.add_argument("--mark-convention", dest="convention", default="squared",
+                     choices=["squared", "linear"],
+                     help="marking by sums of eta_T^2 or of eta_T (adaptive refinement)")
+
+
 def _problem_params(args):
-    if args.experiment == "exp1":
-        return {"kappa": args.kappa}
-    if args.experiment == "exp2":
-        return {"alpha": args.alpha}
-    return {}
+    """The problem parameters given on the command line."""
+    return {k: getattr(args, k) for k in ("kappa", "alpha") if getattr(args, k) is not None}
 
 
 def _config_from(args, refinement):
-    return RunConfig(
-        experiment=args.experiment,
-        scheme=args.scheme,
-        degree=args.degree,
-        eta1=args.eta1,
-        eta2=args.eta2,
-        refinement=refinement,
-        theta=getattr(args, "theta", 0.9),
-        levels=getattr(args, "levels", 5),
-        max_dofs=getattr(args, "max_dofs", 100000),
-        tol_abs=args.tol,
-        tol_rel=args.tol,
-        quad_degree=args.quad_degree,
-        initial_n=args.initial_n,
-        convention=getattr(args, "mark_convention", "squared"),
-        out=args.out,
-        params=_problem_params(args),
-    )
+    given = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
+    return RunConfig(refinement=refinement, tol_abs=args.tol, tol_rel=args.tol,
+                     params=_problem_params(args), **given)
 
 
 def build_parser():
@@ -336,33 +317,31 @@ def build_parser():
         description="Finite element studies for elliptic equations in non-divergence form",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    # no prefix matching: compare's --degrees must not answer to --degree
+    exact = dict(allow_abbrev=False)
 
-    run = sub.add_parser("run", help="uniform or adaptive convergence study")
-    _add_common(run)
-    run.add_argument("--refine", default="uniform", choices=["uniform", "adaptive"])
-    run.add_argument("--levels", type=int, default=5)
-    run.add_argument("--theta", type=float, default=0.9)
-    run.add_argument("--max-dofs", type=int, default=100000)
-    run.add_argument("--mark-convention", default="squared", choices=["squared", "linear"])
+    run = sub.add_parser("run", help="uniform or adaptive convergence study", **exact)
+    _add_study(run)
+    run.add_argument("--refine", default="uniform", choices=["uniform", "adaptive"],
+                     help="refinement strategy")
+    run.add_argument("--levels", type=int, default=5, help="number of meshes (uniform refinement)")
 
-    ad = sub.add_parser("adapt", help="adaptive refinement study")
-    _add_common(ad)
-    ad.add_argument("--theta", type=float, default=0.9)
-    ad.add_argument("--max-dofs", type=int, default=100000)
-    ad.add_argument("--mark-convention", default="squared", choices=["squared", "linear"])
+    ad = sub.add_parser("adapt", help="adaptive refinement study", **exact)
+    _add_study(ad)
 
-    it = sub.add_parser("iters", help="GMRES iteration table")
-    it.add_argument("--kappas", default="0.9,0.99,0.999")
-    it.add_argument("--h-exponents", default="3,4,5,6")
-    it.add_argument("--eta1-values", default="0,1")
-    it.add_argument("--degree", type=int, default=2)
-    it.add_argument("--tol", type=float, default=1e-8)
-    it.add_argument("--out", default=None)
+    it = sub.add_parser("iters", help="GMRES iteration table", **exact)
+    it.add_argument("--kappas", default="0.9,0.99,0.999", help="comma-separated exp1 kappas")
+    it.add_argument("--h-exponents", default="3,4,5,6",
+                    help="comma-separated k of the mesh sizes h = 2^-k")
+    it.add_argument("--eta1-values", default="0,1", help="comma-separated eta1 penalties")
+    it.add_argument("--degree", type=int, default=2, help="polynomial degree p")
+    it.add_argument("--tol", type=float, default=1e-8, help="absolute and relative tolerance")
+    it.add_argument("--out", default=None, help="CSV path (default: stdout)")
 
-    cmp_ = sub.add_parser("compare", help="scheme comparison on shared meshes")
+    cmp_ = sub.add_parser("compare", help="all three schemes on shared meshes", **exact)
     _add_common(cmp_)
-    cmp_.add_argument("--degrees", default="1,2,3,4")
-    cmp_.add_argument("--levels", type=int, default=4)
+    cmp_.add_argument("--degrees", default="1,2,3,4", help="comma-separated degrees p")
+    cmp_.add_argument("--levels", type=int, default=4, help="number of uniform meshes")
 
     return ap
 

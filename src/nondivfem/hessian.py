@@ -47,7 +47,6 @@ __all__ = [
     "assemble_C",
     "build_hessian_operator",
     "recover_hessian",
-    "fe_laplacian",
 ]
 
 
@@ -201,7 +200,6 @@ class HessianOperator:
     cellwise factor `_CellwiseLU` for a DG one; both offer `solve`, `L` and `U`.
     """
 
-    mode: str
     space_V: object
     space_W: object
     M_W: sp.csr_matrix
@@ -231,7 +229,7 @@ def build_hessian_operator(space_V, mode="CG"):
         lu = _CellwiseLU(_reference_mass(space_W.degree), space_W.mesh.cell_det, space_W.dof_map)
     else:
         lu = _factor(M)
-    return HessianOperator(mode=mode, space_V=space_V, space_W=space_W, M_W=M, C=C, M_lu=lu)
+    return HessianOperator(space_V=space_V, space_W=space_W, M_W=M, C=C, M_lu=lu)
 
 
 def recover_hessian(op, u):
@@ -243,8 +241,3 @@ def recover_hessian(op, u):
             H[i][j] = FEFunction(op.space_W, op.mass_solve(op.C[i][j] @ coeffs))
     return H
 
-
-def fe_laplacian(op, v):
-    """Trace of the recovered Hessian: M_W w = (C_11 + C_22) v."""
-    coeffs = v.coeffs if isinstance(v, FEFunction) else np.asarray(v, dtype=np.float64)
-    return FEFunction(op.space_W, op.mass_solve(op.C_trace @ coeffs))

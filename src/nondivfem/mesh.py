@@ -15,32 +15,9 @@ Orientation conventions
   ``k``, i.e. edge 0 = (v1, v2), edge 1 = (v2, v0), edge 2 = (v0, v1).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = [
-    "Mesh",
-    "FacetGeometry",
-    "build_rect_mesh",
-    "facet_geometry",
-    "bisect",
-    "uniform_refine",
-    "mesh_quality",
-    "write_mesh",
-    "read_mesh",
-]
-
-
-@dataclass(frozen=True)
-class FacetGeometry:
-    """Geometric data of one facet: unit normal, length and cell adjacency."""
-
-    normal: np.ndarray
-    length: float
-    plus_cell: int
-    minus_cell: int | None
-    on_boundary: bool
+__all__ = ["Mesh", "build_rect_mesh", "bisect", "uniform_refine", "write_mesh", "read_mesh"]
 
 
 class Mesh:
@@ -77,7 +54,7 @@ class Mesh:
             )
 
         if refinement_edges is None:
-            refinement_edges = self._longest_edges()
+            refinement_edges = np.argmax(self._edge_lengths(), axis=1)
         self.refinement_edges = np.ascontiguousarray(refinement_edges, dtype=np.int64)
         if self.refinement_edges.shape != (self.n_cells,):
             raise ValueError("refinement_edges must have one entry per cell")
@@ -99,18 +76,10 @@ class Mesh:
     def n_facets(self):
         return self.facets.shape[0]
 
-    def _longest_edges(self):
+    def _edge_lengths(self):
+        """(n_cells, 3) lengths of the local edges; edge k is opposite vertex k."""
         v = self.vertices[self.cells]
-        # local edge k is opposite vertex k
-        lengths = np.stack(
-            [
-                np.linalg.norm(v[:, 2] - v[:, 1], axis=1),
-                np.linalg.norm(v[:, 0] - v[:, 2], axis=1),
-                np.linalg.norm(v[:, 1] - v[:, 0], axis=1),
-            ],
-            axis=1,
-        )
-        return np.argmax(lengths, axis=1)
+        return np.linalg.norm(v[:, [2, 0, 1]] - v[:, [1, 2, 0]], axis=2)
 
     # ------------------------------------------------------------------
     def _build_topology(self):
@@ -185,16 +154,7 @@ class Mesh:
         return np.unique(self.facets[self.boundary_flags])
 
     def cell_diameters(self):
-        v = self.vertices[self.cells]
-        e = np.stack(
-            [
-                np.linalg.norm(v[:, 2] - v[:, 1], axis=1),
-                np.linalg.norm(v[:, 0] - v[:, 2], axis=1),
-                np.linalg.norm(v[:, 1] - v[:, 0], axis=1),
-            ],
-            axis=1,
-        )
-        return e.max(axis=1)
+        return self._edge_lengths().max(axis=1)
 
     @property
     def h_max(self):
@@ -229,22 +189,6 @@ def build_rect_mesh(x0, x1, y0, y1, nx, ny):
             cells.append([a, b, c])   # lower-right triangle, diagonal a-c
             cells.append([a, c, d])   # upper-left triangle
     return Mesh(vertices, np.array(cells, dtype=np.int64))
-
-
-def facet_geometry(mesh, facet_id):
-    """Return normal, length and adjacency of one facet."""
-    fid = int(facet_id)
-    if not 0 <= fid < mesh.n_facets:
-        raise IndexError("facet id out of range")
-    plus, minus = mesh.facet_cells[fid]
-    on_bdry = bool(mesh.boundary_flags[fid])
-    return FacetGeometry(
-        normal=mesh.facet_normals[fid].copy(),
-        length=float(mesh.facet_lengths[fid]),
-        plus_cell=int(plus),
-        minus_cell=None if on_bdry else int(minus),
-        on_boundary=on_bdry,
-    )
 
 
 def bisect(mesh, marked):
@@ -354,44 +298,6 @@ def uniform_refine(mesh, sweeps=2):
     for _ in range(sweeps):
         mesh = bisect(mesh, range(mesh.n_cells))
     return mesh
-
-
-def mesh_quality(mesh):
-    """Shape statistics: h_max, h_min, max aspect ratio, neighbor size variation.
-
-    The aspect ratio of a cell is h_T / rho_T with rho_T the inscribed
-    circle diameter; the size variation is the largest ratio h_T' / h_T over
-    cell pairs sharing at least a vertex.
-    """
-    v = mesh.vertices[mesh.cells]
-    e = np.stack(
-        [
-            np.linalg.norm(v[:, 2] - v[:, 1], axis=1),
-            np.linalg.norm(v[:, 0] - v[:, 2], axis=1),
-            np.linalg.norm(v[:, 1] - v[:, 0], axis=1),
-        ],
-        axis=1,
-    )
-    h = e.max(axis=1)
-    s = 0.5 * e.sum(axis=1)
-    rho = 2.0 * mesh.cell_areas / s        # inscribed diameter = 2 area / s
-
-    # neighbor variation over vertex stars
-    var = 1.0
-    h_at = {}
-    for t in range(mesh.n_cells):
-        for vtx in mesh.cells[t]:
-            lo, hi = h_at.get(vtx, (np.inf, 0.0))
-            h_at[vtx] = (min(lo, h[t]), max(hi, h[t]))
-    for lo, hi in h_at.values():
-        var = max(var, hi / lo)
-
-    return {
-        "h_max": float(h.max()),
-        "h_min": float(h.min()),
-        "max_aspect_ratio": float((h / rho).max()),
-        "neighbor_size_variation": float(var),
-    }
 
 
 def write_mesh(mesh, path):

@@ -19,8 +19,11 @@ Two discretizations are assembled here:
 The preconditioner, like the CG mass matrix and the direct scheme's matrix,
 is factored by `hessian._factor`: a symmetric-mode sparse LU with
 minimum-degree ordering on A^T + A, which fits its symmetric pattern.
+Every volume integral here, and the Cordes sampling, uses the one rule of
+`_assembly_rule`, exact to degree 2p + 2.
 """
 
+import inspect
 import warnings
 from dataclasses import dataclass, field
 
@@ -338,9 +341,9 @@ def _problem_poly():
 _CATALOG = {
     "exp1": _problem_exp1,
     "exp2": _problem_exp2,
-    "exp3": lambda: _problem_exp3(),
-    "exp4": lambda: _problem_exp4(),
-    "poly": lambda: _problem_poly(),
+    "exp3": _problem_exp3,
+    "exp4": _problem_exp4,
+    "poly": _problem_poly,
 }
 
 
@@ -348,7 +351,11 @@ def make_problem(name, **params):
     """Instantiate a catalog problem: exp1(kappa), exp2(alpha), exp3, exp4, poly."""
     if name not in _CATALOG:
         raise KeyError("unknown problem %r; available: %s" % (name, sorted(_CATALOG)))
-    return _CATALOG[name](**params)
+    build = _CATALOG[name]
+    unknown = sorted(set(params) - set(inspect.signature(build).parameters))
+    if unknown:
+        raise ValueError("problem %r has no parameter %s" % (name, ", ".join(unknown)))
+    return build(**params)
 
 
 # ----------------------------------------------------------------------
@@ -424,17 +431,18 @@ def cordes_analyze(problem, sample_points):
 # volume assembly helpers
 
 
-def _volume_points(space, q):
+def _assembly_rule(space):
+    """The volume rule every assembly uses, exact to degree 2p + 2, and its
+    physical points (cells, q, 2)."""
     mesh = space.mesh
-    cells = np.arange(mesh.n_cells)
-    return physical_points(mesh, cells, np.broadcast_to(q.points, (mesh.n_cells,) + q.points.shape))
+    q = quadrature(2 * space.degree + 2)
+    ref_pts = np.broadcast_to(q.points, (mesh.n_cells,) + q.points.shape)
+    return q, physical_points(mesh, np.arange(mesh.n_cells), ref_pts)
 
 
-def cordes_on_mesh(problem, space_V, quad_degree=None):
-    """`cordes_analyze` at the volume quadrature points of degree
-    quad_degree (default 2p + 2), the points where both schemes assemble."""
-    deg = quad_degree if quad_degree is not None else 2 * space_V.degree + 2
-    return cordes_analyze(problem, _volume_points(space_V, quadrature(deg)).reshape(-1, 2))
+def cordes_on_mesh(problem, space_V):
+    """`cordes_analyze` at the points where both schemes assemble."""
+    return cordes_analyze(problem, _assembly_rule(space_V)[1].reshape(-1, 2))
 
 
 def _eliminate_dirichlet(K, free):
@@ -444,13 +452,11 @@ def _eliminate_dirichlet(K, free):
     return (D_free @ K @ D_free + sp.diags(1.0 - f)).tocsr()
 
 
-def assemble_B(space_W, problem, gamma, quad_degree=None):
+def assemble_B(space_W, problem, gamma):
     """Weighted mass matrices (B_ij)_{kl} = int gamma A_ij psi_l psi_k."""
     mesh = space_W.mesh
-    deg = quad_degree if quad_degree is not None else 2 * space_W.degree + 2
-    q = quadrature(deg)
+    q, pts = _assembly_rule(space_W)                       # pts (c, q, 2)
     phi = space_W.ref.tabulate(q.points)                   # (q, nloc)
-    pts = _volume_points(space_W, q)                       # (c, q, 2)
     Aq = problem.A(pts)                                    # (c, q, 2, 2)
     gq = gamma(pts)                                        # (c, q)
     coeff = gq[..., None, None] * Aq * mesh.cell_det[:, None, None, None]
@@ -458,13 +464,11 @@ def assemble_B(space_W, problem, gamma, quad_degree=None):
     return scatter(blk, space_W.dof_map, space_W.dof_map, (space_W.n_dofs, space_W.n_dofs))
 
 
-def assemble_load(space_W, problem, gamma, quad_degree=None):
+def assemble_load(space_W, problem, gamma):
     """Load vector (f_W)_k = int gamma f psi_k."""
     mesh = space_W.mesh
-    deg = quad_degree if quad_degree is not None else 2 * space_W.degree + 2
-    q = quadrature(deg)
+    q, pts = _assembly_rule(space_W)
     phi = space_W.ref.tabulate(q.points)
-    pts = _volume_points(space_W, q)
     fq = problem.f(pts) * gamma(pts) * mesh.cell_det[:, None]
     blk = np.einsum("q,cq,qk->ck", q.weights, fq, phi)
     return np.bincount(space_W.dof_map.ravel(), blk.ravel(), minlength=space_W.n_dofs)
@@ -526,7 +530,7 @@ class SystemOperator:
         return apply_system(self, u)
 
 
-def build_system(problem, mesh, p, mode="CG", eta1=None, eta2=None, quad_degree=None):
+def build_system(problem, mesh, p, mode="CG", eta1=None, eta2=None):
     """Assemble everything the recovery scheme needs on a given mesh.
 
     Penalty defaults depend on the measured Cordes eps: well-conditioned
@@ -534,14 +538,14 @@ def build_system(problem, mesh, p, mode="CG", eta1=None, eta2=None, quad_degree=
     """
     space_V = build_space(mesh, p, "CG")
     hop = build_hessian_operator(space_V, mode)
-    cordes = cordes_on_mesh(problem, space_V, quad_degree)
+    cordes = cordes_on_mesh(problem, space_V)
     if eta1 is None:
         eta1 = 0.0 if cordes.epsilon >= 0.5 else 1.0
     if eta2 is None:
         eta2 = 0.0
-    B = assemble_B(hop.space_W, problem, cordes.gamma, quad_degree)
+    B = assemble_B(hop.space_W, problem, cordes.gamma)
     S = assemble_stabilization(space_V, eta1, eta2)
-    f_W = assemble_load(hop.space_W, problem, cordes.gamma, quad_degree)
+    f_W = assemble_load(hop.space_W, problem, cordes.gamma)
     free = np.ones(space_V.n_dofs, dtype=bool)
     free[boundary_dofs(space_V)] = False
     return SystemOperator(
@@ -609,7 +613,7 @@ def build_preconditioner(op):
 # cellwise-Hessian direct scheme
 
 
-def assemble_nsz(space_V, problem, gamma, eta1, quad_degree=None):
+def assemble_nsz(space_V, problem, gamma, eta1):
     """Sparse matrix and rhs of the cellwise-exact-Hessian scheme.
 
     a(u, v) = int gamma A : D2u tr(D2v) + eta1 sum_F h_F^-1 int [du/dn][dv/dn],
@@ -624,13 +628,11 @@ def assemble_nsz(space_V, problem, gamma, eta1, quad_degree=None):
             stacklevel=2,
         )
     mesh = space_V.mesh
-    deg = quad_degree if quad_degree is not None else 2 * space_V.degree + 2
-    q = quadrature(deg)
+    q, pts = _assembly_rule(space_V)
     ref = space_V.ref
     H_ref = ref.tabulate_hess(q.points)
     Jinv = mesh.cell_inv_jacobians
     H = np.einsum("cki,qlkm,cmj->cqlij", Jinv, H_ref, Jinv)
-    pts = _volume_points(space_V, q)
     Aq = problem.A(pts)
     gq = gamma(pts)
     AH = np.einsum("cqij,cqlij->cql", Aq, H)               # A : D2(phi_l)

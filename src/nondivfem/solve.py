@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hessian import _factor, recover_hessian
+from .hessian import _factor
 from .operator import (
     assemble_nsz,
     assemble_rhs,
@@ -32,10 +32,13 @@ class SolveReport:
 
 @dataclass
 class Solution:
+    """A solved level.  `system` is the recovery scheme's SystemOperator (None
+    for nsz); `recover_hessian(sol.system.hessian_op, sol.u_h)` gives the
+    recovered Hessian of u_h."""
+
     u_h: FEFunction
     report: SolveReport
     cordes: object
-    hessian: object = None
     system: object = field(default=None, repr=False)
 
 
@@ -152,8 +155,6 @@ def solve_problem(
     eta2=None,
     tol=(1e-8, 1e-8),
     max_iter=500,
-    quad_degree=None,
-    recover=False,
 ):
     """Assemble and solve one discrete problem on a fixed mesh.
 
@@ -169,9 +170,9 @@ def solve_problem(
         if eta2 is not None and eta2 > 0:
             raise ValueError("the nsz scheme has no Hessian-jump penalty; eta2 must be 0")
         space_V = build_space(mesh, p, "CG")
-        cordes = cordes_on_mesh(problem, space_V, quad_degree)
+        cordes = cordes_on_mesh(problem, space_V)
         e1 = 1.0 if eta1 is None else float(eta1)
-        K, rhs = assemble_nsz(space_V, problem, cordes.gamma, e1, quad_degree)
+        K, rhs = assemble_nsz(space_V, problem, cordes.gamma, e1)
         x = _factor(K).solve(rhs)
         res = float(np.linalg.norm(rhs - K @ x))
         report = SolveReport(0, [float(np.linalg.norm(rhs)), res], True, res)
@@ -179,13 +180,11 @@ def solve_problem(
         return Solution(u_h=u_h, report=report, cordes=cordes)
 
     mode = "CG" if scheme == "recovery-cg" else "DG"
-    op = build_system(problem, mesh, p, mode, eta1, eta2, quad_degree)
+    op = build_system(problem, mesh, p, mode, eta1, eta2)
     b = assemble_rhs(op)
     P = build_preconditioner(op)
     x, report = gmres(
         op.apply, b, precond=P.solve, tol_abs=tol_abs, tol_rel=tol_rel, max_iter=max_iter
     )
     x[~op.free_mask] = 0.0
-    u_h = FEFunction(op.space_V, x)
-    hess = recover_hessian(op.hessian_op, u_h) if recover else None
-    return Solution(u_h=u_h, report=report, cordes=op.cordes, hessian=hess, system=op)
+    return Solution(u_h=FEFunction(op.space_V, x), report=report, cordes=op.cordes, system=op)

@@ -24,7 +24,6 @@ __all__ = [
     "boundary_dofs",
     "interpolate",
     "evaluate",
-    "tabulate_at",
     "facet_traces",
     "normal_jumps",
     "scatter",
@@ -336,27 +335,6 @@ def interpolate(space, f):
     return FEFunction(space, vals)
 
 
-def tabulate_at(space, cells, ref_pts):
-    """Physical basis values and gradients at per-cell reference points.
-
-    Parameters
-    ----------
-    cells : (n,) cell ids
-    ref_pts : (n, q, 2) reference coordinates, one set per cell
-
-    Returns
-    -------
-    vals (n, q, n_loc) and grads (n, q, n_loc, 2) in physical coordinates.
-    Callers that need second derivatives map ``space.ref.tabulate_hess``
-    themselves.
-    """
-    vals = space.ref.tabulate(ref_pts)
-    g = space.ref.tabulate_grad(ref_pts)
-    Jinv = space.mesh.cell_inv_jacobians[cells]        # (n, 2, 2)
-    grads = np.einsum("nji,nqlj->nqli", Jinv, g, optimize=True)
-    return vals, grads
-
-
 def evaluate(fn, quad):
     """Values, gradients, hessians of a scalar FE function at quadrature points.
 
@@ -384,13 +362,6 @@ def physical_points(mesh, cells, ref_pts):
     v0 = mesh.vertices[mesh.cells[cells, 0]]
     J = mesh.cell_jacobians[cells]
     return v0[:, None, :] + np.einsum("nij,nqj->nqi", J, ref_pts, optimize=True)
-
-
-def pullback_points(mesh, cells, phys_pts):
-    """Inverse affine map: physical points (n, q, 2) to reference coordinates."""
-    v0 = mesh.vertices[mesh.cells[cells, 0]]
-    Jinv = mesh.cell_inv_jacobians[cells]
-    return np.einsum("nij,nqj->nqi", Jinv, phys_pts - v0[:, None, :], optimize=True)
 
 
 def _edge_points(t):

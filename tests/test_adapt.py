@@ -149,6 +149,12 @@ def test_adaptive_loop_structure():
         assert r.mesh is None
 
 
+def test_adaptive_loop_rejects_initial_mesh_over_budget():
+    # 4x4 cells at p = 2 have 81 dofs: no level fits, so no record
+    with pytest.raises(ValueError, match="max_dofs"):
+        adaptive_loop(make_problem("exp2"), p=2, max_dofs=80)
+
+
 def test_adaptive_loop_keep_meshes():
     problem = make_problem("exp1")
     records = adaptive_loop(problem, p=2, theta=0.9, max_dofs=800, keep_meshes=True)

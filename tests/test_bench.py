@@ -217,6 +217,47 @@ def test_cli_adapt(tmp_path):
     assert len(rows) >= 2
 
 
+@pytest.mark.parametrize("command", [["adapt"], ["run", "--refine", "adaptive"]])
+def test_cli_adaptive_study_over_budget_exits_2(command, tmp_path, capsys):
+    path = tmp_path / "ad.csv"
+    rc = main(command + ["--experiment", "exp2", "--max-dofs", "10", "--out", str(path)])
+    assert rc == 2
+    assert "max_dofs" in capsys.readouterr().err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("experiment, option", [("exp3", "--kappa"), ("exp1", "--alpha"),
+                                                ("exp4", "--alpha")])
+def test_cli_rejects_a_parameter_the_experiment_lacks(experiment, option, capsys):
+    rc = main(["run", "--experiment", experiment, option, "0.9", "--levels", "1",
+               "--initial-n", "2"])
+    assert rc == 2
+    assert option[2:] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--experiment", "exp1", "--scheme", "nsz"],
+    ["compare", "--experiment", "exp1", "--degree", "3"],
+    ["run", "--experiment", "exp1", "--quad-degree", "6"],
+])
+def test_cli_rejects_options_that_would_be_ignored(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_cli_every_option_has_help():
+    import argparse
+
+    from nondivfem.bench import build_parser
+
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    missing = [(name, a.option_strings[-1]) for name, sub in subparsers.choices.items()
+               for a in sub._actions if a.option_strings and not a.help]
+    assert not missing
+
+
 def test_cli_adapt_exits_3_when_gmres_fails(tmp_path, monkeypatch):
     import dataclasses
 
@@ -305,6 +346,18 @@ def test_benchmark_selftest_passes():
     out = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=str(root),
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr[-2000:]
+
+
+def test_every_exported_name_resolves():
+    import importlib
+    import pkgutil
+
+    import nondivfem
+
+    modules = [nondivfem] + [importlib.import_module("nondivfem." + m.name)
+                             for m in pkgutil.iter_modules(nondivfem.__path__)]
+    for mod in modules:
+        assert [n for n in mod.__all__ if not hasattr(mod, n)] == [], mod.__name__
 
 
 def test_thread_cap_env(monkeypatch):

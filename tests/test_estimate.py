@@ -16,7 +16,9 @@ from nondivfem import (
     uniform_refine,
 )
 from nondivfem.estimate import _gradient_jumps_sq, estimate_level, local_h2h_errors
-from nondivfem.space import FEFunction, facet_quadrature, pullback_points, tabulate_at
+from nondivfem.space import FEFunction, facet_quadrature
+
+from fe_oracle import pullback_points, tabulate_at
 
 
 def _exact_dict(problem):

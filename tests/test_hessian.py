@@ -10,13 +10,14 @@ from nondivfem import (
     build_hessian_operator,
     build_rect_mesh,
     build_space,
-    fe_laplacian,
     interpolate,
     recover_hessian,
     uniform_refine,
 )
 from nondivfem.hessian import assemble_C
 from nondivfem.space import evaluate, facet_quadrature, physical_points, quadrature
+
+from fe_oracle import pullback_points, tabulate_at
 
 
 def _mesh(n=2):
@@ -210,15 +211,16 @@ def test_recovery_is_linear():
 
 
 def test_trace_matches_laplacian():
-    m = _mesh(3)
-    V = build_space(m, 2, "CG")
+    # the system and its right-hand side test with C_trace: it must be
+    # exactly C_00 + C_11, so that it recovers the trace of the Hessian
+    V = build_space(_mesh(3), 2, "CG")
+    u = np.random.default_rng(3).standard_normal(V.n_dofs)
     for mode in ("CG", "DG"):
         op = build_hessian_operator(V, mode)
-        rng = np.random.default_rng(3)
-        u = rng.standard_normal(V.n_dofs)
+        assert abs(op.C_trace - (op.C[0][0] + op.C[1][1])).max() == 0.0
         H = recover_hessian(op, u)
-        lap = fe_laplacian(op, u)
-        assert np.abs(lap.coeffs - H[0][0].coeffs - H[1][1].coeffs).max() < 1e-10
+        lap = op.mass_solve(op.C_trace @ u)
+        assert np.abs(lap - H[0][0].coeffs - H[1][1].coeffs).max() < 1e-10
 
 
 def _dense_dg_oracle(V, u):
@@ -236,8 +238,6 @@ def _dense_dg_oracle(V, u):
     rhs = np.zeros((2, 2, W.n_dofs))
 
     # volume: -int grad(u)_i d_j(psi)
-    from nondivfem.space import tabulate_at
-
     refpts = np.broadcast_to(q.points, (mesh.n_cells,) + q.points.shape)
     cells = np.arange(mesh.n_cells)
     _, gV = tabulate_at(V, cells, refpts)
@@ -262,8 +262,6 @@ def _dense_dg_oracle(V, u):
         sides = [(plus, 1.0)] if minus < 0 else [(plus, -1.0), (minus, 1.0)]
         avg_w = 1.0 if minus < 0 else 0.5
         for c_test, sgn in sides:
-            from nondivfem.space import pullback_points
-
             ref = pullback_points(mesh, np.array([c_test]), pts[None])
             vals_w, _ = tabulate_at(W, np.array([c_test]), ref)
             # average of grad u over the available sides
@@ -331,8 +329,6 @@ def test_recovery_is_l2_projection_for_smooth_u():
     W = op.space_W
     M = assemble_mass_W(W).tocsc()
     q = quadrature(2 * W.degree + 2)
-    from nondivfem.space import tabulate_at
-
     refpts = np.broadcast_to(q.points, (m.n_cells,) + q.points.shape)
     cells = np.arange(m.n_cells)
     vals_w, _ = tabulate_at(W, cells, refpts)

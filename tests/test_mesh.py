@@ -7,8 +7,6 @@ from nondivfem import (
     Mesh,
     bisect,
     build_rect_mesh,
-    facet_geometry,
-    mesh_quality,
     read_mesh,
     uniform_refine,
     write_mesh,
@@ -66,18 +64,6 @@ def test_interior_normal_points_from_minus_to_plus():
         assert np.dot(m.facet_normals[f], cp - cm) > 0
 
 
-def test_facet_geometry_accessor():
-    m = build_rect_mesh(0, 1, 0, 1, 1, 1)
-    g = facet_geometry(m, int(m.boundary_facets()[0]))
-    assert g.on_boundary
-    assert g.minus_cell is None
-    g2 = facet_geometry(m, int(m.interior_facets()[0]))
-    assert not g2.on_boundary
-    assert np.isclose(g2.length, np.sqrt(2.0))
-    with pytest.raises(IndexError):
-        facet_geometry(m, m.n_facets)
-
-
 def test_invalid_inputs():
     with pytest.raises(ValueError):
         build_rect_mesh(1, 0, 0, 1, 1, 1)
@@ -111,12 +97,37 @@ def test_bisect_bad_ids():
         bisect(m, [5])
 
 
+def _max_aspect_ratio(mesh):
+    """Largest h_T / rho_T, rho_T the diameter of the inscribed circle."""
+    v = mesh.vertices[mesh.cells]
+    e = np.linalg.norm(v - np.roll(v, 1, axis=1), axis=2)
+    rho = 4.0 * mesh.cell_areas / e.sum(axis=1)         # 2 area / half perimeter
+    return float((e.max(axis=1) / rho).max())
+
+
+def test_mesh_quality_right_isoceles():
+    tri = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]))
+    # inscribed-circle diameter of the legs-1 right triangle is 2 - sqrt(2)
+    rho = 2.0 - np.sqrt(2.0)
+    v = tri.vertices[tri.cells[0]]
+    assert np.isclose(np.linalg.norm(v - np.roll(v, 1, axis=0), axis=1).max(), np.sqrt(2.0))
+    assert np.isclose(_max_aspect_ratio(tri), np.sqrt(2.0) / rho)
+
+
+def test_equilateral_minimizes_aspect():
+    eq = Mesh(
+        np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]]), np.array([[0, 1, 2]])
+    )
+    sc = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.1, 0.25]]), np.array([[0, 1, 2]]))
+    assert _max_aspect_ratio(eq) < _max_aspect_ratio(sc)
+
+
 def test_aspect_ratio_bounded_over_uniform_rounds():
     m = build_rect_mesh(0, 1, 0, 1, 1, 1)
-    a0 = mesh_quality(m)["max_aspect_ratio"]
+    a0 = _max_aspect_ratio(m)
     for _ in range(5):
         m = bisect(m, np.arange(m.n_cells))
-    a5 = mesh_quality(m)["max_aspect_ratio"]
+    a5 = _max_aspect_ratio(m)
     assert a5 <= 2.0 * a0 + 1e-12
 
 
@@ -125,28 +136,6 @@ def test_uniform_refine_matches_structured():
     ref = build_rect_mesh(0, 1, 0, 1, 4, 4)
     assert (m.n_vertices, m.n_cells, m.n_facets) == (ref.n_vertices, ref.n_cells, ref.n_facets)
     assert np.isclose(m.h_max, ref.h_max)
-
-
-def test_mesh_quality_right_isoceles():
-    tri = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]))
-    q = mesh_quality(tri)
-    # inscribed-circle diameter of the legs-1 right triangle is 2 - sqrt(2)
-    rho = 2.0 - np.sqrt(2.0)
-    assert np.isclose(q["h_max"], np.sqrt(2.0))
-    assert np.isclose(q["max_aspect_ratio"], np.sqrt(2.0) / rho)
-
-
-def test_mesh_quality_uniform_variation():
-    q = mesh_quality(build_rect_mesh(0, 1, 0, 1, 3, 3))
-    assert 1.0 <= q["neighbor_size_variation"] <= 1.0 + 1e-12
-
-
-def test_equilateral_minimizes_aspect():
-    eq = Mesh(
-        np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]]), np.array([[0, 1, 2]])
-    )
-    sc = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.1, 0.25]]), np.array([[0, 1, 2]]))
-    assert mesh_quality(eq)["max_aspect_ratio"] < mesh_quality(sc)["max_aspect_ratio"]
 
 
 def test_write_read_roundtrip(tmp_path):

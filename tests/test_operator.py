@@ -50,6 +50,12 @@ def test_make_problem_unknown_name():
         make_problem("exp99")
 
 
+@pytest.mark.parametrize("name, param", [("exp3", "kappa"), ("exp1", "alpha"), ("poly", "kappa")])
+def test_make_problem_names_a_parameter_the_problem_lacks(name, param):
+    with pytest.raises(ValueError, match=param):
+        make_problem(name, **{param: 0.9})
+
+
 def test_catalog_parameters_recorded():
     assert make_problem("exp1", kappa=0.9).params["kappa"] == 0.9
     assert make_problem("exp2", alpha=0.5).params["alpha"] == 0.5

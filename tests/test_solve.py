@@ -11,6 +11,7 @@ from nondivfem import (
     error_norms,
     gmres,
     make_problem,
+    recover_hessian,
     solve_problem,
 )
 from nondivfem.solve import normalize_scheme
@@ -201,9 +202,9 @@ def test_cg_and_dg_recovery_agree():
 def test_solve_with_recovered_hessian():
     problem = make_problem("exp1")
     mesh = build_rect_mesh(0, 1, 0, 1, 4, 4)
-    sol = solve_problem(problem, mesh, p=2, recover=True)
-    assert sol.hessian is not None
-    assert sol.hessian[0][1].coeffs.shape == (sol.system.hessian_op.space_W.n_dofs,)
+    sol = solve_problem(problem, mesh, p=2)
+    H = recover_hessian(sol.system.hessian_op, sol.u_h)
+    assert H[0][1].coeffs.shape == (sol.system.hessian_op.space_W.n_dofs,)
 
 
 def test_preconditioner_reduces_iterations():
