@@ -7,7 +7,7 @@ import numpy as np
 from .estimate import estimate_level
 from .mesh import bisect, build_rect_mesh
 from .solve import solve_problem
-from .space import build_space
+from .space import _cg_dof_count
 
 __all__ = ["AdaptiveRecord", "doerfler_mark", "adaptive_loop", "initial_mesh"]
 
@@ -88,7 +88,7 @@ def adaptive_loop(
     records = []
     level = 0
     while True:
-        n_dofs = build_space(mesh, p, "CG").n_dofs
+        n_dofs = _cg_dof_count(mesh, p)
         if n_dofs > max_dofs:
             if not records:
                 raise ValueError("the initial mesh has %d dofs, more than max_dofs = %d"

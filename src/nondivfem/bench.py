@@ -20,7 +20,7 @@ from .estimate import error_norms, estimate_level
 from .mesh import build_rect_mesh
 from .operator import CordesViolated, make_problem
 from .solve import normalize_scheme, solve_problem
-from .space import build_space
+from .space import _cg_dof_count
 
 __all__ = [
     "RunConfig",
@@ -244,7 +244,7 @@ def run_scheme_comparison(config, degrees=(1, 2, 3, 4)):
         for level in range(config.levels):
             n = n0 * 2**level
             mesh = build_rect_mesh(x0, x1, y0, y1, n, n)
-            n_dofs = build_space(mesh, p, "CG").n_dofs
+            n_dofs = _cg_dof_count(mesh, p)
             row = [p, n_dofs, mesh.h_max]
             for s in schemes:
                 try:
@@ -286,18 +286,11 @@ def _add_common(sub):
 
 
 def _add_study(sub):
-    """Options of the uniform and adaptive studies of one scheme."""
+    """Options of the uniform (run) and adaptive (adapt) studies of one scheme."""
     _add_common(sub)
     sub.add_argument("--scheme", default="recovery-cg",
                      choices=["recovery-cg", "recovery-dg", "nsz"], help="discretization")
     sub.add_argument("--degree", type=int, default=2, help="polynomial degree p")
-    sub.add_argument("--theta", type=float, default=0.9,
-                     help="Doerfler marking fraction (adaptive refinement)")
-    sub.add_argument("--max-dofs", type=int, default=100000,
-                     help="dof budget of adaptive refinement; the first mesh must fit in it")
-    sub.add_argument("--mark-convention", dest="convention", default="squared",
-                     choices=["squared", "linear"],
-                     help="marking by sums of eta_T^2 or of eta_T (adaptive refinement)")
 
 
 def _problem_params(args):
@@ -320,14 +313,17 @@ def build_parser():
     # no prefix matching: compare's --degrees must not answer to --degree
     exact = dict(allow_abbrev=False)
 
-    run = sub.add_parser("run", help="uniform or adaptive convergence study", **exact)
+    run = sub.add_parser("run", help="uniform refinement study", **exact)
     _add_study(run)
-    run.add_argument("--refine", default="uniform", choices=["uniform", "adaptive"],
-                     help="refinement strategy")
-    run.add_argument("--levels", type=int, default=5, help="number of meshes (uniform refinement)")
+    run.add_argument("--levels", type=int, default=5, help="number of uniform meshes")
 
     ad = sub.add_parser("adapt", help="adaptive refinement study", **exact)
     _add_study(ad)
+    ad.add_argument("--theta", type=float, default=0.9, help="Doerfler marking fraction")
+    ad.add_argument("--max-dofs", type=int, default=100000,
+                    help="dof budget; the first mesh must fit in it")
+    ad.add_argument("--mark-convention", dest="convention", default="squared",
+                    choices=["squared", "linear"], help="marking by sums of eta_T^2 or of eta_T")
 
     it = sub.add_parser("iters", help="GMRES iteration table", **exact)
     it.add_argument("--kappas", default="0.9,0.99,0.999", help="comma-separated exp1 kappas")
@@ -350,13 +346,9 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        if args.command == "run":
-            config = _config_from(args, args.refine)
-            _, ok = run_convergence(config)
-            return 0 if ok else 3
-        if args.command == "adapt":
-            config = _config_from(args, "adaptive")
-            _, ok = run_convergence(config)
+        if args.command in ("run", "adapt"):
+            refinement = "uniform" if args.command == "run" else "adaptive"
+            _, ok = run_convergence(_config_from(args, refinement))
             return 0 if ok else 3
         if args.command == "iters":
             kappas = [float(t) for t in args.kappas.split(",")]

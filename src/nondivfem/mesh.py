@@ -13,6 +13,30 @@ Orientation conventions
   plus cell) and the outward domain normal on boundary facets.
 * Local edge ``k`` of cell ``(v0, v1, v2)`` is the edge opposite vertex
   ``k``, i.e. edge 0 = (v1, v2), edge 1 = (v2, v0), edge 2 = (v0, v1).
+
+Newest-vertex bisection
+-----------------------
+Every cell carries a refinement edge.  `bisect` works on the facet arrays
+(edge marking in the style of Funken, Praetorius & Wissgott, CMAM 2011,
+and of Chen's iFEM):
+
+1. mark the refinement facet of every marked cell;
+2. repeat until nothing changes: a cell with a marked facet also marks its
+   refinement facet (marks only grow, so this ends within ``n_facets``
+   passes);
+3. add one midpoint per marked facet, numbered ``n_vertices + rank`` in
+   facet-id order;
+4. split every cell at once: with ``(a, b, c) = (v[k+1], v[k+2], v[k])``
+   for refinement edge ``k`` and midpoint ``m``, the children are
+   ``[a, m, c]`` (refinement edge 1) and ``[m, b, c]`` (edge 0), and a
+   child whose refinement edge is marked is split again by the same rule,
+   so a cell stays whole or becomes 2, 3 or 4 cells.
+
+The result has the same cells as bisecting the marked cells one at a time,
+each together with its neighbour across the refinement edge, once that
+neighbour has been refined until the edge is its refinement edge too.  The
+cells are listed parent by parent: an unrefined cell as itself, a refined
+one as its first child (or that child's two children), then its second.
 """
 
 import numpy as np
@@ -41,6 +65,8 @@ class Mesh:
             raise ValueError("vertices must be an (n, 2) array")
         if self.cells.ndim != 2 or self.cells.shape[1] != 3:
             raise ValueError("cells must be an (n, 3) array")
+        if np.any((self.cells < 0) | (self.cells >= self.n_vertices)):
+            raise ValueError("cell vertex indices must lie in [0, %d)" % self.n_vertices)
 
         v = self.vertices[self.cells]
         # signed areas; positive orientation is part of the data contract
@@ -58,6 +84,8 @@ class Mesh:
         self.refinement_edges = np.ascontiguousarray(refinement_edges, dtype=np.int64)
         if self.refinement_edges.shape != (self.n_cells,):
             raise ValueError("refinement_edges must have one entry per cell")
+        if np.any((self.refinement_edges < 0) | (self.refinement_edges > 2)):
+            raise ValueError("refinement edges must be local edge indices 0, 1 or 2")
 
         self._build_topology()
         self._build_geometry()
@@ -194,103 +222,47 @@ def build_rect_mesh(x0, x1, y0, y1, nx, ny):
 def bisect(mesh, marked):
     """Newest-vertex bisection of the marked cells with conforming closure.
 
-    Every marked cell is bisected at least once.  A cell is only ever split
-    across its refinement edge, together with the neighbor sharing that edge
-    (the neighbor is refined first if its own refinement edge differs), so
-    the mesh stays conforming at every step.
+    Every marked cell is bisected at least once, and the result is
+    conforming; its cells are listed parent by parent (module docstring).
     """
-    marked = sorted(set(int(t) for t in marked))
-    if any(t < 0 or t >= mesh.n_cells for t in marked):
+    marked = np.asarray(marked, dtype=np.int64)
+    if np.any((marked < 0) | (marked >= mesh.n_cells)):
         raise IndexError("marked cell id out of range")
 
-    verts = [tuple(p) for p in mesh.vertices]
-    cells = [list(c) for c in mesh.cells]
-    ref = list(mesh.refinement_edges)
-    alive = [True] * len(cells)
+    rows = np.arange(mesh.n_cells)
+    k = mesh.refinement_edges
+    a, b, c = (mesh.cells[rows, (k + s) % 3] for s in (1, 2, 0))
+    # facets of the refinement edge (a, b) and of the edges (c, a) and (b, c)
+    f0, f1, f2 = (mesh.cell_facets[rows, (k + s) % 3] for s in (0, 2, 1))
+    split = np.zeros(mesh.n_facets, dtype=bool)
+    split[f0[marked]] = True
+    # closure: a cell with a split edge has its refinement edge split too
+    while True:
+        pending = (split[f1] | split[f2]) & ~split[f0]
+        if not pending.any():
+            break
+        split[f0[pending]] = True
 
-    edge2cells = {}
-    for t, c in enumerate(cells):
-        for k in range(3):
-            a, b = c[(k + 1) % 3], c[(k + 2) % 3]
-            key = (a, b) if a < b else (b, a)
-            edge2cells.setdefault(key, set()).add(t)
+    mid = np.full(mesh.n_facets, -1, dtype=np.int64)
+    mid[split] = mesh.n_vertices + np.arange(np.count_nonzero(split))
+    ends = mesh.vertices[mesh.facets[split]]
+    vertices = np.concatenate([mesh.vertices, 0.5 * (ends[:, 0] + ends[:, 1])])
 
-    def ref_edge(t):
-        k = ref[t]
-        c = cells[t]
-        a, b = c[(k + 1) % 3], c[(k + 2) % 3]
-        return (a, b) if a < b else (b, a)
-
-    def detach(t):
-        c = cells[t]
-        for k in range(3):
-            a, b = c[(k + 1) % 3], c[(k + 2) % 3]
-            key = (a, b) if a < b else (b, a)
-            edge2cells[key].discard(t)
-        alive[t] = False
-
-    def attach(c, r):
-        t = len(cells)
-        cells.append(c)
-        ref.append(r)
-        alive.append(True)
-        for k in range(3):
-            a, b = c[(k + 1) % 3], c[(k + 2) % 3]
-            key = (a, b) if a < b else (b, a)
-            edge2cells.setdefault(key, set()).add(t)
-        return t
-
-    midpoints = {}
-
-    def split(t, m):
-        """Bisect cell t across its refinement edge with existing midpoint m."""
-        k = ref[t]
-        c = cells[t]
-        a0, b0, c0 = c[(k + 1) % 3], c[(k + 2) % 3], c[k]
-        detach(t)
-        # children inherit positive orientation; the new vertex m is the
-        # newest vertex, so each child's refinement edge lies opposite m
-        attach([a0, m, c0], 1)
-        attach([m, b0, c0], 0)
-
-    guard = 0
-    guard_limit = 100 * (len(cells) + len(marked)) + 10_000
-
-    def ensure_bisected(t0):
-        nonlocal guard
-        stack = [t0]
-        while stack:
-            guard += 1
-            if guard > guard_limit:
-                raise RuntimeError("bisection closure did not terminate")
-            t = stack[-1]
-            if not alive[t]:
-                stack.pop()
-                continue
-            e = ref_edge(t)
-            others = edge2cells[e] - {t}
-            nb = next(iter(others)) if others else None
-            if nb is not None and ref_edge(nb) != e:
-                stack.append(nb)
-                continue
-            if e not in midpoints:
-                pa, pb = verts[e[0]], verts[e[1]]
-                midpoints[e] = len(verts)
-                verts.append((0.5 * (pa[0] + pb[0]), 0.5 * (pa[1] + pb[1])))
-            m = midpoints[e]
-            split(t, m)
-            if nb is not None:
-                split(nb, m)
-            stack.pop()
-
-    for t in marked:
-        if alive[t]:
-            ensure_bisected(t)
-
-    keep = [t for t, a in enumerate(alive) if a]
-    new_cells = np.array([cells[t] for t in keep], dtype=np.int64)
-    new_ref = np.array([ref[t] for t in keep], dtype=np.int64)
-    return Mesh(np.array(verts), new_cells, refinement_edges=new_ref)
+    # a cell split at the midpoint m of its refinement edge has the children
+    # [a, m, c] and [m, b, c], whose refinement edges 1 and 0 lie opposite the
+    # newest vertex m; a child whose refinement edge, (c, a) or (b, c), is
+    # split as well is halved by the same rule, at m1 or m2
+    m, m1, m2 = mid[f0], mid[f1], mid[f2]
+    s0, s1, s2 = split[f0], split[f1], split[f2]
+    slots = np.array([
+        np.where(s0, np.where(s1, [c, m1, m], [a, m, c]), mesh.cells.T),
+        [m1, a, m],
+        np.where(s2, [b, m2, m], [m, b, c]),
+        [m2, c, m],
+    ]).transpose(2, 0, 1)
+    edges = np.array([np.where(s0, 1, k), 0 * k, s2, 0 * k]).T
+    keep = np.array([np.ones_like(s0), s1, s0, s2]).T
+    return Mesh(vertices, slots[keep], refinement_edges=edges[keep])
 
 
 def uniform_refine(mesh, sweeps=2):

@@ -516,7 +516,6 @@ class SystemOperator:
     eta1: float
     eta2: float
     cordes: CordesInfo
-    problem: ProblemData
 
     @property
     def space_V(self):
@@ -557,7 +556,6 @@ def build_system(problem, mesh, p, mode="CG", eta1=None, eta2=None):
         eta1=float(eta1),
         eta2=float(eta2),
         cordes=cordes,
-        problem=problem,
     )
 
 

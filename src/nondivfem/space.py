@@ -258,6 +258,11 @@ class FEFunction:
             raise ValueError("coefficient vector length does not match space")
 
 
+def _cg_dof_count(mesh, p):
+    """Dofs of the degree-p CG space: vertices, p-1 per facet, (p-1)(p-2)/2 per cell."""
+    return mesh.n_vertices + (p - 1) * mesh.n_facets + (p - 1) * (p - 2) // 2 * mesh.n_cells
+
+
 def build_space(mesh, p, continuity="CG"):
     """Build a Lagrange space of degree p, continuity 'CG' or 'DG'."""
     p = int(p)
@@ -296,7 +301,7 @@ def build_space(mesh, p, continuity="CG"):
             dof_map[:, 3 + 3 * ne :] = (
                 offset + np.arange(n_cells)[:, None] * ni + np.arange(ni)[None, :]
             )
-        n_dofs = offset + n_cells * ni
+        n_dofs = _cg_dof_count(mesh, p)
 
     # physical node coordinates (consistent across cells for CG by construction)
     v0 = mesh.vertices[mesh.cells[:, 0]]

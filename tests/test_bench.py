@@ -217,10 +217,9 @@ def test_cli_adapt(tmp_path):
     assert len(rows) >= 2
 
 
-@pytest.mark.parametrize("command", [["adapt"], ["run", "--refine", "adaptive"]])
-def test_cli_adaptive_study_over_budget_exits_2(command, tmp_path, capsys):
+def test_cli_adaptive_study_over_budget_exits_2(tmp_path, capsys):
     path = tmp_path / "ad.csv"
-    rc = main(command + ["--experiment", "exp2", "--max-dofs", "10", "--out", str(path)])
+    rc = main(["adapt", "--experiment", "exp2", "--max-dofs", "10", "--out", str(path)])
     assert rc == 2
     assert "max_dofs" in capsys.readouterr().err
     assert not path.exists()
@@ -239,6 +238,10 @@ def test_cli_rejects_a_parameter_the_experiment_lacks(experiment, option, capsys
     ["compare", "--experiment", "exp1", "--scheme", "nsz"],
     ["compare", "--experiment", "exp1", "--degree", "3"],
     ["run", "--experiment", "exp1", "--quad-degree", "6"],
+    ["run", "--experiment", "exp1", "--refine", "adaptive"],
+    ["run", "--experiment", "exp1", "--theta", "0.5"],
+    ["run", "--experiment", "exp1", "--max-dofs", "100"],
+    ["run", "--experiment", "exp1", "--mark-convention", "linear"],
 ])
 def test_cli_rejects_options_that_would_be_ignored(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -271,11 +274,10 @@ def test_cli_adapt_exits_3_when_gmres_fails(tmp_path, monkeypatch):
         return sol
 
     monkeypatch.setattr(nondivfem.adapt, "solve_problem", unconverged)
-    for command in (["adapt"], ["run", "--refine", "adaptive"]):
-        rc = main(command + [
-            "--experiment", "exp2", "--max-dofs", "200", "--out", str(tmp_path / "ad.csv"),
-        ])
-        assert rc == 3
+    rc = main([
+        "adapt", "--experiment", "exp2", "--max-dofs", "200", "--out", str(tmp_path / "ad.csv"),
+    ])
+    assert rc == 3
 
 
 def test_cli_iters(tmp_path):

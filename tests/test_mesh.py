@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fe_oracle import reference_bisect
 from nondivfem import (
     Mesh,
     bisect,
@@ -169,6 +170,19 @@ def test_write_read_keeps_refinement_edges(tmp_path):
         read_mesh(str(path))
 
 
+# the second cell of the unit square is "0 3 2 2"; -1 would wrap to vertex 3
+@pytest.mark.parametrize("line", ["0 -1 2 2", "0 3 4 2", "0 3 2 -1", "0 3 2 3"])
+def test_read_mesh_rejects_out_of_range_indices(tmp_path, line):
+    path = tmp_path / "mesh.txt"
+    write_mesh(build_rect_mesh(0, 1, 0, 1, 1, 1), str(path))
+    lines = path.read_text().splitlines()
+    assert lines[-1] == "0 3 2 2"
+    lines[-1] = line
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError):
+        read_mesh(str(path))
+
+
 def test_read_malformed_header(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("not a mesh\n")
@@ -195,3 +209,45 @@ def test_bisect_random_marks_conforming(raw_marks, rounds):
             | np.isclose(bmid[:, 1], 0.0) | np.isclose(bmid[:, 1], 1.0)
         )
         assert on_rect.all()
+
+
+def _cells_by_refinement_edge(mesh):
+    """Each cell as (its refinement edge's endpoints, its opposite vertex), by coordinates."""
+    rows = np.arange(mesh.n_cells)
+    k = mesh.refinement_edges
+    a, b, c = (mesh.vertices[mesh.cells[rows, (k + s) % 3]] for s in (1, 2, 0))
+    return {(frozenset([tuple(p), tuple(q)]), tuple(r)) for p, q, r in zip(a, b, c)}
+
+
+def _edges21_mesh():
+    r = build_rect_mesh(0, 2, 0, 1, 1, 1)
+    return Mesh(r.vertices, r.cells, refinement_edges=[2, 1])
+
+
+_START_MESHES = {
+    "2x2": lambda: build_rect_mesh(0, 1, 0, 1, 2, 2),
+    "4x4": lambda: build_rect_mesh(0, 1, 0, 1, 4, 4),
+    "2x1, edges [2, 1]": _edges21_mesh,
+}
+
+
+def _arrays(m):
+    return m.vertices, m.cells, m.refinement_edges, m.facets, m.cell_facets
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_START_MESHES)), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@example("4x4", 3, 13)   # its third round needs two closure passes
+def test_bisect_makes_the_cells_of_the_reference(start, rounds, seed):
+    rng = np.random.default_rng(seed)
+    m = _START_MESHES[start]()
+    for _ in range(rounds):
+        marked = rng.choice(m.n_cells, size=rng.integers(1, max(2, m.n_cells // 3)), replace=False)
+        before = [a.copy() for a in _arrays(m)]
+        new, ref = bisect(m, marked), reference_bisect(m, marked)
+        assert all(np.array_equal(a, b) for a, b in zip(before, _arrays(m)))
+        assert (new.n_vertices, new.n_cells) == (ref.n_vertices, ref.n_cells)
+        assert set(map(tuple, new.vertices)) == set(map(tuple, ref.vertices))
+        assert _cells_by_refinement_edge(new) == _cells_by_refinement_edge(ref)
+        m = new

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from nondivfem import bisect, boundary_dofs, build_rect_mesh, build_space, interpolate, quadrature
 from nondivfem.space import (
+    _cg_dof_count,
     _edge_points,
     _facet_edges,
     evaluate,
@@ -61,6 +62,14 @@ def test_dof_counts_two_cells():
     m = build_rect_mesh(0, 1, 0, 1, 1, 1)
     assert build_space(m, 2, "CG").n_dofs == 9
     assert build_space(m, 2, "DG").n_dofs == 12
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_cg_dof_count_matches_the_dof_map(p):
+    mesh = bisect(build_rect_mesh(0, 1, 0, 1, 2, 2), [0, 3, 5])
+    V = build_space(mesh, p, "CG")
+    # the dof map numbers every dof once, contiguously from 0
+    assert _cg_dof_count(mesh, p) == V.n_dofs == np.unique(V.dof_map).size == V.dof_map.max() + 1
 
 
 def test_dg_counts_no_sharing():
