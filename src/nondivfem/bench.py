@@ -19,7 +19,7 @@ from .adapt import adaptive_loop, initial_mesh
 from .estimate import error_norms, estimate_level
 from .mesh import build_rect_mesh
 from .operator import CordesViolated, make_problem
-from .solve import normalize_scheme, solve_problem
+from .solve import SCHEMES, solve_problem
 from .space import _cg_dof_count
 
 __all__ = [
@@ -35,6 +35,9 @@ __all__ = [
 CSV_HEADER = ["Ndofs", "h_max", "L2_error", "H1_error", "H2h_error", "Eta_global", "iterations"]
 
 _EXPERIMENTS = ("exp1", "exp2", "exp3", "exp4")
+
+# fields that only one kind of refinement reads
+_IGNORED_BY = {"uniform": ("theta", "max_dofs", "convention"), "adaptive": ("levels",)}
 
 
 @dataclass
@@ -60,7 +63,8 @@ class RunConfig:
             raise ValueError(
                 "unknown experiment %r; choose from %s" % (self.experiment, list(_EXPERIMENTS))
             )
-        normalize_scheme(self.scheme)
+        if self.scheme not in SCHEMES:
+            raise ValueError("unknown scheme %r; choose from %s" % (self.scheme, list(SCHEMES)))
         if self.degree < 1:
             raise ValueError("degree must be >= 1")
         if self.refinement not in ("uniform", "adaptive"):
@@ -76,6 +80,9 @@ class RunConfig:
                 raise ValueError("penalty weights must be >= 0")
         if self.tol_abs <= 0 or self.tol_rel <= 0:
             raise ValueError("tolerances must be > 0")
+        for f in fields(self):
+            if f.name in _IGNORED_BY[self.refinement] and getattr(self, f.name) != f.default:
+                raise ValueError("%s is not used by %s refinement" % (f.name, self.refinement))
         return self
 
     def make_problem(self):
@@ -229,9 +236,8 @@ def run_scheme_comparison(config, degrees=(1, 2, 3, 4)):
     """
     config.validate()
     problem = config.make_problem()
-    schemes = ["recovery-cg", "recovery-dg", "nsz"]
     header = ["degree", "Ndofs", "h_max"]
-    for s in schemes:
+    for s in SCHEMES:
         tag = s.replace("-", "_")
         header += ["%s_L2" % tag, "%s_H1" % tag, "%s_H2h" % tag]
     exact = None
@@ -246,7 +252,7 @@ def run_scheme_comparison(config, degrees=(1, 2, 3, 4)):
             mesh = build_rect_mesh(x0, x1, y0, y1, n, n)
             n_dofs = _cg_dof_count(mesh, p)
             row = [p, n_dofs, mesh.h_max]
-            for s in schemes:
+            for s in SCHEMES:
                 try:
                     sol = solve_problem(
                         problem, mesh, p, scheme=s, eta1=config.eta1, eta2=config.eta2,
@@ -289,7 +295,7 @@ def _add_study(sub):
     """Options of the uniform (run) and adaptive (adapt) studies of one scheme."""
     _add_common(sub)
     sub.add_argument("--scheme", default="recovery-cg",
-                     choices=["recovery-cg", "recovery-dg", "nsz"], help="discretization")
+                     choices=SCHEMES, help="discretization")
     sub.add_argument("--degree", type=int, default=2, help="polynomial degree p")
 
 

@@ -12,7 +12,15 @@ Orientation conventions
   outward normal of the minus cell on interior facets (it points into the
   plus cell) and the outward domain normal on boundary facets.
 * Local edge ``k`` of cell ``(v0, v1, v2)`` is the edge opposite vertex
-  ``k``, i.e. edge 0 = (v1, v2), edge 1 = (v2, v0), edge 2 = (v0, v1).
+  ``k``, i.e. edge 0 = (v1, v2), edge 1 = (v2, v0), edge 2 = (v0, v1); the
+  cell runs it from ``v[k+1]`` to ``v[k+2]``.
+* A facet is stored as ``(lo, hi)``, its smaller vertex id first.
+  ``Mesh.cell_edge_flipped[c, k]`` is true when cell ``c`` runs its local
+  edge ``k`` against the facet, from ``hi`` to ``lo``.  This one array
+  decides every orientation: the facet normal is ``(t_y, -t_x) / |t|``
+  for ``t = x_hi - x_lo``, negated where the owner cell (minus if interior,
+  plus if boundary) runs the facet backwards, and the edge dofs of a CG
+  space and the facet traces run backwards through the flipped edges.
 
 Newest-vertex bisection
 -----------------------
@@ -58,7 +66,7 @@ class Mesh:
         index attaining the maximum).
     """
 
-    def __init__(self, vertices, cells, refinement_edges=None, validate=True):
+    def __init__(self, vertices, cells, refinement_edges=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=np.float64)
         self.cells = np.ascontiguousarray(cells, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
@@ -68,16 +76,19 @@ class Mesh:
         if np.any((self.cells < 0) | (self.cells >= self.n_vertices)):
             raise ValueError("cell vertex indices must lie in [0, %d)" % self.n_vertices)
 
+        # affine cell maps x = v0 + J xi; det J = 2 |T| > 0 is part of the
+        # data contract (positive orientation)
         v = self.vertices[self.cells]
-        # signed areas; positive orientation is part of the data contract
-        e1 = v[:, 1] - v[:, 0]
-        e2 = v[:, 2] - v[:, 0]
-        self._signed_areas = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-        if validate and np.any(self._signed_areas <= 0.0):
-            bad = int(np.argmin(self._signed_areas))
+        J = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2)  # (M, 2, 2)
+        self.cell_jacobians = J
+        self.cell_det = np.linalg.det(J)
+        if np.any(self.cell_det <= 0.0):
+            bad = int(np.argmin(self.cell_det))
             raise ValueError(
-                "cell %d has non-positive signed area %g" % (bad, self._signed_areas[bad])
+                "cell %d has non-positive signed area %g" % (bad, 0.5 * self.cell_det[bad])
             )
+        self.cell_inv_jacobians = np.linalg.inv(J)
+        self.cell_areas = 0.5 * self.cell_det
 
         if refinement_edges is None:
             refinement_edges = np.argmax(self._edge_lengths(), axis=1)
@@ -87,8 +98,7 @@ class Mesh:
         if np.any((self.refinement_edges < 0) | (self.refinement_edges > 2)):
             raise ValueError("refinement edges must be local edge indices 0, 1 or 2")
 
-        self._build_topology()
-        self._build_geometry()
+        self._build_facets()
 
     # ------------------------------------------------------------------
     # basic counts
@@ -110,66 +120,46 @@ class Mesh:
         return np.linalg.norm(v[:, [2, 0, 1]] - v[:, [1, 2, 0]], axis=2)
 
     # ------------------------------------------------------------------
-    def _build_topology(self):
-        """Build unique facets plus cell adjacency via sort/unique."""
-        local = np.array([[1, 2], [2, 0], [0, 1]])
-        pairs = self.cells[:, local]                       # (M, 3, 2)
-        flat = np.sort(pairs.reshape(-1, 2), axis=1)       # (3M, 2), sorted pairs
-        facets, inv = np.unique(flat, axis=0, return_inverse=True)
-        inv = inv.ravel()
-        self.facets = facets
-        self.cell_facets = inv.reshape(self.n_cells, 3)
-
-        flat_cell = np.repeat(np.arange(self.n_cells), 3)
-        flat_loc = np.tile(np.arange(3), self.n_cells)
-
-        # first and last occurrence of each facet in flattened (cell, local) order
-        first_f, ix_first = np.unique(inv, return_index=True)
-        last_f, ix_last_rev = np.unique(inv[::-1], return_index=True)
-        ix_last = inv.shape[0] - 1 - ix_last_rev
-        if np.any(first_f != np.arange(facets.shape[0])):
-            raise RuntimeError("facet enumeration is not contiguous")
-
-        cell_a, loc_a = flat_cell[ix_first], flat_loc[ix_first]
-        cell_b, loc_b = flat_cell[ix_last], flat_loc[ix_last]
-        boundary = cell_a == cell_b
-        counts = np.bincount(inv, minlength=facets.shape[0])
-        if np.any(counts > 2):
+    def _build_facets(self):
+        """Facets, their cell adjacency and normals from one sort of edge keys."""
+        start = self.cells[:, [1, 2, 0]]                   # local edge k runs
+        end = self.cells[:, [2, 0, 1]]                     # v[k+1] -> v[k+2]
+        self.cell_edge_flipped = start > end
+        lo = np.minimum(start, end).ravel()
+        hi = np.maximum(start, end).ravel()
+        # (lo, hi) -> lo n + hi sorts like the rows (lo, hi); the stable sort
+        # lists each facet's (cell, local edge) slots in increasing cell order
+        key = lo * self.n_vertices + hi
+        order = np.argsort(key, kind="stable")
+        new = np.diff(key[order], prepend=-1) != 0         # first slot of a facet
+        starts = np.flatnonzero(new)
+        ends = np.append(starts[1:], key.size)
+        if np.any(ends - starts > 2):
             raise ValueError("facet shared by more than two cells")
+        first, last = order[starts], order[ends - 1]
 
-        # interior: cell_a < cell_b, minus = cell_a; boundary: plus = cell_a
-        plus = np.where(boundary, cell_a, cell_b)
-        minus = np.where(boundary, -1, cell_a)
-        loc_plus = np.where(boundary, loc_a, loc_b)
-        loc_minus = np.where(boundary, -1, loc_a)
+        self.facets = np.stack([lo[first], hi[first]], axis=1)
+        cell_facets = np.empty(key.size, dtype=np.int64)
+        cell_facets[order] = np.cumsum(new) - 1
+        self.cell_facets = cell_facets.reshape(self.n_cells, 3)
 
-        self.facet_cells = np.stack([plus, minus], axis=1)      # (K, 2)
-        self.facet_local = np.stack([loc_plus, loc_minus], axis=1)
+        # interior: plus = the larger cell id, minus = the smaller; boundary:
+        # plus = the only cell, minus = -1
+        boundary = first == last
+        cell_a, loc_a = np.divmod(first, 3)
+        cell_b, loc_b = np.divmod(last, 3)
+        self.facet_cells = np.stack([cell_b, np.where(boundary, -1, cell_a)], axis=1)
+        self.facet_local = np.stack([loc_b, np.where(boundary, -1, loc_a)], axis=1)
         self.boundary_flags = boundary
 
-    def _build_geometry(self):
-        va = self.vertices[self.facets[:, 0]]
-        vb = self.vertices[self.facets[:, 1]]
-        tang = vb - va
+        # (t_y, -t_x) is outward for a cell running the facet lo -> hi; the
+        # owner cell (minus if interior, plus if boundary) is the first slot
+        tang = self.vertices[self.facets[:, 1]] - self.vertices[self.facets[:, 0]]
         self.facet_lengths = np.linalg.norm(tang, axis=1)
         normals = np.stack([tang[:, 1], -tang[:, 0]], axis=1)
         normals /= self.facet_lengths[:, None]
-
-        # orient outward w.r.t. the owner cell (minus if interior, plus if boundary)
-        owner = np.where(self.boundary_flags, self.facet_cells[:, 0], self.facet_cells[:, 1])
-        centroids = self.vertices[self.cells].mean(axis=1)
-        midpts = 0.5 * (va + vb)
-        flip = np.einsum("fi,fi->f", normals, midpts - centroids[owner]) < 0.0
-        normals[flip] *= -1.0
+        normals[self.cell_edge_flipped.ravel()[first]] *= -1.0
         self.facet_normals = normals
-
-        # affine cell maps x = v0 + J xi
-        v = self.vertices[self.cells]
-        J = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2)  # (M, 2, 2)
-        self.cell_jacobians = J
-        self.cell_det = np.linalg.det(J)                  # = 2 |T| > 0
-        self.cell_inv_jacobians = np.linalg.inv(J)
-        self.cell_areas = 0.5 * self.cell_det
 
     # ------------------------------------------------------------------
     def interior_facets(self):
@@ -206,17 +196,13 @@ def build_rect_mesh(x0, x1, y0, y1, nx, ny):
     X, Y = np.meshgrid(xs, ys, indexing="xy")
     vertices = np.stack([X.ravel(), Y.ravel()], axis=1)
 
-    def vid(i, j):
-        return j * (nx + 1) + i
-
-    cells = []
-    for j in range(ny):
-        for i in range(nx):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            cells.append([a, b, c])   # lower-right triangle, diagonal a-c
-            cells.append([a, c, d])   # upper-left triangle
-    return Mesh(vertices, np.array(cells, dtype=np.int64))
+    # square (i, j) has the corners a, b = a + 1 (bottom), c = a + nx + 2,
+    # d = a + nx + 1 (top); it becomes the lower-right triangle [a, b, c]
+    # and the upper-left one [a, c, d], in row-major order of the squares
+    j, i = np.divmod(np.arange(nx * ny), nx)
+    a = j * (nx + 1) + i
+    cells = np.stack([a, a + 1, a + nx + 2, a, a + nx + 2, a + nx + 1], axis=1)
+    return Mesh(vertices, cells.reshape(-1, 3))
 
 
 def bisect(mesh, marked):

@@ -19,7 +19,9 @@ from .operator import (
 )
 from .space import FEFunction, build_space
 
-__all__ = ["SolveReport", "Solution", "gmres", "solve_problem", "normalize_scheme"]
+__all__ = ["SolveReport", "Solution", "gmres", "solve_problem"]
+
+SCHEMES = ("recovery-cg", "recovery-dg", "nsz")
 
 
 @dataclass
@@ -135,17 +137,6 @@ def gmres(apply, b, precond=None, tol_abs=1e-8, tol_rel=1e-8, max_iter=500, x0=N
     return x, SolveReport(j_done, history, converged, true_res)
 
 
-def normalize_scheme(scheme):
-    s = scheme.lower().replace("_", "-")
-    if s in ("recovery-cg", "cg"):
-        return "recovery-cg"
-    if s in ("recovery-dg", "dg"):
-        return "recovery-dg"
-    if s == "nsz":
-        return "nsz"
-    raise ValueError("unknown scheme %r (recovery-cg | recovery-dg | nsz)" % scheme)
-
-
 def solve_problem(
     problem,
     mesh,
@@ -163,7 +154,8 @@ def solve_problem(
     nsz has no Hessian-jump penalty, so it rejects eta2 > 0 (ValueError).
     Boundary coefficients of the returned function are exactly zero.
     """
-    scheme = normalize_scheme(scheme)
+    if scheme not in SCHEMES:
+        raise ValueError("unknown scheme %r; choose from %s" % (scheme, list(SCHEMES)))
     tol_abs, tol_rel = tol
 
     if scheme == "nsz":

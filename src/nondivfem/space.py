@@ -286,15 +286,12 @@ def build_space(mesh, p, continuity="CG"):
             for k in range(3):
                 fid = mesh.cell_facets[:, k]                # local edge k facet ids
                 base = offset + fid[:, None] * ne
-                # reference edge k runs v_{k+1} -> v_{k+2}; the global facet is
-                # stored sorted, so flip the node order when the cell traverses
-                # the edge from the larger to the smaller vertex id
-                va = mesh.cells[:, (k + 1) % 3]
-                vb = mesh.cells[:, (k + 2) % 3]
+                # facet dofs run lo -> hi; a cell that runs its edge k
+                # backwards lists them in reverse
                 fw = base + np.arange(ne)[None, :]
                 bw = base + np.arange(ne - 1, -1, -1)[None, :]
                 cols = 3 + k * ne + np.arange(ne)
-                dof_map[:, cols] = np.where((va < vb)[:, None], fw, bw)
+                dof_map[:, cols] = np.where(mesh.cell_edge_flipped[:, k, None], bw, fw)
         offset += mesh.n_facets * ne
         ni = ref.n_interior
         if ni > 0:
@@ -382,12 +379,11 @@ def _edge_points(t):
 def _facet_edges(mesh, facets, side):
     """Cells on one side of `facets` (0 plus, 1 minus) and, per facet, the
     row of `_edge_points` that holds its points va + t (vb - va): the cell's
-    local edge `facet_local[f, side]`, run backwards when the cell lists the
-    facet's first (smaller) vertex second."""
+    local edge `facet_local[f, side]`, run backwards where the mesh marks
+    that edge flipped."""
     cells = mesh.facet_cells[facets, side]
     k = mesh.facet_local[facets, side]
-    backwards = mesh.cells[cells, (k + 1) % 3] != mesh.facets[facets, 0]
-    return cells, 2 * k + backwards
+    return cells, 2 * k + mesh.cell_edge_flipped[cells, k]
 
 
 def facet_traces(space, facets, side, t, hessians=False):

@@ -57,11 +57,24 @@ def test_config_validation():
     with pytest.raises(ValueError):
         _tiny_uniform(refinement="random").validate()
     with pytest.raises(ValueError):
-        _tiny_uniform(theta=0.0, refinement="adaptive").validate()
+        RunConfig(experiment="exp1", refinement="adaptive", theta=0.0).validate()
     with pytest.raises(ValueError):
         _tiny_uniform(eta1=-1.0).validate()
     with pytest.raises(ValueError):
         _tiny_uniform(scheme="fdm").validate()
+    # a field the chosen refinement never reads must keep its default
+    for refinement, name, value in (("uniform", "theta", 0.5), ("uniform", "max_dofs", 1),
+                                    ("uniform", "convention", "linear"),
+                                    ("adaptive", "levels", 2)):
+        with pytest.raises(ValueError, match=name):
+            RunConfig(experiment="exp1", refinement=refinement, **{name: value}).validate()
+
+
+def test_uniform_study_rejects_adaptive_settings():
+    config = RunConfig(experiment="exp1", params={"kappa": 0.9}, levels=1, initial_n=2,
+                       theta=0.5, max_dofs=1, convention="linear")
+    with pytest.raises(ValueError, match="theta"):
+        run_convergence(config)
 
 
 # ----------------------------------------------------------------------

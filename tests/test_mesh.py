@@ -3,11 +3,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fe_oracle import reference_bisect
+from fe_oracle import reference_bisect, reference_dof_map, reference_facets
 from nondivfem import (
     Mesh,
     bisect,
     build_rect_mesh,
+    build_space,
     read_mesh,
     uniform_refine,
     write_mesh,
@@ -75,6 +76,35 @@ def test_invalid_inputs():
     # clockwise cell: negative signed area
     with pytest.raises(ValueError):
         Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 2, 1]]))
+
+
+def test_edge_of_three_cells_is_rejected():
+    # [0, 1] is an edge of a cell below it and of two overlapping cells above
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]])
+    with pytest.raises(ValueError, match="more than two cells"):
+        Mesh(vertices, np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=2**32 - 1))
+def test_facets_and_orientation_match_the_reference(nx, ny, rounds, seed):
+    rng = np.random.default_rng(seed)
+    m = build_rect_mesh(0, 2, 0, 1, nx, ny)
+    for _ in range(rounds):
+        m = bisect(m, rng.choice(m.n_cells, size=rng.integers(1, m.n_cells + 1), replace=False))
+    ref = reference_facets(m)
+    for name in ("facets", "cell_facets", "facet_cells", "facet_local", "boundary_flags",
+                 "facet_normals"):
+        assert np.array_equal(getattr(m, name), getattr(ref, name)), name
+    for p in (1, 2, 3, 4):
+        for continuity in ("CG", "DG"):
+            assert np.array_equal(build_space(m, p, continuity).dof_map,
+                                  reference_dof_map(m, p, continuity))
+    # the two cells of an interior facet run it in opposite directions
+    f = m.interior_facets()
+    flipped = m.cell_edge_flipped[m.facet_cells[f], m.facet_local[f]]
+    assert np.all(flipped[:, 0] != flipped[:, 1])
 
 
 def test_bisect_all_cells():

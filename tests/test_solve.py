@@ -14,7 +14,7 @@ from nondivfem import (
     recover_hessian,
     solve_problem,
 )
-from nondivfem.solve import normalize_scheme
+from nondivfem.bench import RunConfig
 
 
 def _exact_dict(problem):
@@ -132,12 +132,15 @@ def test_gmres_rejects_bad_max_iter():
 # scheme names
 
 
-def test_normalize_scheme():
-    assert normalize_scheme("CG") == "recovery-cg"
-    assert normalize_scheme("recovery_dg") == "recovery-dg"
-    assert normalize_scheme("NSZ") == "nsz"
-    with pytest.raises(ValueError):
-        normalize_scheme("fem")
+def test_scheme_aliases_are_rejected():
+    # one spelling per scheme: aliases are errors that list the names
+    problem = make_problem("exp1", kappa=0.5)
+    mesh = build_rect_mesh(0, 1, 0, 1, 1, 1)
+    for alias in ("cg", "CG", "recovery_dg", "NSZ", "fem"):
+        with pytest.raises(ValueError, match="recovery-cg"):
+            solve_problem(problem, mesh, p=2, scheme=alias)
+        with pytest.raises(ValueError, match="recovery-cg"):
+            RunConfig(experiment="exp1", scheme=alias).validate()
 
 
 # ----------------------------------------------------------------------
