@@ -10,7 +10,9 @@ domain boundary contributes; discontinuous test functions see an
 average-times-jump term on every interior facet as well.  Componentwise
 this reduces to four scalar systems M_W h_ij = C_ij u sharing one mass
 matrix; `assemble_C` builds the four C_ij for either test space with one
-volume kernel and one facet loop.
+volume kernel and one facet loop.  Facet terms that couple a cell with
+itself are folded into that cell's volume block, and the four blocks are
+summed on one shared sparsity pattern (`space.scatter`).
 
 Every sparse LU of the package but the DG mass matrix, which is factored
 cell by cell, goes through `_factor`: the CG mass matrix here, the
@@ -141,8 +143,12 @@ def assemble_C(space_V, space_W):
     of (trial side, test side, weight) terms: boundary facets always contribute
     (plus, plus, 1); a discontinuous test space adds every interior facet, where
     psi on one side sees that side's outward normal (n_plus = -n_F,
-    n_minus = +n_F) and {.} averages the two traces of grad phi.  Each block is
-    one COO sum, from which the sums that vanish in exact arithmetic are dropped.
+    n_minus = +n_F) and {.} averages the two traces of grad phi.  A term whose
+    trial side is its test side is added to the cell's volume block, so only
+    the two cross terms of an interior facet are blocks of their own: one
+    per cell plus two per interior facet for a DG test space, one per cell
+    for a CG one.  The four C_ij are summed on one shared pattern, and each
+    then drops the sums that vanish in exact arithmetic.
     """
     mesh = space_V.mesh
     nW, nV = space_W.ref.n_basis, space_V.ref.n_basis
@@ -158,7 +164,7 @@ def assemble_C(space_V, space_W):
     R[np.abs(R) < 1e-10 * np.abs(R).max()] = 0.0
     Jinv = mesh.cell_inv_jacobians
     G = -np.einsum("c,cai,cbj->ijcab", mesh.cell_det, Jinv, Jinv)
-    data.append((G.reshape(2, 2, -1, 4) @ R).reshape(2, 2, -1, nW, nV))
+    volume = (G.reshape(2, 2, -1, 4) @ R).reshape(2, 2, -1, nW, nV)
 
     groups = [(mesh.boundary_facets(), [(0, 0, 1.0)])]
     if space_W.continuity == "DG":
@@ -175,10 +181,20 @@ def assemble_C(space_V, space_W):
             cells[side], _, grads[side], _ = facet_traces(space_V, facets, side, t)
             _, vals[side], _, _ = facet_traces(space_W, facets, side, t)
         for r, s, w in terms:
-            data.append(np.einsum("ft,ftli,ftk,fj->ijfkl", w * wlen, grads[r], vals[s], normals,
-                                  optimize=True))
+            term = np.einsum("ft,ftli,ftk,fj->ijfkl", w * wlen, grads[r], vals[s], normals,
+                             optimize=True)
+            if r == s:
+                # the term couples each cell with itself: add it to the
+                # cell blocks one local edge k at a time, as no two facet
+                # sides share a (cell, k) slot
+                local = mesh.facet_local[facets, s]
+                for k in range(3):
+                    volume[:, :, cells[s][local == k]] += term[:, :, local == k]
+                continue
+            data.append(term)
             rows.append(space_W.dof_map[cells[s]])
             cols.append(space_V.dof_map[cells[r]])
+    data.insert(0, volume)
 
     C = scatter(np.concatenate(data, axis=2), np.concatenate(rows), np.concatenate(cols),
                 (space_W.n_dofs, space_V.n_dofs))

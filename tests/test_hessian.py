@@ -14,6 +14,7 @@ from nondivfem import (
     recover_hessian,
     uniform_refine,
 )
+from nondivfem import hessian
 from nondivfem.hessian import assemble_C
 from nondivfem.space import evaluate, facet_quadrature, physical_points, quadrature
 
@@ -128,6 +129,55 @@ def test_assemble_C_matches_pointwise_quadrature(p, continuity):
         for j in range(2):
             scale = np.abs(dense[i, j]).max()
             assert np.abs(C[i][j].toarray() - dense[i, j]).max() <= 1e-12 * scale
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from(["CG", "DG"]),
+)
+def test_assemble_C_matches_the_oracle_on_random_meshes(seed, nx, ny, rounds, p, continuity):
+    # same-cell facet terms are folded into the cell blocks and the four
+    # blocks summed on one pattern; neither may change a single entry
+    rng = np.random.default_rng(seed)
+    mesh = build_rect_mesh(0, rng.uniform(0.5, 2), 0, rng.uniform(0.5, 2), nx, ny)
+    for _ in range(rounds):
+        mesh = bisect(mesh, rng.choice(mesh.n_cells, size=max(1, mesh.n_cells // 3), replace=False))
+    V = build_space(mesh, p, "CG")
+    W = build_space(mesh, p, continuity)
+    C = assemble_C(V, W)
+    dense = _pointwise_C(V, W)
+    for i in range(2):
+        for j in range(2):
+            scale = np.abs(dense[i, j]).max()
+            assert np.abs(C[i][j].toarray() - dense[i, j]).max() <= 1e-12 * scale
+    assert np.array_equal(C[0][1].indptr, C[1][0].indptr)
+    assert np.array_equal(C[0][1].indices, C[1][0].indices)
+
+
+@pytest.mark.parametrize("continuity", ["CG", "DG"])
+def test_assemble_C_scatters_one_block_per_cell_and_coupling(monkeypatch, continuity):
+    # every facet term with trial side == test side lands in its cell's
+    # block; only the two cross terms of an interior facet stay separate
+    counts = []
+    scatter = hessian.scatter
+
+    def recording(blocks, rows, cols, shape):
+        counts.append(blocks.shape[-3])
+        return scatter(blocks, rows, cols, shape)
+
+    monkeypatch.setattr(hessian, "scatter", recording)
+    mesh = _randomly_bisected_mesh(seed=4)
+    assemble_C(build_space(mesh, 2, "CG"), build_space(mesh, 2, continuity))
+    assert len(counts) == 1
+    if continuity == "DG":
+        assert counts[0] == mesh.n_cells + 2 * len(mesh.interior_facets())
+    else:
+        assert counts[0] <= mesh.n_cells + len(mesh.boundary_facets())
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from nondivfem.space import (
     facet_quadrature,
     physical_points,
     reference_element,
+    scatter,
 )
 
 
@@ -188,3 +190,60 @@ def test_facet_trace_points_lie_on_the_facet(seed, p):
         cells, rows = _facet_edges(mesh, facets, side)
         pts = physical_points(mesh, cells, _edge_points(t)[rows])
         assert np.abs(pts - target[facets]).max() <= 1e-14
+
+
+def _coo_sum(block, rows, cols, shape):
+    """One block summed by SciPy's COO-to-CSR conversion."""
+    r = np.repeat(rows, cols.shape[1], axis=1).ravel()
+    c = np.tile(cols, (1, rows.shape[1])).ravel()
+    return sp.coo_matrix((block.ravel(), (r, c)), shape=shape).tocsr()
+
+
+def _leaves(nested):
+    return [m for x in nested for m in _leaves(x)] if isinstance(nested, list) else [nested]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=0, max_value=12),
+    st.sampled_from([(), (3,), (2, 2)]),
+)
+def test_scatter_sums_every_block_like_its_own_coo_matrix(seed, n, lead):
+    # several blocks share one pattern; each must still be the COO sum of
+    # its own data, with sorted indices, and own its index arrays
+    rng = np.random.default_rng(seed)
+    shape = (int(rng.integers(1, 7)), int(rng.integers(1, 7)))
+    rows = rng.integers(0, shape[0], size=(n, 3))
+    cols = rng.integers(0, shape[1], size=(n, 2))
+    blocks = rng.standard_normal(lead + (n, 3, 2))
+    out = scatter(blocks, rows, cols, shape)
+    if not lead:
+        assert isinstance(out, sp.csr_matrix)
+    matrices = _leaves(out)
+    assert len(matrices) == math.prod(lead)
+    # summation order may differ: compare with the sum of |terms| per entry
+    flat = blocks.reshape((len(matrices), n, 3, 2))
+    oracles = [_coo_sum(b, rows, cols, shape) for b in flat]
+    bounds = [1e-15 * _coo_sum(np.abs(b), rows, cols, shape).data for b in flat]
+
+    def check(m, ref, bound):
+        assert m.shape == shape
+        assert np.array_equal(m.indptr, ref.indptr)
+        assert np.array_equal(m.indices, ref.indices)
+        assert np.all(np.abs(m.data - ref.data) <= bound)
+
+    for m, ref, bound in zip(matrices, oracles, bounds):
+        check(m, ref, bound)
+
+    # pruning one matrix in place leaves the others as they were
+    for a in range(len(matrices)):
+        for b in range(a + 1, len(matrices)):
+            for name in ("indices", "indptr", "data"):
+                assert not np.shares_memory(getattr(matrices[a], name),
+                                            getattr(matrices[b], name))
+    if matrices[0].nnz:
+        matrices[0].data[::2] = 0.0
+        matrices[0].eliminate_zeros()
+        for m, ref, bound in zip(matrices[1:], oracles[1:], bounds[1:]):
+            check(m, ref, bound)
