@@ -7,10 +7,18 @@ Produces CSV files with the fixed column layout
 (one row per refinement level; unavailable quantities stay empty).  All
 floats are written with repr, so identical configurations give
 byte-identical files and every value round-trips exactly.
+
+A uniform study solves its finest mesh in the calling process and, where
+the process may use at least two CPUs (Linux) and runs no other thread,
+all coarser meshes in one forked child; the rows are the same either way.
+`taskset -c 0` keeps a study on one CPU.
 """
 
 import argparse
+import multiprocessing
+import os
 import sys
+import threading
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -150,6 +158,88 @@ def _solve_row(problem, mesh, config):
     return row, sol
 
 
+def _solve_level(problem, config, level):
+    """(CSV row, converged flag) of uniform level `level`."""
+    n0 = config.initial_n if config.initial_n is not None else problem.initial_n
+    n = n0 * 2**level
+    x0, x1, y0, y1 = problem.bounds
+    row, sol = _solve_row(problem, build_rect_mesh(x0, x1, y0, y1, n, n), config)
+    return row, sol.report.converged
+
+
+def _fork_pays_off(n_levels):
+    """Whether the coarser levels can run beside the finest one: the process
+    may use two CPUs and has no other thread that a fork could leave behind
+    holding a lock."""
+    return (n_levels >= 2 and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1)
+
+
+def _solve_coarser(problem, config, levels, conn):
+    """Child side: send the levels' results, or (index, repr) of the first
+    level that raises.  Exceptions are not sent, as not all of them pickle."""
+    results, failure = [], None
+    for level in levels:
+        try:
+            results.append(_solve_level(problem, config, level))
+        except Exception as exc:
+            failure = (level, repr(exc))
+            break
+    conn.send((results, failure))
+    conn.close()
+
+
+def _uniform_levels(problem, config):
+    """(row, converged) of every uniform level, coarsest first.
+
+    Each level has about four times the dofs of the one before, so all
+    coarser levels together take less time than the finest one.  When
+    `_fork_pays_off`, one forked child solves them in order while this
+    process solves the finest level.  Failures match the sequential loop:
+    the exception of the coarsest failing level is raised, and a level
+    that failed in the child is solved again here to raise it with its own
+    type and traceback.
+    """
+    levels = range(config.levels)
+    if not _fork_pays_off(len(levels)):
+        return [_solve_level(problem, config, level) for level in levels]
+    ctx = multiprocessing.get_context("fork")
+    reader, writer = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_solve_coarser, args=(problem, config, levels[:-1], writer))
+    # buffered output would otherwise be written by both processes
+    sys.stdout.flush()
+    sys.stderr.flush()
+    child.start()
+    writer.close()
+    try:
+        try:
+            finest = _solve_level(problem, config, levels[-1])
+        except Exception as exc:
+            finest = exc
+        try:
+            report = reader.recv()
+        except EOFError:
+            report = None
+    except BaseException:
+        child.terminate()
+        raise
+    finally:
+        child.join()
+        reader.close()
+    if report is None:
+        raise RuntimeError("the process solving the coarser meshes exited with code %s "
+                           "and no result" % child.exitcode)
+    results, failure = report
+    if failure is not None:
+        level, text = failure
+        _solve_level(problem, config, level)
+        raise RuntimeError("level %d failed in the child process with %s but not when "
+                           "solved again" % (level, text))
+    if isinstance(finest, Exception):
+        raise finest
+    return results + [finest]
+
+
 def run_convergence(config):
     """Uniform or adaptive refinement study; returns (rows, all_converged)."""
     config.validate()
@@ -175,13 +265,8 @@ def run_convergence(config):
             l2, h1, h2h = (e.l2, e.h1, e.h2h) if e else (None, None, None)
             rows.append([r.n_dofs, r.h_max, l2, h1, h2h, r.eta_global, r.gmres_iterations])
     else:
-        n0 = config.initial_n if config.initial_n is not None else problem.initial_n
-        x0, x1, y0, y1 = problem.bounds
-        for level in range(config.levels):
-            n = n0 * 2**level
-            mesh = build_rect_mesh(x0, x1, y0, y1, n, n)
-            row, sol = _solve_row(problem, mesh, config)
-            ok = ok and sol.report.converged
+        for row, converged in _uniform_levels(problem, config):
+            ok = ok and converged
             rows.append(row)
     write_csv(config.out, CSV_HEADER, rows)
     return rows, ok

@@ -120,6 +120,106 @@ def test_exp4_reports_estimator_only():
     assert etas[-1] < etas[0]
 
 
+def _record_pids(monkeypatch, path, fail=None):
+    """Wrap bench._solve_row: append the solving pid to `path`, and let
+    `fail(mesh)` raise or exit first."""
+    import os
+
+    import nondivfem.bench
+
+    real = nondivfem.bench._solve_row
+
+    def wrapped(problem, mesh, config):
+        with open(path, "a") as fh:
+            fh.write("%d\n" % os.getpid())
+        if fail is not None:
+            fail(mesh)
+        return real(problem, mesh, config)
+
+    monkeypatch.setattr(nondivfem.bench, "_solve_row", wrapped)
+
+
+def _set_cpus(monkeypatch, cpus):
+    import os
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+
+
+_FORKED_STUDIES = [
+    dict(experiment="exp1", params={"kappa": 0.9}),        # eps < 0.5: S is assembled
+    dict(experiment="exp3", scheme="recovery-dg", initial_n=2),
+]
+
+
+@pytest.mark.parametrize("settings", _FORKED_STUDIES)
+def test_forked_coarser_levels_write_the_sequential_csv(settings, tmp_path, monkeypatch):
+    import multiprocessing
+
+    csv, pids = {}, {}
+    for cpus in ([0, 1], [0]):
+        pid_file = tmp_path / ("pids%d" % len(cpus))
+        _record_pids(monkeypatch, pid_file)
+        _set_cpus(monkeypatch, cpus)
+        out = tmp_path / ("out%d.csv" % len(cpus))
+        rows, ok = run_convergence(RunConfig(**dict(dict(levels=3, initial_n=2), **settings),
+                                             out=str(out)))
+        assert ok and len(rows) == 3
+        csv[len(cpus)] = out.read_bytes()
+        pids[len(cpus)] = set(pid_file.read_text().split())
+        assert multiprocessing.active_children() == []
+    assert csv[2] == csv[1]
+    assert len(pids[2]) == 2 and len(pids[1]) == 1
+
+
+@pytest.mark.parametrize("errors, code", [
+    ({0: "cordes"}, 3),
+    ({0: "value"}, 2),
+    # the coarsest failing level decides, as in a sequential loop
+    ({0: "cordes", 2: "value"}, 3),
+    ({1: "value", 2: "cordes"}, 2),
+])
+def test_forked_study_raises_the_coarsest_failure(errors, code, tmp_path, monkeypatch, capsys):
+    import multiprocessing
+
+    from nondivfem.operator import CordesViolated
+
+    def fail(mesh):
+        level = int(np.log2(mesh.n_cells // 8) // 2)     # 2x2 cells: 8 triangles
+        if errors.get(level) == "cordes":
+            raise CordesViolated((0.0, 0.0), 1.5)
+        if errors.get(level) == "value":
+            raise ValueError("level %d" % level)
+
+    _record_pids(monkeypatch, tmp_path / "pids", fail)
+    _set_cpus(monkeypatch, [0, 1])
+    out = tmp_path / "out.csv"
+    rc = main(["run", "--experiment", "exp1", "--levels", "3", "--initial-n", "2",
+               "--out", str(out)])
+    assert rc == code
+    assert not out.exists()
+    assert len(set((tmp_path / "pids").read_text().split())) == 2
+    assert multiprocessing.active_children() == []
+
+
+def test_forked_study_raises_when_the_child_dies(tmp_path, monkeypatch):
+    import multiprocessing
+    import os
+
+    parent = os.getpid()
+
+    def die_in_child(mesh):
+        if os.getpid() != parent:
+            os._exit(9)
+
+    _record_pids(monkeypatch, tmp_path / "pids", die_in_child)
+    _set_cpus(monkeypatch, [0, 1])
+    out = tmp_path / "out.csv"
+    with pytest.raises(RuntimeError, match="code 9"):
+        run_convergence(_tiny_uniform(levels=3, out=str(out)))
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
+
+
 def test_iteration_table_structure(tmp_path):
     path = str(tmp_path / "it.csv")
     header, rows = run_iteration_table(
