@@ -152,7 +152,17 @@ def assemble_C(space_V, space_W):
     """
     mesh = space_V.mesh
     nW, nV = space_W.ref.n_basis, space_V.ref.n_basis
-    rows, cols, data = [space_W.dof_map], [space_V.dof_map], []
+    rows, cols = [space_W.dof_map], [space_V.dof_map]
+
+    groups = [(mesh.boundary_facets(), [(0, 0, 1.0)])]
+    if space_W.continuity == "DG":
+        groups.append((mesh.interior_facets(),
+                       [(r, s, 0.5 * (1.0 if s else -1.0)) for s in (0, 1) for r in (0, 1)]))
+    n_blocks = mesh.n_cells + sum(len(facets) for facets, terms in groups
+                                  for r, s, _ in terms if r != s)
+    # the volume blocks come first, then each cross term's facet blocks
+    data = np.empty((2, 2, n_blocks, nW, nV))
+    volume = data[:, :, :mesh.n_cells]
 
     q = quadrature(max(space_V.degree + space_W.degree - 2, 1))
     gV = space_V.ref.tabulate_grad(q.points)               # (q, nV, 2)
@@ -164,12 +174,9 @@ def assemble_C(space_V, space_W):
     R[np.abs(R) < 1e-10 * np.abs(R).max()] = 0.0
     Jinv = mesh.cell_inv_jacobians
     G = -np.einsum("c,cai,cbj->ijcab", mesh.cell_det, Jinv, Jinv)
-    volume = (G.reshape(2, 2, -1, 4) @ R).reshape(2, 2, -1, nW, nV)
+    volume[...] = (G.reshape(2, 2, -1, 4) @ R).reshape(2, 2, -1, nW, nV)
 
-    groups = [(mesh.boundary_facets(), [(0, 0, 1.0)])]
-    if space_W.continuity == "DG":
-        groups.append((mesh.interior_facets(),
-                       [(r, s, 0.5 * (1.0 if s else -1.0)) for s in (0, 1) for r in (0, 1)]))
+    start = mesh.n_cells
     t, wt = facet_quadrature(2 * space_V.degree + 2)
     for facets, terms in groups:
         if len(facets) == 0:
@@ -191,21 +198,29 @@ def assemble_C(space_V, space_W):
                 for k in range(3):
                     volume[:, :, cells[s][local == k]] += term[:, :, local == k]
                 continue
-            data.append(term)
+            data[:, :, start:start + len(facets)] = term
+            start += len(facets)
             rows.append(space_W.dof_map[cells[s]])
             cols.append(space_V.dof_map[cells[r]])
-    data.insert(0, volume)
 
-    C = scatter(np.concatenate(data, axis=2), np.concatenate(rows), np.concatenate(cols),
+    C = scatter(data, np.concatenate(rows), np.concatenate(cols),
                 (space_W.n_dofs, space_V.n_dofs))
     for Cij in C[0] + C[1]:
-        # the volume and facet parts cancel exactly at many positions;
-        # their round-off (about 1e-14 of the largest entry, against
-        # >1e-4 for the smallest true one) would enter every apply and
-        # the pattern of the preconditioner built from C
-        Cij.data[np.abs(Cij.data) < 1e-12 * np.abs(Cij.data).max(initial=0.0)] = 0.0
-        Cij.eliminate_zeros()
+        _drop_round_off(Cij)
     return C
+
+
+def _drop_round_off(A):
+    """Drop the entries of A below 1e-12 of its largest, in place.
+
+    The volume and facet parts of C_ij, and C_00 and C_11 in their sum,
+    cancel exactly at many positions; their round-off (about 1e-14 of the
+    largest entry, against >1e-4 for the smallest true one) would enter
+    every apply and the pattern of the preconditioner built from C.
+    """
+    A.data[np.abs(A.data) < 1e-12 * np.abs(A.data).max(initial=0.0)] = 0.0
+    A.eliminate_zeros()
+    return A
 
 
 @dataclass
@@ -228,7 +243,7 @@ class HessianOperator:
     @property
     def C_trace(self):
         if not hasattr(self, "_C_trace"):
-            self._C_trace = (self.C[0][0] + self.C[1][1]).tocsr()
+            self._C_trace = _drop_round_off((self.C[0][0] + self.C[1][1]).tocsr())
         return self._C_trace
 
 

@@ -81,13 +81,14 @@ class Mesh:
         v = self.vertices[self.cells]
         J = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2)  # (M, 2, 2)
         self.cell_jacobians = J
-        self.cell_det = np.linalg.det(J)
+        self.cell_det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
         if np.any(self.cell_det <= 0.0):
             bad = int(np.argmin(self.cell_det))
             raise ValueError(
                 "cell %d has non-positive signed area %g" % (bad, 0.5 * self.cell_det[bad])
             )
-        self.cell_inv_jacobians = np.linalg.inv(J)
+        adj = np.stack([J[:, 1, 1], -J[:, 0, 1], -J[:, 1, 0], J[:, 0, 0]], axis=1)
+        self.cell_inv_jacobians = (adj / self.cell_det[:, None]).reshape(-1, 2, 2)
         self.cell_areas = 0.5 * self.cell_det
 
         if refinement_edges is None:

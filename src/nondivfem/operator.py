@@ -461,7 +461,11 @@ def assemble_B(space_W, problem, gamma):
     gq = gamma(pts)                                        # (c, q)
     coeff = gq[..., None, None] * Aq * mesh.cell_det[:, None, None, None]
     blk = np.einsum("q,cqij,qk,ql->ijckl", q.weights, coeff, phi, phi, optimize=True)
-    return scatter(blk, space_W.dof_map, space_W.dof_map, (space_W.n_dofs, space_W.n_dofs))
+    B = scatter(blk, space_W.dof_map, space_W.dof_map, (space_W.n_dofs, space_W.n_dofs))
+    for Bij in B[0] + B[1]:
+        # a block of A that vanishes (A_01 of exp2) would store only zeros
+        Bij.eliminate_zeros()
+    return B
 
 
 def assemble_load(space_W, problem, gamma):

@@ -93,6 +93,11 @@ def test_facets_and_orientation_match_the_reference(nx, ny, rounds, seed):
     m = build_rect_mesh(0, 2, 0, 1, nx, ny)
     for _ in range(rounds):
         m = bisect(m, rng.choice(m.n_cells, size=rng.integers(1, m.n_cells + 1), replace=False))
+    # the closed-form 2x2 determinant and inverse agree with LAPACK's
+    det, inv = np.linalg.det(m.cell_jacobians), np.linalg.inv(m.cell_jacobians)
+    assert np.all(np.abs(m.cell_det - det) <= 1e-14 * np.abs(det))
+    scale = np.abs(inv).max(axis=(1, 2), keepdims=True)
+    assert np.all(np.abs(m.cell_inv_jacobians - inv) <= 1e-14 * scale)
     ref = reference_facets(m)
     for name in ("facets", "cell_facets", "facet_cells", "facet_local", "boundary_flags",
                  "facet_normals"):

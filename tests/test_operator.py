@@ -467,6 +467,20 @@ def test_stabilization_detects_kinks():
 # the assembled system
 
 
+def test_B_stores_no_zeros_of_a_vanishing_coefficient_block():
+    # exp2 has A_01 = 0: the mixed blocks are empty, and the apply equals bit
+    # for bit the one with those blocks zero-filled on the full pattern
+    problem = make_problem("exp2")
+    x0, x1, y0, y1 = problem.bounds
+    op = build_system(problem, build_rect_mesh(x0, x1, y0, y1, 4, 4), p=2)
+    assert op.B[0][1].nnz == 0 and op.B[1][0].nnz == 0
+    B00 = op.B[0][0]
+    zeros = sp.csr_matrix((np.zeros_like(B00.data), B00.indices, B00.indptr), shape=B00.shape)
+    filled = dataclasses.replace(op, B=[[op.B[0][0], zeros], [zeros, op.B[1][1]]])
+    u = np.random.default_rng(5).standard_normal(op.n_dofs)
+    assert np.array_equal(apply_system(op, u), apply_system(filled, u))
+
+
 def test_apply_zero_and_boundary_identity():
     problem = make_problem("exp1")
     mesh = build_rect_mesh(0, 1, 0, 1, 4, 4)
