@@ -318,8 +318,11 @@ def run_scheme_comparison(config, degrees=(1, 2, 3, 4)):
 
     Returns (header, rows, failed): a cell whose solve raised is left empty
     and named in `failed`; without an exact solution every cell is empty.
+    A degree below 1 raises ValueError before anything is solved.
     """
     config.validate()
+    if any(p < 1 for p in degrees):
+        raise ValueError("degrees must be >= 1, got %s" % list(degrees))
     problem = config.make_problem()
     header = ["degree", "Ndofs", "h_max"]
     for s in SCHEMES:

@@ -229,22 +229,18 @@ class HessianOperator:
 
     `M_lu` is SuperLU's factor of M_W for a CG test space and the exact
     cellwise factor `_CellwiseLU` for a DG one; both offer `solve`, `L` and `U`.
+    `C_trace` is C_00 + C_11 without its round-off entries.
     """
 
     space_V: object
     space_W: object
     M_W: sp.csr_matrix
     C: list
+    C_trace: sp.csr_matrix
     M_lu: object = field(repr=False, default=None)
 
     def mass_solve(self, rhs):
         return self.M_lu.solve(np.asarray(rhs, dtype=np.float64))
-
-    @property
-    def C_trace(self):
-        if not hasattr(self, "_C_trace"):
-            self._C_trace = _drop_round_off((self.C[0][0] + self.C[1][1]).tocsr())
-        return self._C_trace
 
 
 def build_hessian_operator(space_V, mode="CG"):
@@ -260,7 +256,9 @@ def build_hessian_operator(space_V, mode="CG"):
         lu = _CellwiseLU(_reference_mass(space_W.degree), space_W.mesh.cell_det, space_W.dof_map)
     else:
         lu = _factor(M)
-    return HessianOperator(space_V=space_V, space_W=space_W, M_W=M, C=C, M_lu=lu)
+    C_trace = _drop_round_off((C[0][0] + C[1][1]).tocsr())
+    return HessianOperator(space_V=space_V, space_W=space_W, M_W=M, C=C, C_trace=C_trace,
+                           M_lu=lu)
 
 
 def recover_hessian(op, u):

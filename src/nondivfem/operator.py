@@ -577,11 +577,10 @@ def apply_system(op, u):
     return np.where(op.free_mask, y, u)
 
 
-def assemble_rhs(op, f_W=None):
+def assemble_rhs(op):
     """Right-hand side f_V = (sum_i C_ii)^T M^-1 f_W with boundary entries zero."""
     hop = op.hessian_op
-    fw = op.f_W if f_W is None else np.asarray(f_W, dtype=np.float64)
-    f_V = hop.C_trace.T @ hop.mass_solve(fw)
+    f_V = hop.C_trace.T @ hop.mass_solve(op.f_W)
     return np.where(op.free_mask, f_V, 0.0)
 
 

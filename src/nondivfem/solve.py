@@ -22,6 +22,7 @@ from .space import FEFunction, build_space
 __all__ = ["SolveReport", "Solution", "gmres", "solve_problem"]
 
 SCHEMES = ("recovery-cg", "recovery-dg", "nsz")
+MAX_ITER = 500  # GMRES iteration cap of every recovery solve
 
 
 @dataclass
@@ -51,7 +52,7 @@ def _grown(a, shape):
     return b
 
 
-def gmres(apply, b, precond=None, tol_abs=1e-8, tol_rel=1e-8, max_iter=500, x0=None):
+def gmres(apply, b, precond=None, tol_abs=1e-8, tol_rel=1e-8, max_iter=MAX_ITER):
     """Full GMRES with modified Gram-Schmidt and right preconditioning.
 
     Stops when the residual norm reaches max(tol_abs, tol_rel * ||b||).
@@ -63,13 +64,11 @@ def gmres(apply, b, precond=None, tol_abs=1e-8, tol_rel=1e-8, max_iter=500, x0=N
         raise ValueError("max_iter must be >= 1")
     M = precond if precond is not None else (lambda r: r)
 
-    x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64)
-    r0 = b - apply(x0) if x0.any() else b.copy()
-    beta = float(np.linalg.norm(r0))
-    tol = max(tol_abs, tol_rel * float(np.linalg.norm(b)))
+    beta = float(np.linalg.norm(b))
+    tol = max(tol_abs, tol_rel * beta)
     history = [beta]
     if beta <= tol:
-        return x0.copy(), SolveReport(0, history, True, beta)
+        return np.zeros(n), SolveReport(0, history, True, beta)
 
     # the Krylov basis and the Hessenberg matrix grow by doubling, so memory
     # follows the iterations taken, not max_iter
@@ -80,13 +79,13 @@ def gmres(apply, b, precond=None, tol_abs=1e-8, tol_rel=1e-8, max_iter=500, x0=N
     sn = np.zeros(cap)
     g = np.zeros(cap + 1)
     g[0] = beta
-    V[0] = r0 / beta
+    V[0] = b / beta
 
     def solution(j):
         # back substitution on the j x j triangular system, then undo the
         # right preconditioning
         y = np.linalg.solve(np.triu(H[:j, :j]), g[:j])
-        return x0 + M(V[:j].T @ y)
+        return M(V[:j].T @ y)
 
     converged = False
     j_done = 0
@@ -145,7 +144,6 @@ def solve_problem(
     eta1=None,
     eta2=None,
     tol=(1e-8, 1e-8),
-    max_iter=500,
 ):
     """Assemble and solve one discrete problem on a fixed mesh.
 
@@ -176,7 +174,7 @@ def solve_problem(
     b = assemble_rhs(op)
     P = build_preconditioner(op)
     x, report = gmres(
-        op.apply, b, precond=P.solve, tol_abs=tol_abs, tol_rel=tol_rel, max_iter=max_iter
+        op.apply, b, precond=P.solve, tol_abs=tol_abs, tol_rel=tol_rel, max_iter=MAX_ITER
     )
     x[~op.free_mask] = 0.0
     return Solution(u_h=FEFunction(op.space_V, x), report=report, cordes=op.cordes, system=op)

@@ -2,10 +2,12 @@
 and the two assembly steps every module shares: basis traces on facets and
 the scatter of local blocks into a sparse matrix.
 
-The reference triangle has vertices (0,0), (1,0), (0,1).  Basis functions
-are nodal (equispaced Lagrange nodes) and represented in the monomial basis
-through an inverted Vandermonde matrix, which is well conditioned for the
-moderate degrees used here (p <= 4 in all experiments).
+The reference triangle has vertices (0,0), (1,0), (0,1).  Cell integrals of
+every degree use one rule family, the collapsed (Duffy) Gauss rule; facet
+integrals use Gauss-Legendre on [0, 1].  Basis functions are nodal
+(equispaced Lagrange nodes) and represented in the monomial basis through an
+inverted Vandermonde matrix, which is well conditioned for the moderate
+degrees used here (p <= 4 in all experiments).
 """
 
 from dataclasses import dataclass, field
@@ -43,90 +45,28 @@ class QuadratureRule:
     degree: int
 
 
-def _bary(points3):
-    """Barycentric triples -> reference xy coordinates."""
-    b = np.asarray(points3, dtype=np.float64)
-    return b[:, 1:3].copy()
-
-
-# symmetric rules; weights given in the "sum to one" normalization
-_A1, _W1 = 0.445948490915965, 0.223381589678011
-_A2, _W2 = 0.091576213509771, 0.109951743655322
-_B1, _V1 = 0.470142064105115, 0.132394152788506
-_B2, _V2 = 0.101286507323456, 0.125939180544827
-
-_TABULATED = {
-    1: (
-        _bary([[1 / 3, 1 / 3, 1 / 3]]),
-        np.array([1.0]),
-    ),
-    2: (
-        _bary([[2 / 3, 1 / 6, 1 / 6], [1 / 6, 2 / 3, 1 / 6], [1 / 6, 1 / 6, 2 / 3]]),
-        np.array([1 / 3, 1 / 3, 1 / 3]),
-    ),
-    4: (
-        _bary(
-            [
-                [1 - 2 * _A1, _A1, _A1],
-                [_A1, 1 - 2 * _A1, _A1],
-                [_A1, _A1, 1 - 2 * _A1],
-                [1 - 2 * _A2, _A2, _A2],
-                [_A2, 1 - 2 * _A2, _A2],
-                [_A2, _A2, 1 - 2 * _A2],
-            ]
-        ),
-        np.array([_W1, _W1, _W1, _W2, _W2, _W2]),
-    ),
-    5: (
-        _bary(
-            [
-                [1 / 3, 1 / 3, 1 / 3],
-                [1 - 2 * _B1, _B1, _B1],
-                [_B1, 1 - 2 * _B1, _B1],
-                [_B1, _B1, 1 - 2 * _B1],
-                [1 - 2 * _B2, _B2, _B2],
-                [_B2, 1 - 2 * _B2, _B2],
-                [_B2, _B2, 1 - 2 * _B2],
-            ]
-        ),
-        np.array([0.225, _V1, _V1, _V1, _V2, _V2, _V2]),
-    ),
-}
-
-
 def _gauss01(n):
     """Gauss-Legendre nodes/weights on [0, 1]."""
     x, w = np.polynomial.legendre.leggauss(n)
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _duffy_rule(degree):
-    """Collapsed tensor-product Gauss rule exact to `degree` on the triangle.
-
-    The square (u, v) in [0,1]^2 maps onto the triangle via x = u (1 - v),
-    y = v with Jacobian (1 - v), raising the polynomial degree by one.
-    """
-    n = int(np.ceil((degree + 2) / 2))
-    u, wu = _gauss01(n)
-    v, wv = _gauss01(n)
-    U, V = np.meshgrid(u, v, indexing="ij")
-    X = U * (1.0 - V)
-    Y = V
-    W = np.outer(wu, wv) * (1.0 - V)
-    return np.stack([X.ravel(), Y.ravel()], axis=1), W.ravel()
-
-
 def quadrature(degree):
-    """Symmetric triangle rule exact to `degree`; collapsed Gauss above degree 5."""
+    """Collapsed Gauss rule exact to `degree` on the reference triangle.
+
+    The n x n Gauss-Legendre rule on the square (u, v) in [0,1]^2 maps onto
+    the triangle via x = u (1 - v), y = v (Duffy, SIAM J. Numer. Anal.
+    1982); the Jacobian (1 - v) raises the polynomial degree by one, so
+    n = ceil((degree + 2) / 2).
+    """
     degree = int(degree)
     if degree < 1:
         raise ValueError("quadrature degree must be >= 1")
-    for d in (1, 2, 4, 5):
-        if degree <= d:
-            pts, w = _TABULATED[d]
-            return QuadratureRule(pts.copy(), 0.5 * w.copy(), degree)
-    pts, w = _duffy_rule(degree)
-    return QuadratureRule(pts, w, degree)
+    x, w = _gauss01(int(np.ceil((degree + 2) / 2)))
+    U, V = np.meshgrid(x, x, indexing="ij")
+    W = np.outer(w, w) * (1.0 - V)
+    pts = np.stack([(U * (1.0 - V)).ravel(), V.ravel()], axis=1)
+    return QuadratureRule(pts, W.ravel(), degree)
 
 
 def facet_quadrature(degree):

@@ -246,6 +246,19 @@ def test_scheme_comparison_columns():
     assert max(errs) / min(errs) < 10.0
 
 
+@pytest.mark.parametrize("degrees", [(0,), (2, -1)])
+def test_scheme_comparison_rejects_degrees_below_one(tmp_path, monkeypatch, degrees):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a level")
+
+    monkeypatch.setattr("nondivfem.bench.solve_problem", no_solve)
+    out = tmp_path / "x.csv"
+    config = RunConfig(experiment="exp1", levels=1, initial_n=2, out=str(out))
+    with pytest.raises(ValueError, match="degrees must be >= 1"):
+        run_scheme_comparison(config, degrees)
+    assert not out.exists()
+
+
 def test_comparison_shows_degree_one_gap():
     # degree 1: the direct scheme degenerates (zero cell Hessians) while
     # the recovery scheme still converges; the error columns must show it
@@ -426,6 +439,19 @@ def test_cli_compare_exits_3_on_failed_cells(capsys):
     assert row["nsz_L2"] == "" and row["recovery_cg_L2"] != ""
     failed = [ln for ln in captured.err.splitlines() if ln.startswith("failed cell")]
     assert len(failed) == 1 and "nsz" in failed[0]
+
+
+@pytest.mark.parametrize("degrees", ["0,2", "2,-1"])
+def test_cli_compare_exits_2_on_degree_below_one(tmp_path, capsys, degrees):
+    out = tmp_path / "x.csv"
+    rc = main([
+        "compare", "--experiment", "exp1", "--degrees=" + degrees, "--levels", "1",
+        "--initial-n", "2", "--out", str(out),
+    ])
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "failed cell" not in err
 
 
 def test_cli_compare_names_nsz_cell_given_eta2(capsys):

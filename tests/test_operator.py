@@ -542,7 +542,7 @@ def test_rhs_linearity_and_boundary_zeros():
     mesh = build_rect_mesh(0, 1, 0, 1, 3, 3)
     op = build_system(problem, mesh, p=2)
     b1 = assemble_rhs(op)
-    b2 = assemble_rhs(op, 2.0 * op.f_W)
+    b2 = assemble_rhs(dataclasses.replace(op, f_W=2.0 * op.f_W))
     assert np.abs(b2 - 2.0 * b1).max() < 1e-12 * max(1.0, np.abs(b1).max())
     assert np.all(b1[~op.free_mask] == 0.0)
 

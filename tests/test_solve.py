@@ -90,16 +90,6 @@ def test_gmres_right_preconditioning_reports_true_residual():
     assert true <= 1e-8
 
 
-def test_gmres_warm_start():
-    rng = np.random.default_rng(4)
-    A = np.eye(15) + 0.1 * rng.standard_normal((15, 15))
-    b = rng.standard_normal(15)
-    x_exact = np.linalg.solve(A, b)
-    _, rep_cold = gmres(lambda v: A @ v, b, tol_abs=1e-10, tol_rel=0.0)
-    _, rep_warm = gmres(lambda v: A @ v, b, tol_abs=1e-10, tol_rel=0.0, x0=x_exact + 1e-8)
-    assert rep_warm.iterations <= rep_cold.iterations
-
-
 def test_gmres_memory_follows_iterations_not_max_iter():
     # about 100 Arnoldi steps, so the basis grows past its first chunks
     rng = np.random.default_rng(5)
