@@ -1,6 +1,6 @@
 """Doerfler marking and the solve-estimate-mark-refine loop."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ class AdaptiveRecord:
     converged: bool
     errors: object = None
     h_max: float = np.nan
-    mesh: object = field(default=None, repr=False)
 
 
 def doerfler_mark(eta, theta, convention="squared"):
@@ -73,9 +72,8 @@ def adaptive_loop(
     eta1=None,
     eta2=None,
     mesh=None,
-    tol=(1e-8, 1e-8),
+    tol=1e-8,
     convention="squared",
-    keep_meshes=False,
 ):
     """Solve-estimate-mark-refine until the dof budget is exhausted.
 
@@ -105,7 +103,6 @@ def adaptive_loop(
                 converged=sol.report.converged,
                 errors=errors,
                 h_max=mesh.h_max,
-                mesh=mesh if keep_meshes else None,
             )
         )
         marked = doerfler_mark(est, theta, convention)

@@ -25,7 +25,6 @@ import numpy as np
 
 from .adapt import adaptive_loop, initial_mesh
 from .estimate import error_norms, estimate_level
-from .mesh import build_rect_mesh
 from .operator import CordesViolated, make_problem
 from .solve import SCHEMES, solve_problem
 from .space import _cg_dof_count
@@ -59,8 +58,7 @@ class RunConfig:
     theta: float = 0.9
     levels: int = 5
     max_dofs: int = 100000
-    tol_abs: float = 1e-8
-    tol_rel: float = 1e-8
+    tol: float = 1e-8
     initial_n: int = None
     convention: str = "squared"
     out: str = None
@@ -86,8 +84,8 @@ class RunConfig:
         for e in (self.eta1, self.eta2):
             if e is not None and e < 0:
                 raise ValueError("penalty weights must be >= 0")
-        if self.tol_abs <= 0 or self.tol_rel <= 0:
-            raise ValueError("tolerances must be > 0")
+        if self.tol <= 0:
+            raise ValueError("tol must be > 0")
         for f in fields(self):
             if f.name in _IGNORED_BY[self.refinement] and getattr(self, f.name) != f.default:
                 raise ValueError("%s is not used by %s refinement" % (f.name, self.refinement))
@@ -147,7 +145,7 @@ def _solve_row(problem, mesh, config):
         scheme=config.scheme,
         eta1=config.eta1,
         eta2=config.eta2,
-        tol=(config.tol_abs, config.tol_rel),
+        tol=config.tol,
     )
     est, err = estimate_level(sol.u_h, problem, sol.cordes.gamma)
     l2 = h1 = h2h = None
@@ -161,9 +159,7 @@ def _solve_row(problem, mesh, config):
 def _solve_level(problem, config, level):
     """(CSV row, converged flag) of uniform level `level`."""
     n0 = config.initial_n if config.initial_n is not None else problem.initial_n
-    n = n0 * 2**level
-    x0, x1, y0, y1 = problem.bounds
-    row, sol = _solve_row(problem, build_rect_mesh(x0, x1, y0, y1, n, n), config)
+    row, sol = _solve_row(problem, initial_mesh(problem, n0 * 2**level), config)
     return row, sol.report.converged
 
 
@@ -256,7 +252,7 @@ def run_convergence(config):
             eta1=config.eta1,
             eta2=config.eta2,
             mesh=initial_mesh(problem, config.initial_n),
-            tol=(config.tol_abs, config.tol_rel),
+            tol=config.tol,
             convention=config.convention,
         )
         ok = all(r.converged for r in records)
@@ -277,7 +273,7 @@ def run_iteration_table(
     h_exponents=(3, 4, 5, 6),
     eta1_values=(0.0, 1.0),
     degree=2,
-    tol=(1e-8, 1e-8),
+    tol=1e-8,
     out=None,
 ):
     """GMRES iteration grid for the anisotropic smooth problem.
@@ -285,20 +281,16 @@ def run_iteration_table(
     Rows are mesh sizes h = 2^-k; columns are (kappa, eta1) pairs; failed
     solves are recorded as -1.
     """
-    if min(tol) <= 0:
-        raise ValueError("tolerances must be > 0")
     header = ["h"]
     for k in kappas:
         for e1 in eta1_values:
             header.append("kappa%s_eta1_%s" % (k, int(e1) if e1 == int(e1) else e1))
     rows = []
     for ex in h_exponents:
-        n = 2**ex
         row = [0.5**ex]
         for k in kappas:
             problem = make_problem("exp1", kappa=k)
-            x0, x1, y0, y1 = problem.bounds
-            mesh = build_rect_mesh(x0, x1, y0, y1, n, n)
+            mesh = initial_mesh(problem, 2**ex)
             for e1 in eta1_values:
                 try:
                     sol = solve_problem(
@@ -332,19 +324,17 @@ def run_scheme_comparison(config, degrees=(1, 2, 3, 4)):
     if problem.has_exact:
         exact = {"u": problem.exact_u, "grad": problem.exact_grad, "hess": problem.exact_hess}
     n0 = config.initial_n if config.initial_n is not None else problem.initial_n
-    x0, x1, y0, y1 = problem.bounds
     rows, failed = [], []
     for p in degrees:
         for level in range(config.levels):
-            n = n0 * 2**level
-            mesh = build_rect_mesh(x0, x1, y0, y1, n, n)
+            mesh = initial_mesh(problem, n0 * 2**level)
             n_dofs = _cg_dof_count(mesh, p)
             row = [p, n_dofs, mesh.h_max]
             for s in SCHEMES:
                 try:
                     sol = solve_problem(
                         problem, mesh, p, scheme=s, eta1=config.eta1, eta2=config.eta2,
-                        tol=(config.tol_abs, config.tol_rel),
+                        tol=config.tol,
                     )
                     if exact is not None:
                         err = error_norms(sol.u_h, exact)
@@ -394,8 +384,7 @@ def _problem_params(args):
 
 def _config_from(args, refinement):
     given = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
-    return RunConfig(refinement=refinement, tol_abs=args.tol, tol_rel=args.tol,
-                     params=_problem_params(args), **given)
+    return RunConfig(refinement=refinement, params=_problem_params(args), **given)
 
 
 def build_parser():
@@ -450,7 +439,7 @@ def main(argv=None):
             etas = [float(t) for t in args.eta1_values.split(",")]
             _, rows = run_iteration_table(
                 kappas, exps, etas, degree=args.degree,
-                tol=(args.tol, args.tol), out=args.out,
+                tol=args.tol, out=args.out,
             )
             failed = any(v == -1 for row in rows for v in row[1:])
             return 3 if failed else 0

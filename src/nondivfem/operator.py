@@ -19,8 +19,9 @@ Two discretizations are assembled here:
 The preconditioner, like the CG mass matrix and the direct scheme's matrix,
 is factored by `hessian._factor`: a symmetric-mode sparse LU with
 minimum-degree ordering on A^T + A, which fits its symmetric pattern.
-Every volume integral here, and the Cordes sampling, uses the one rule of
-`_assembly_rule`, exact to degree 2p + 2.
+Every volume integral here reads one coefficient sample per mesh
+(`_coefficient_sample`): A, gamma and f at the points of one rule, exact to
+degree 2p + 2, on which the Cordes check also runs.
 """
 
 import inspect
@@ -380,7 +381,7 @@ class CordesInfo:
 
     eps is measured only at the `n_samples` points given to `cordes_analyze`,
     and `worst_point` is the sample where it is attained; both schemes pass
-    the volume quadrature points of the mesh (`cordes_on_mesh`), so a
+    the volume quadrature points of the mesh (`_coefficient_sample`), so a
     coefficient whose worst point lies between them reads a larger eps.
     """
 
@@ -391,14 +392,11 @@ class CordesInfo:
     worst_point: np.ndarray = None
 
 
-def _gamma_field(problem):
-    def gamma(x):
-        A = problem.A(x)
-        tr = A[..., 0, 0] + A[..., 1, 1]
-        fro2 = np.einsum("...ij,...ij->...", A, A)
-        return tr / fro2
-
-    return gamma
+def _gamma(A):
+    """gamma = tr(A)/||A||_F^2 of coefficient values A (..., 2, 2)."""
+    tr = A[..., 0, 0] + A[..., 1, 1]
+    fro2 = np.einsum("...ij,...ij->...", A, A)
+    return tr / fro2
 
 
 def cordes_analyze(problem, sample_points):
@@ -423,26 +421,36 @@ def cordes_analyze(problem, sample_points):
     if ratio[worst] >= 1.0:
         raise CordesViolated(pts[worst], ratio[worst])
     eps = float(min(1.0, 1.0 / ratio[worst] - 1.0))
-    return CordesInfo(epsilon=eps, gamma=_gamma_field(problem), min_eigenvalue=float(lam[bad]),
-                      n_samples=len(pts), worst_point=pts[worst])
+    return CordesInfo(epsilon=eps, gamma=lambda x: _gamma(problem.A(x)),
+                      min_eigenvalue=float(lam[bad]), n_samples=len(pts), worst_point=pts[worst])
 
 
 # ----------------------------------------------------------------------
 # volume assembly helpers
 
 
-def _assembly_rule(space):
-    """The volume rule every assembly uses, exact to degree 2p + 2, and its
-    physical points (cells, q, 2)."""
+@dataclass
+class _CoefficientSample:
+    """A, gamma and f at the physical points (cells, q, 2) of a mesh's volume
+    rule, exact to degree 2p + 2, and the Cordes check on the same points."""
+
+    rule: object
+    A: np.ndarray
+    gamma: np.ndarray
+    f: np.ndarray
+    cordes: CordesInfo
+
+
+def _coefficient_sample(problem, space):
+    """Sample the coefficients once for every volume assembly on the space's
+    mesh and degree; raises CordesViolated before anything else is evaluated."""
     mesh = space.mesh
     q = quadrature(2 * space.degree + 2)
     ref_pts = np.broadcast_to(q.points, (mesh.n_cells,) + q.points.shape)
-    return q, physical_points(mesh, np.arange(mesh.n_cells), ref_pts)
-
-
-def cordes_on_mesh(problem, space_V):
-    """`cordes_analyze` at the points where both schemes assemble."""
-    return cordes_analyze(problem, _assembly_rule(space_V)[1].reshape(-1, 2))
+    pts = physical_points(mesh, np.arange(mesh.n_cells), ref_pts)
+    cordes = cordes_analyze(problem, pts.reshape(-1, 2))
+    A = problem.A(pts)
+    return _CoefficientSample(q, A, _gamma(A), problem.f(pts), cordes)
 
 
 def _eliminate_dirichlet(K, free):
@@ -452,14 +460,12 @@ def _eliminate_dirichlet(K, free):
     return (D_free @ K @ D_free + sp.diags(1.0 - f)).tocsr()
 
 
-def assemble_B(space_W, problem, gamma):
+def assemble_B(space_W, sample):
     """Weighted mass matrices (B_ij)_{kl} = int gamma A_ij psi_l psi_k."""
     mesh = space_W.mesh
-    q, pts = _assembly_rule(space_W)                       # pts (c, q, 2)
+    q = sample.rule
     phi = space_W.ref.tabulate(q.points)                   # (q, nloc)
-    Aq = problem.A(pts)                                    # (c, q, 2, 2)
-    gq = gamma(pts)                                        # (c, q)
-    coeff = gq[..., None, None] * Aq * mesh.cell_det[:, None, None, None]
+    coeff = sample.gamma[..., None, None] * sample.A * mesh.cell_det[:, None, None, None]
     blk = np.einsum("q,cqij,qk,ql->ijckl", q.weights, coeff, phi, phi, optimize=True)
     B = scatter(blk, space_W.dof_map, space_W.dof_map, (space_W.n_dofs, space_W.n_dofs))
     for Bij in B[0] + B[1]:
@@ -468,12 +474,12 @@ def assemble_B(space_W, problem, gamma):
     return B
 
 
-def assemble_load(space_W, problem, gamma):
+def assemble_load(space_W, sample):
     """Load vector (f_W)_k = int gamma f psi_k."""
     mesh = space_W.mesh
-    q, pts = _assembly_rule(space_W)
+    q = sample.rule
     phi = space_W.ref.tabulate(q.points)
-    fq = problem.f(pts) * gamma(pts) * mesh.cell_det[:, None]
+    fq = sample.f * sample.gamma * mesh.cell_det[:, None]
     blk = np.einsum("q,cq,qk->ck", q.weights, fq, phi)
     return np.bincount(space_W.dof_map.ravel(), blk.ravel(), minlength=space_W.n_dofs)
 
@@ -541,14 +547,15 @@ def build_system(problem, mesh, p, mode="CG", eta1=None, eta2=None):
     """
     space_V = build_space(mesh, p, "CG")
     hop = build_hessian_operator(space_V, mode)
-    cordes = cordes_on_mesh(problem, space_V)
+    # W has V's mesh and degree, so one sample serves both spaces
+    sample = _coefficient_sample(problem, space_V)
     if eta1 is None:
-        eta1 = 0.0 if cordes.epsilon >= 0.5 else 1.0
+        eta1 = 0.0 if sample.cordes.epsilon >= 0.5 else 1.0
     if eta2 is None:
         eta2 = 0.0
-    B = assemble_B(hop.space_W, problem, cordes.gamma)
+    B = assemble_B(hop.space_W, sample)
     S = assemble_stabilization(space_V, eta1, eta2)
-    f_W = assemble_load(hop.space_W, problem, cordes.gamma)
+    f_W = assemble_load(hop.space_W, sample)
     free = np.ones(space_V.n_dofs, dtype=bool)
     free[boundary_dofs(space_V)] = False
     return SystemOperator(
@@ -559,7 +566,7 @@ def build_system(problem, mesh, p, mode="CG", eta1=None, eta2=None):
         free_mask=free,
         eta1=float(eta1),
         eta2=float(eta2),
-        cordes=cordes,
+        cordes=sample.cordes,
     )
 
 
@@ -614,7 +621,7 @@ def build_preconditioner(op):
 # cellwise-Hessian direct scheme
 
 
-def assemble_nsz(space_V, problem, gamma, eta1):
+def assemble_nsz(space_V, sample, eta1):
     """Sparse matrix and rhs of the cellwise-exact-Hessian scheme.
 
     a(u, v) = int gamma A : D2u tr(D2v) + eta1 sum_F h_F^-1 int [du/dn][dv/dn],
@@ -629,14 +636,12 @@ def assemble_nsz(space_V, problem, gamma, eta1):
             stacklevel=2,
         )
     mesh = space_V.mesh
-    q, pts = _assembly_rule(space_V)
-    ref = space_V.ref
-    H_ref = ref.tabulate_hess(q.points)
+    q = sample.rule
+    H_ref = space_V.ref.tabulate_hess(q.points)
     Jinv = mesh.cell_inv_jacobians
     H = np.einsum("cki,qlkm,cmj->cqlij", Jinv, H_ref, Jinv)
-    Aq = problem.A(pts)
-    gq = gamma(pts)
-    AH = np.einsum("cqij,cqlij->cql", Aq, H)               # A : D2(phi_l)
+    gq = sample.gamma
+    AH = np.einsum("cqij,cqlij->cql", sample.A, H)         # A : D2(phi_l)
     trH = H[..., 0, 0] + H[..., 1, 1]
     wdet = q.weights[None, :] * mesh.cell_det[:, None]
     blk = np.einsum("cq,cq,cql,cqk->ckl", wdet, gq, AH, trH)
@@ -645,7 +650,7 @@ def assemble_nsz(space_V, problem, gamma, eta1):
     n = space_V.n_dofs
     K = scatter(blk, dm, dm, (n, n)) + assemble_stabilization(space_V, eta1, 0.0)
 
-    fq = problem.f(pts) * gq * wdet
+    fq = sample.f * gq * wdet
     rhs_blk = np.einsum("cq,cqk->ck", fq, trH)
     rhs = np.bincount(dm.ravel(), rhs_blk.ravel(), minlength=n)
 

@@ -11,11 +11,11 @@ import numpy as np
 
 from .hessian import _factor
 from .operator import (
+    _coefficient_sample,
     assemble_nsz,
     assemble_rhs,
     build_preconditioner,
     build_system,
-    cordes_on_mesh,
 )
 from .space import FEFunction, build_space
 
@@ -143,38 +143,38 @@ def solve_problem(
     scheme="recovery-cg",
     eta1=None,
     eta2=None,
-    tol=(1e-8, 1e-8),
+    tol=1e-8,
 ):
     """Assemble and solve one discrete problem on a fixed mesh.
 
     recovery-cg / recovery-dg run the matrix-free preconditioned GMRES
-    solve; nsz assembles its sparse matrix and uses a direct factorization.
-    nsz has no Hessian-jump penalty, so it rejects eta2 > 0 (ValueError).
+    solve to the absolute and relative tolerance `tol`; nsz assembles its
+    sparse matrix and uses a direct factorization.  Raises ValueError for
+    tol <= 0, and for eta2 > 0 with nsz, which has no Hessian-jump penalty.
     Boundary coefficients of the returned function are exactly zero.
     """
     if scheme not in SCHEMES:
         raise ValueError("unknown scheme %r; choose from %s" % (scheme, list(SCHEMES)))
-    tol_abs, tol_rel = tol
+    if tol <= 0:
+        raise ValueError("tol must be > 0")
 
     if scheme == "nsz":
         if eta2 is not None and eta2 > 0:
             raise ValueError("the nsz scheme has no Hessian-jump penalty; eta2 must be 0")
         space_V = build_space(mesh, p, "CG")
-        cordes = cordes_on_mesh(problem, space_V)
+        sample = _coefficient_sample(problem, space_V)
         e1 = 1.0 if eta1 is None else float(eta1)
-        K, rhs = assemble_nsz(space_V, problem, cordes.gamma, e1)
+        K, rhs = assemble_nsz(space_V, sample, e1)
         x = _factor(K).solve(rhs)
         res = float(np.linalg.norm(rhs - K @ x))
         report = SolveReport(0, [float(np.linalg.norm(rhs)), res], True, res)
         u_h = FEFunction(space_V, x)
-        return Solution(u_h=u_h, report=report, cordes=cordes)
+        return Solution(u_h=u_h, report=report, cordes=sample.cordes)
 
     mode = "CG" if scheme == "recovery-cg" else "DG"
     op = build_system(problem, mesh, p, mode, eta1, eta2)
     b = assemble_rhs(op)
     P = build_preconditioner(op)
-    x, report = gmres(
-        op.apply, b, precond=P.solve, tol_abs=tol_abs, tol_rel=tol_rel, max_iter=MAX_ITER
-    )
+    x, report = gmres(op.apply, b, precond=P.solve, tol_abs=tol, tol_rel=tol, max_iter=MAX_ITER)
     x[~op.free_mask] = 0.0
     return Solution(u_h=FEFunction(op.space_V, x), report=report, cordes=op.cordes, system=op)

@@ -11,6 +11,7 @@ degrees used here (p <= 4 in all experiments).
 """
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -84,15 +85,9 @@ def _monomial_exponents(p):
     return np.array([(a, b) for a in range(p + 1) for b in range(p + 1 - a) ], dtype=np.int64)
 
 
-def _mono_eval(exps, pts):
-    """Monomial values at pts (..., 2) -> (..., n_mono)."""
-    x = pts[..., 0][..., None]
-    y = pts[..., 1][..., None]
-    return x ** exps[:, 0] * y ** exps[:, 1]
-
-
 def _mono_deriv(exps, pts, dx, dy):
-    """Derivative d^(dx+dy)/dx^dx dy^dy of each monomial at pts."""
+    """Derivative d^(dx+dy)/dx^dx dy^dy of each monomial at pts (..., 2)
+    -> (..., n_mono); dx = dy = 0 gives the values."""
     a = exps[:, 0].astype(np.float64)
     b = exps[:, 1].astype(np.float64)
     ca = np.ones_like(a)
@@ -136,14 +131,14 @@ class ReferenceElement:
         self.nodes = _equispaced_nodes(self.p)
         self.exps = _monomial_exponents(self.p)
         self.n_basis = len(self.nodes)
-        V = _mono_eval(self.exps, self.nodes)          # (n_nodes, n_mono)
+        V = _mono_deriv(self.exps, self.nodes, 0, 0)   # (n_nodes, n_mono)
         self.coeffs = np.linalg.inv(V)                 # column i: basis i
         self.n_edge = self.p - 1
         self.n_interior = (self.p - 1) * (self.p - 2) // 2
 
     def tabulate(self, pts):
         """Basis values at pts (..., 2) -> (..., n_basis)."""
-        return _mono_eval(self.exps, pts) @ self.coeffs
+        return _mono_deriv(self.exps, pts, 0, 0) @ self.coeffs
 
     def tabulate_grad(self, pts):
         """Reference gradients, shape (..., n_basis, 2)."""
@@ -161,13 +156,9 @@ class ReferenceElement:
         return np.stack([row0, row1], axis=-2)
 
 
-_REF_CACHE = {}
-
-
+@cache
 def reference_element(p):
-    if p not in _REF_CACHE:
-        _REF_CACHE[p] = ReferenceElement(p)
-    return _REF_CACHE[p]
+    return ReferenceElement(p)
 
 
 # ----------------------------------------------------------------------

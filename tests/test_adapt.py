@@ -146,21 +146,12 @@ def test_adaptive_loop_structure():
         assert r.eta_global > 0
         assert r.errors is not None
         assert np.isfinite(r.h_max)
-        assert r.mesh is None
 
 
 def test_adaptive_loop_rejects_initial_mesh_over_budget():
     # 4x4 cells at p = 2 have 81 dofs: no level fits, so no record
     with pytest.raises(ValueError, match="max_dofs"):
         adaptive_loop(make_problem("exp2"), p=2, max_dofs=80)
-
-
-def test_adaptive_loop_keep_meshes():
-    problem = make_problem("exp1")
-    records = adaptive_loop(problem, p=2, theta=0.9, max_dofs=800, keep_meshes=True)
-    for r in records:
-        assert r.mesh is not None
-        assert 2 * (r.mesh.n_vertices - r.mesh.n_facets + r.mesh.n_cells) == 2  # Euler
 
 
 def test_adaptive_loop_estimator_decreases():

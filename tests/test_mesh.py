@@ -236,6 +236,7 @@ def test_bisect_random_marks_conforming(raw_marks, rounds):
         assert (m.cell_det > 0).all()
         assert np.isclose(m.cell_areas.sum(), 1.0, atol=1e-12)
         assert 3 * m.n_cells == 2 * len(m.interior_facets()) + len(m.boundary_facets())
+        assert m.n_vertices - m.n_facets + m.n_cells == 1  # Euler
         # hanging edges would show up as facets with one neighbor strictly
         # inside the domain
         bmid = m.vertices[m.facets[m.boundary_facets()]].mean(axis=1)

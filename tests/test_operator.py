@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 
 import numpy as np
@@ -21,9 +22,11 @@ from nondivfem import (
     recover_hessian,
     solve_problem,
 )
+import nondivfem.operator as nd_operator
 from nondivfem.hessian import _factor, assemble_mass_W
 from nondivfem.operator import (
     ProblemData,
+    _coefficient_sample,
     _const_matrix,
     assemble_B,
     assemble_load,
@@ -324,8 +327,7 @@ def test_B_identity_coefficient_gives_mass():
     problem = make_problem("poly")
     mesh = build_rect_mesh(0, 1, 0, 1, 2, 2)
     W = build_space(mesh, 2, "DG")
-    info = cordes_analyze(problem, np.array([[0.5, 0.5]]))
-    B = assemble_B(W, problem, info.gamma)
+    B = assemble_B(W, _coefficient_sample(problem, W))
     M = assemble_mass_W(W)
     assert abs(B[0][0] - M).max() < 1e-13
     assert abs(B[1][1] - M).max() < 1e-13
@@ -341,8 +343,7 @@ def test_B_scaled_identity_gives_mass():
     )
     mesh = build_rect_mesh(0, 1, 0, 1, 2, 2)
     W = build_space(mesh, 2, "DG")
-    info = cordes_analyze(prob, np.array([[0.5, 0.5]]))
-    B = assemble_B(W, prob, info.gamma)
+    B = assemble_B(W, _coefficient_sample(prob, W))
     M = assemble_mass_W(W)
     assert abs(B[0][0] - M).max() < 1e-13
 
@@ -352,8 +353,7 @@ def test_B_offdiagonal_total_weight():
     problem = make_problem("exp1", kappa=0.5)
     mesh = build_rect_mesh(0, 1, 0, 1, 2, 2)
     W = build_space(mesh, 1, "CG")
-    info = cordes_analyze(problem, np.array([[0.5, 0.5]]))
-    B = assemble_B(W, problem, info.gamma)
+    B = assemble_B(W, _coefficient_sample(problem, W))
     one = np.ones(W.n_dofs)
     assert np.isclose(one @ (B[0][1] @ one), 0.8 * 0.5 * 1.0, atol=1e-13)
 
@@ -361,16 +361,19 @@ def test_B_offdiagonal_total_weight():
 def test_load_vector():
     mesh = build_rect_mesh(0, 1, 0, 1, 2, 2)
     W = build_space(mesh, 2, "DG")
-    gamma_one = lambda x: np.ones(x.shape[:-1])
+
+    def gamma_one(problem):
+        sample = _coefficient_sample(problem, W)
+        return dataclasses.replace(sample, gamma=np.ones_like(sample.gamma))
 
     zero = ProblemData(name="z", bounds=(0, 1, 0, 1), A=_const_matrix(np.eye(2)),
                        f=lambda x: np.zeros(x.shape[:-1]))
-    assert np.all(assemble_load(W, zero, gamma_one) == 0.0)
+    assert np.all(assemble_load(W, gamma_one(zero)) == 0.0)
 
     one = ProblemData(name="o", bounds=(0, 1, 0, 1), A=_const_matrix(np.eye(2)),
                       f=lambda x: np.ones(x.shape[:-1]))
     # sum_k int psi_k = |Omega| by partition of unity
-    assert np.isclose(assemble_load(W, one, gamma_one).sum(), 1.0, atol=1e-13)
+    assert np.isclose(assemble_load(W, gamma_one(one)).sum(), 1.0, atol=1e-13)
 
 
 # ----------------------------------------------------------------------
@@ -479,6 +482,33 @@ def test_B_stores_no_zeros_of_a_vanishing_coefficient_block():
     filled = dataclasses.replace(op, B=[[op.B[0][0], zeros], [zeros, op.B[1][1]]])
     u = np.random.default_rng(5).standard_normal(op.n_dofs)
     assert np.array_equal(apply_system(op, u), apply_system(filled, u))
+
+
+@pytest.mark.parametrize("scheme", ["CG", "DG", "nsz"])
+def test_one_coefficient_sample_per_mesh(scheme, monkeypatch):
+    # the Cordes check, B, the load and the nsz matrix share one sample: its
+    # points are computed once, f is evaluated once, and A once more inside
+    # cordes_analyze
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    base = make_problem("exp3")
+    problem = dataclasses.replace(base, A=counted("A", base.A), f=counted("f", base.f))
+    monkeypatch.setattr(nd_operator, "physical_points",
+                        counted("points", nd_operator.physical_points))
+    mesh = build_rect_mesh(*problem.bounds, 4, 4)
+    if scheme == "nsz":
+        solve_problem(problem, mesh, 2, scheme="nsz")
+    else:
+        build_system(problem, mesh, 2, mode=scheme)
+    assert calls["points"] == 1
+    assert calls["f"] == 1
+    assert calls["A"] <= 2
 
 
 def test_apply_zero_and_boundary_identity():
@@ -676,18 +706,16 @@ def test_nsz_requires_penalty():
     mesh = build_rect_mesh(0, 1, 0, 1, 2, 2)
     V = build_space(mesh, 2, "CG")
     problem = make_problem("exp1")
-    info = cordes_analyze(problem, np.array([[0.5, 0.5]]))
     with pytest.raises(ValueError):
-        assemble_nsz(V, problem, info.gamma, eta1=0.0)
+        assemble_nsz(V, _coefficient_sample(problem, V), eta1=0.0)
 
 
 def test_nsz_warns_for_degree_one():
     mesh = build_rect_mesh(0, 1, 0, 1, 2, 2)
     V = build_space(mesh, 1, "CG")
     problem = make_problem("exp1")
-    info = cordes_analyze(problem, np.array([[0.5, 0.5]]))
     with pytest.warns(UserWarning):
-        assemble_nsz(V, problem, info.gamma, eta1=1.0)
+        assemble_nsz(V, _coefficient_sample(problem, V), eta1=1.0)
 
 
 def test_nsz_reproduces_polynomial_solution():
@@ -696,8 +724,7 @@ def test_nsz_reproduces_polynomial_solution():
     problem = make_problem("poly")
     mesh = build_rect_mesh(0, 1, 0, 1, 2, 2)
     V = build_space(mesh, 4, "CG")
-    info = cordes_analyze(problem, np.array([[0.5, 0.5]]))
-    K, rhs = assemble_nsz(V, problem, info.gamma, eta1=1.0)
+    K, rhs = assemble_nsz(V, _coefficient_sample(problem, V), eta1=1.0)
     u = sp.linalg.splu(K.tocsc()).solve(rhs)
     u_exact = interpolate(V, lambda x: problem.exact_u(x)).coeffs
     assert np.abs(u - u_exact).max() < 1e-9
@@ -707,8 +734,7 @@ def test_nsz_matrix_asymmetric_for_anisotropic_A():
     problem = make_problem("exp1", kappa=0.5)
     mesh = build_rect_mesh(0, 1, 0, 1, 2, 2)
     V = build_space(mesh, 2, "CG")
-    info = cordes_analyze(problem, np.array([[0.5, 0.5]]))
-    K, _ = assemble_nsz(V, problem, info.gamma, eta1=1.0)
+    K, _ = assemble_nsz(V, _coefficient_sample(problem, V), eta1=1.0)
     assert abs(K - K.T).max() > 1e-3
 
 
@@ -716,8 +742,7 @@ def test_nsz_boundary_rows():
     problem = make_problem("exp1")
     mesh = build_rect_mesh(0, 1, 0, 1, 2, 2)
     V = build_space(mesh, 2, "CG")
-    info = cordes_analyze(problem, np.array([[0.5, 0.5]]))
-    K, rhs = assemble_nsz(V, problem, info.gamma, eta1=1.0)
+    K, rhs = assemble_nsz(V, _coefficient_sample(problem, V), eta1=1.0)
     from nondivfem import boundary_dofs
 
     bd = boundary_dofs(V)
@@ -737,5 +762,6 @@ def test_nsz_direct_solve_residual(p):
     sol = solve_problem(problem, mesh, p, scheme="nsz")
     rhs_norm, res = sol.report.residual_history
     assert res <= 1e-12 * rhs_norm
-    K, _ = assemble_nsz(sol.u_h.space, problem, sol.cordes.gamma, eta1=1.0)
+    V = sol.u_h.space
+    K, _ = assemble_nsz(V, _coefficient_sample(problem, V), eta1=1.0)
     assert _lu_fill(_factor(K)) < _lu_fill(sp.linalg.splu(K.tocsc()))
