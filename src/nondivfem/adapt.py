@@ -1,4 +1,5 @@
-"""Doerfler marking and the solve-estimate-mark-refine loop."""
+"""Doerfler marking, the solve-estimate-mark-refine loop, and the level
+routine `_solve_and_estimate` that uniform and adaptive studies share."""
 
 from dataclasses import dataclass
 
@@ -14,6 +15,8 @@ __all__ = ["AdaptiveRecord", "doerfler_mark", "adaptive_loop", "initial_mesh"]
 
 @dataclass
 class AdaptiveRecord:
+    """One solved level."""
+
     level: int
     n_dofs: int
     eta_global: float
@@ -63,6 +66,22 @@ def initial_mesh(problem, n=None):
     return build_rect_mesh(x0, x1, y0, y1, n, n)
 
 
+def _solve_and_estimate(problem, mesh, p, level, **solve_options):
+    """Solve one level and estimate it: (AdaptiveRecord, EstimatorField)."""
+    sol = solve_problem(problem, mesh, p, **solve_options)
+    est, errors = estimate_level(sol.u_h, problem)
+    record = AdaptiveRecord(
+        level=level,
+        n_dofs=sol.u_h.space.n_dofs,
+        eta_global=est.eta_global,
+        gmres_iterations=sol.report.iterations,
+        converged=sol.report.converged,
+        errors=errors,
+        h_max=mesh.h_max,
+    )
+    return record, est
+
+
 def adaptive_loop(
     problem,
     p=2,
@@ -77,14 +96,13 @@ def adaptive_loop(
 ):
     """Solve-estimate-mark-refine until the dof budget is exhausted.
 
-    One record per solved level; levels are solved as long as the mesh has
-    at most max_dofs degrees of freedom, so n_dofs is strictly increasing
-    and bounded by the budget.  Raises ValueError when the initial mesh
-    already has more than max_dofs.
+    Returns one AdaptiveRecord per solved level.  Levels are solved as long
+    as the mesh has at most max_dofs degrees of freedom, so n_dofs is
+    strictly increasing and bounded by the budget.  Raises ValueError when
+    the initial mesh already has more than max_dofs.
     """
     mesh = mesh if mesh is not None else initial_mesh(problem)
     records = []
-    level = 0
     while True:
         n_dofs = _cg_dof_count(mesh, p)
         if n_dofs > max_dofs:
@@ -92,22 +110,11 @@ def adaptive_loop(
                 raise ValueError("the initial mesh has %d dofs, more than max_dofs = %d"
                                  % (n_dofs, max_dofs))
             break
-        sol = solve_problem(problem, mesh, p, scheme=scheme, eta1=eta1, eta2=eta2, tol=tol)
-        est, errors = estimate_level(sol.u_h, problem, sol.cordes.gamma)
-        records.append(
-            AdaptiveRecord(
-                level=level,
-                n_dofs=n_dofs,
-                eta_global=est.eta_global,
-                gmres_iterations=sol.report.iterations,
-                converged=sol.report.converged,
-                errors=errors,
-                h_max=mesh.h_max,
-            )
-        )
+        record, est = _solve_and_estimate(problem, mesh, p, len(records), scheme=scheme,
+                                          eta1=eta1, eta2=eta2, tol=tol)
+        records.append(record)
         marked = doerfler_mark(est, theta, convention)
         if len(marked) == 0:
             break
         mesh = bisect(mesh, marked)
-        level += 1
     return records

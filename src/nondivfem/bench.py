@@ -23,8 +23,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .adapt import adaptive_loop, initial_mesh
-from .estimate import error_norms, estimate_level
+from .adapt import _solve_and_estimate, adaptive_loop, initial_mesh
+from .estimate import error_norms
 from .operator import CordesViolated, make_problem
 from .solve import SCHEMES, solve_problem
 from .space import _cg_dof_count
@@ -137,30 +137,13 @@ def read_csv(path):
 # studies
 
 
-def _solve_row(problem, mesh, config):
-    sol = solve_problem(
-        problem,
-        mesh,
-        config.degree,
-        scheme=config.scheme,
-        eta1=config.eta1,
-        eta2=config.eta2,
-        tol=config.tol,
-    )
-    est, err = estimate_level(sol.u_h, problem, sol.cordes.gamma)
-    l2 = h1 = h2h = None
-    if err is not None:
-        l2, h1, h2h = err.l2, err.h1, err.h2h
-    n_dofs = sol.u_h.space.n_dofs
-    row = [n_dofs, mesh.h_max, l2, h1, h2h, est.eta_global, sol.report.iterations]
-    return row, sol
-
-
 def _solve_level(problem, config, level):
-    """(CSV row, converged flag) of uniform level `level`."""
+    """AdaptiveRecord of uniform level `level`."""
     n0 = config.initial_n if config.initial_n is not None else problem.initial_n
-    row, sol = _solve_row(problem, initial_mesh(problem, n0 * 2**level), config)
-    return row, sol.report.converged
+    mesh = initial_mesh(problem, n0 * 2**level)
+    record, _ = _solve_and_estimate(problem, mesh, config.degree, level, scheme=config.scheme,
+                                    eta1=config.eta1, eta2=config.eta2, tol=config.tol)
+    return record
 
 
 def _fork_pays_off(n_levels):
@@ -172,7 +155,7 @@ def _fork_pays_off(n_levels):
 
 
 def _solve_coarser(problem, config, levels, conn):
-    """Child side: send the levels' results, or (index, repr) of the first
+    """Child side: send the levels' records, and (index, repr) of the first
     level that raises.  Exceptions are not sent, as not all of them pickle."""
     results, failure = [], None
     for level in levels:
@@ -186,7 +169,7 @@ def _solve_coarser(problem, config, levels, conn):
 
 
 def _uniform_levels(problem, config):
-    """(row, converged) of every uniform level, coarsest first.
+    """AdaptiveRecord of every uniform level, coarsest first.
 
     Each level has about four times the dofs of the one before, so all
     coarser levels together take less time than the finest one.  When
@@ -237,11 +220,10 @@ def _uniform_levels(problem, config):
 
 
 def run_convergence(config):
-    """Uniform or adaptive refinement study; returns (rows, all_converged)."""
+    """Uniform or adaptive refinement study: one AdaptiveRecord per level,
+    written as one CSV row each; returns (rows, all_converged)."""
     config.validate()
     problem = config.make_problem()
-    rows = []
-    ok = True
     if config.refinement == "adaptive":
         records = adaptive_loop(
             problem,
@@ -255,17 +237,15 @@ def run_convergence(config):
             tol=config.tol,
             convention=config.convention,
         )
-        ok = all(r.converged for r in records)
-        for r in records:
-            e = r.errors
-            l2, h1, h2h = (e.l2, e.h1, e.h2h) if e else (None, None, None)
-            rows.append([r.n_dofs, r.h_max, l2, h1, h2h, r.eta_global, r.gmres_iterations])
     else:
-        for row, converged in _uniform_levels(problem, config):
-            ok = ok and converged
-            rows.append(row)
+        records = _uniform_levels(problem, config)
+    rows = []
+    for r in records:
+        e = r.errors
+        l2, h1, h2h = (e.l2, e.h1, e.h2h) if e else (None, None, None)
+        rows.append([r.n_dofs, r.h_max, l2, h1, h2h, r.eta_global, r.gmres_iterations])
     write_csv(config.out, CSV_HEADER, rows)
-    return rows, ok
+    return rows, all(r.converged for r in records)
 
 
 def run_iteration_table(

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .operator import _gamma
 from .space import evaluate, facet_quadrature, normal_jumps, physical_points, quadrature
 
 __all__ = [
@@ -91,9 +92,10 @@ def _charge_jumps(d, cell_sq):
     return cell_sq
 
 
-def _estimator(d, problem, gamma):
-    AH = np.einsum("cqij,cqij->cq", problem.A(d.pts), d.hess)
-    resid = gamma(d.pts) * (problem.f(d.pts) - AH)
+def _estimator(d, problem, A, gamma):
+    """eta_T from the values A and gamma of the coefficient at d.pts."""
+    AH = np.einsum("cqij,cqij->cq", A, d.hess)
+    resid = gamma * (problem.f(d.pts) - AH)
     eta_sq = _charge_jumps(d, np.einsum("cq,cq->c", d.wdet, resid**2))
     return EstimatorField(eta_T=np.sqrt(eta_sq))
 
@@ -114,19 +116,22 @@ def _error_norms(d, exact):
     )
 
 
-def estimate_level(u_h, problem, gamma):
+def estimate_level(u_h, problem):
     """Estimator and, when the problem has an exact solution, error norms of
-    one solved level, from a single evaluation of u_h and its jumps.
+    one solved level, from a single evaluation of u_h and its jumps and of
+    A and f.  gamma = tr(A)/||A||_F^2 comes from that sample of A.
 
     Returns (EstimatorField, ErrorNorms or None); the values equal those of
-    separate local_estimator and error_norms calls bit for bit.
+    separate local_estimator (given the CordesInfo's gamma) and error_norms
+    calls bit for bit.
     """
     d = _level_data(u_h)
     errors = None
     if problem.has_exact:
         exact = {"u": problem.exact_u, "grad": problem.exact_grad, "hess": problem.exact_hess}
         errors = _error_norms(d, exact)
-    return _estimator(d, problem, gamma), errors
+    A = problem.A(d.pts)
+    return _estimator(d, problem, A, _gamma(A)), errors
 
 
 def error_norms(u_h, exact):
@@ -141,7 +146,8 @@ def local_estimator(u_h, problem, gamma):
     """Cellwise eta_T: volume residual of the rescaled equation plus
     normal-gradient jump terms, each interior facet charged to both cells.
     """
-    return _estimator(_level_data(u_h), problem, gamma)
+    d = _level_data(u_h)
+    return _estimator(d, problem, problem.A(d.pts), gamma(d.pts))
 
 
 def local_h2h_errors(u_h, exact):

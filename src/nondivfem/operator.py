@@ -367,12 +367,15 @@ class CordesViolated(Exception):
     """The coefficient fails ||A||_F^2/tr(A)^2 < 1 at some sampled point."""
 
     def __init__(self, point, ratio):
-        self.point = np.asarray(point)
+        self.point = np.array(point)
         self.ratio = float(ratio)
         super().__init__(
             "Cordes condition violated at %s: ||A||_F^2/tr(A)^2 = %g >= 1"
             % (self.point, self.ratio)
         )
+
+    def __reduce__(self):
+        return (CordesViolated, (self.point, self.ratio))
 
 
 @dataclass
@@ -422,7 +425,8 @@ def cordes_analyze(problem, sample_points):
         raise CordesViolated(pts[worst], ratio[worst])
     eps = float(min(1.0, 1.0 / ratio[worst] - 1.0))
     return CordesInfo(epsilon=eps, gamma=lambda x: _gamma(problem.A(x)),
-                      min_eigenvalue=float(lam[bad]), n_samples=len(pts), worst_point=pts[worst])
+                      min_eigenvalue=float(lam[bad]), n_samples=len(pts),
+                      worst_point=pts[worst].copy())
 
 
 # ----------------------------------------------------------------------

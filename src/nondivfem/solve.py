@@ -45,13 +45,6 @@ class Solution:
     system: object = field(default=None, repr=False)
 
 
-def _grown(a, shape):
-    """Zero array of the given shape with `a` copied into its leading corner."""
-    b = np.zeros(shape)
-    b[tuple(slice(0, k) for k in a.shape)] = a
-    return b
-
-
 def gmres(apply, b, precond=None, tol_abs=1e-8, tol_rel=1e-8, max_iter=MAX_ITER):
     """Full GMRES with modified Gram-Schmidt and right preconditioning.
 
@@ -70,56 +63,40 @@ def gmres(apply, b, precond=None, tol_abs=1e-8, tol_rel=1e-8, max_iter=MAX_ITER)
     if beta <= tol:
         return np.zeros(n), SolveReport(0, history, True, beta)
 
-    # the Krylov basis and the Hessenberg matrix grow by doubling, so memory
-    # follows the iterations taken, not max_iter
-    cap = min(max_iter, 32)
-    V = np.empty((cap + 1, n))
-    H = np.zeros((cap + 1, cap))
-    cs = np.zeros(cap)
-    sn = np.zeros(cap)
-    g = np.zeros(cap + 1)
-    g[0] = beta
-    V[0] = b / beta
-
-    def solution(j):
-        # back substitution on the j x j triangular system, then undo the
-        # right preconditioning
-        y = np.linalg.solve(np.triu(H[:j, :j]), g[:j])
-        return M(V[:j].T @ y)
+    # the Krylov basis, the Hessenberg columns and the rotations grow by one
+    # entry per step, so memory follows the iterations taken, not max_iter
+    V = [b / beta]
+    H = []          # column j: the rotated H[:j + 1, j], upper triangular
+    cs, sn = [], []
+    g = [beta]
 
     converged = False
-    j_done = 0
     for j in range(max_iter):
-        if j == cap:
-            cap = min(2 * cap, max_iter)
-            V = _grown(V, (cap + 1, n))
-            H = _grown(H, (cap + 1, cap))
-            cs, sn, g = _grown(cs, cap), _grown(sn, cap), _grown(g, cap + 1)
         # copy: apply or M may hand back their argument (e.g. the identity),
         # and the in-place orthogonalization below must not touch V
         w = np.array(apply(M(V[j])), dtype=np.float64)
-        for i in range(j + 1):
-            H[i, j] = V[i] @ w
-            w -= H[i, j] * V[i]
+        h = []
+        for v in V:
+            h.append(v @ w)
+            w -= h[-1] * v
         hnext = float(np.linalg.norm(w))
-        H[j + 1, j] = hnext
+        h.append(hnext)
 
-        # apply stored Givens rotations, then a new one to annihilate H[j+1, j]
+        # apply stored Givens rotations, then a new one to annihilate h[j + 1]
         for i in range(j):
-            t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
-            H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
-            H[i, j] = t
-        denom = np.hypot(H[j, j], H[j + 1, j])
-        cs[j] = H[j, j] / denom if denom > 0 else 1.0
-        sn[j] = H[j + 1, j] / denom if denom > 0 else 0.0
-        H[j, j] = denom
-        H[j + 1, j] = 0.0
-        g[j + 1] = -sn[j] * g[j]
+            t = cs[i] * h[i] + sn[i] * h[i + 1]
+            h[i + 1] = -sn[i] * h[i] + cs[i] * h[i + 1]
+            h[i] = t
+        denom = np.hypot(h[j], h[j + 1])
+        cs.append(h[j] / denom if denom > 0 else 1.0)
+        sn.append(h[j + 1] / denom if denom > 0 else 0.0)
+        h[j:] = [denom]
+        H.append(h)
+        g.append(-sn[j] * g[j])
         g[j] = cs[j] * g[j]
 
         res = abs(g[j + 1])
         history.append(res)
-        j_done = j + 1
         if res <= tol:
             converged = True
             break
@@ -127,13 +104,19 @@ def gmres(apply, b, precond=None, tol_abs=1e-8, tol_rel=1e-8, max_iter=MAX_ITER)
             # exact breakdown: the Krylov space is invariant; the current
             # least-squares solution is as good as it gets
             break
-        V[j + 1] = w / hnext
+        V.append(w / hnext)
 
-    x = solution(j_done)
+    # back substitution on the triangular system, then undo the right
+    # preconditioning
+    k = len(H)
+    R = np.zeros((k, k))
+    for j, h in enumerate(H):
+        R[:j + 1, j] = h
+    x = M(np.array(V[:k]).T @ np.linalg.solve(R, g[:k]))
     true_res = float(np.linalg.norm(b - apply(x)))
     if not converged and true_res <= tol:
         converged = True
-    return x, SolveReport(j_done, history, converged, true_res)
+    return x, SolveReport(k, history, converged, true_res)
 
 
 def solve_problem(

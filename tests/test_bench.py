@@ -121,22 +121,22 @@ def test_exp4_reports_estimator_only():
 
 
 def _record_pids(monkeypatch, path, fail=None):
-    """Wrap bench._solve_row: append the solving pid to `path`, and let
-    `fail(mesh)` raise or exit first."""
+    """Wrap bench._solve_and_estimate: append the solving pid to `path`, and
+    let `fail(mesh)` raise or exit first."""
     import os
 
     import nondivfem.bench
 
-    real = nondivfem.bench._solve_row
+    real = nondivfem.bench._solve_and_estimate
 
-    def wrapped(problem, mesh, config):
+    def wrapped(problem, mesh, p, level, **solve_options):
         with open(path, "a") as fh:
             fh.write("%d\n" % os.getpid())
         if fail is not None:
             fail(mesh)
-        return real(problem, mesh, config)
+        return real(problem, mesh, p, level, **solve_options)
 
-    monkeypatch.setattr(nondivfem.bench, "_solve_row", wrapped)
+    monkeypatch.setattr(nondivfem.bench, "_solve_and_estimate", wrapped)
 
 
 def _set_cpus(monkeypatch, cpus):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -82,13 +84,32 @@ def test_estimate_level_matches_separate_calls(name):
     x0, x1, y0, y1 = problem.bounds
     mesh = build_rect_mesh(x0, x1, y0, y1, 4, 4)
     sol = solve_problem(problem, mesh, 2)
-    gamma = sol.cordes.gamma
-    est, err = estimate_level(sol.u_h, problem, gamma)
-    assert np.array_equal(est.eta_T, local_estimator(sol.u_h, problem, gamma).eta_T)
+    est, err = estimate_level(sol.u_h, problem)
+    assert np.array_equal(est.eta_T, local_estimator(sol.u_h, problem, sol.cordes.gamma).eta_T)
     if problem.has_exact:
         assert err == error_norms(sol.u_h, _exact_dict(problem))
     else:
         assert err is None
+
+
+def test_estimate_level_samples_A_and_f_once():
+    # gamma comes from the estimator's own sample of A, not from a second one
+    problem = make_problem("exp3")
+    calls = {"A": 0, "f": 0}
+
+    def counted(name):
+        fn = getattr(problem, name)
+
+        def wrapped(x):
+            calls[name] += 1
+            return fn(x)
+
+        return wrapped
+
+    sol = solve_problem(problem, build_rect_mesh(*problem.bounds, 4, 4), 2)
+    counting = dataclasses.replace(problem, A=counted("A"), f=counted("f"))
+    estimate_level(sol.u_h, counting)
+    assert calls == {"A": 1, "f": 1}
 
 
 def test_gradient_jumps_match_pointwise_oracle():

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -299,6 +300,33 @@ def test_cordes_violation_attributes():
     assert err.ratio == 1.25
     assert np.allclose(err.point, [0.25, 0.5])
     assert "1.25" in str(err)
+
+
+def test_cordes_violation_survives_pickling():
+    err = CordesViolated((0.25, 0.5), 1.5)
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is CordesViolated
+    assert np.array_equal(back.point, err.point)
+    assert back.ratio == err.ratio
+    assert str(back) == str(err)
+
+
+def test_cordes_points_do_not_pin_the_sample():
+    # worst_point and the exception's point are copies, not views that keep
+    # the whole (cells * q, 2) sample alive
+    problem = make_problem("exp3")
+    pts = _sample_points(problem)
+    info = cordes_analyze(problem, pts)
+    assert not np.shares_memory(info.worst_point, pts)
+    # an asymmetry below the 1e-12 symmetry gate pushes the computed ratio to 1
+    skew = ProblemData(
+        name="c", bounds=(0, 1, 0, 1),
+        A=_const_matrix([[1.0, 1.0 - 1e-14], [1.0 - 1e-14 + 5e-13, 1.0]]),
+        f=lambda x: np.zeros(x.shape[:-1]),
+    )
+    with pytest.raises(CordesViolated) as caught:
+        cordes_analyze(skew, pts)
+    assert not np.shares_memory(caught.value.point, pts)
 
 
 @pytest.mark.parametrize("name,kwargs", [

@@ -91,7 +91,7 @@ def test_gmres_right_preconditioning_reports_true_residual():
 
 
 def test_gmres_memory_follows_iterations_not_max_iter():
-    # about 100 Arnoldi steps, so the basis grows past its first chunks
+    # about 100 Arnoldi steps, so the basis grows well past its first vectors
     rng = np.random.default_rng(5)
     n = 100
     A = 0.2 * np.eye(n) + rng.standard_normal((n, n)) / np.sqrt(n)
