@@ -82,10 +82,10 @@ class RunConfig:
         if self.max_dofs < 1:
             raise ValueError("max_dofs must be >= 1")
         for e in (self.eta1, self.eta2):
-            if e is not None and e < 0:
-                raise ValueError("penalty weights must be >= 0")
-        if self.tol <= 0:
-            raise ValueError("tol must be > 0")
+            if e is not None and not 0.0 <= e < np.inf:
+                raise ValueError("penalty weights must be finite and >= 0")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError("tol must be finite and > 0")
         for f in fields(self):
             if f.name in _IGNORED_BY[self.refinement] and getattr(self, f.name) != f.default:
                 raise ValueError("%s is not used by %s refinement" % (f.name, self.refinement))
@@ -264,7 +264,7 @@ def run_iteration_table(
     header = ["h"]
     for k in kappas:
         for e1 in eta1_values:
-            header.append("kappa%s_eta1_%s" % (k, int(e1) if e1 == int(e1) else e1))
+            header.append("kappa%s_eta1_%s" % (k, int(e1) if float(e1).is_integer() else e1))
     rows = []
     for ex in h_exponents:
         row = [0.5**ex]

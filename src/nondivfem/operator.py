@@ -7,6 +7,12 @@ eps in (0, 1].  The scalar rescaling gamma = tr(A)/||A||_F^2 brings
 gamma*A close to the identity, which drives both the solver and the
 preconditioner.
 
+The catalog's exact solutions of exp1, exp3 and poly are products
+u = g(x) g(y); `_product` derives their gradients and Hessians from the 1-D
+profile g and its derivatives.  Every forcing f is written out by hand, as
+that is faster to evaluate than A : D2(u).  A coefficient or forcing that is
+not finite at a sampled point raises ValueError.
+
 Two discretizations are assembled here:
 
 * the recovery scheme: a matrix-free action built from the Hessian
@@ -33,6 +39,7 @@ import scipy.sparse as sp
 
 from .hessian import _factor, build_hessian_operator
 from .space import (
+    _sym,
     boundary_dofs,
     build_space,
     facet_quadrature,
@@ -98,28 +105,30 @@ def _const_matrix(M):
     return A
 
 
-def _problem_exp1(kappa=0.5):
-    """Smooth solution, constant anisotropic A = [[1, k], [k, 1]] on (0,1)^2."""
-    kappa = float(kappa)
-    tp = 2.0 * np.pi
+def _product(g, dg, ddg):
+    """The ProblemData fields exact_u, exact_grad and exact_hess of
+    u = g(x) g(y); dg and ddg are the first and second derivatives of the 1-D
+    profile g."""
 
     def u(x):
-        return np.sin(tp * x[..., 0]) * np.sin(tp * x[..., 1])
+        return g(x[..., 0]) * g(x[..., 1])
 
     def grad(x):
-        s0, c0 = np.sin(tp * x[..., 0]), np.cos(tp * x[..., 0])
-        s1, c1 = np.sin(tp * x[..., 1]), np.cos(tp * x[..., 1])
-        return np.stack([tp * c0 * s1, tp * s0 * c1], axis=-1)
+        X, Y = x[..., 0], x[..., 1]
+        return np.stack([dg(X) * g(Y), g(X) * dg(Y)], axis=-1)
 
     def hess(x):
-        s0, c0 = np.sin(tp * x[..., 0]), np.cos(tp * x[..., 0])
-        s1, c1 = np.sin(tp * x[..., 1]), np.cos(tp * x[..., 1])
-        H = np.empty(x.shape[:-1] + (2, 2))
-        H[..., 0, 0] = -tp * tp * s0 * s1
-        H[..., 0, 1] = tp * tp * c0 * c1
-        H[..., 1, 0] = H[..., 0, 1]
-        H[..., 1, 1] = -tp * tp * s0 * s1
-        return H
+        X, Y = x[..., 0], x[..., 1]
+        return _sym(ddg(X) * g(Y), dg(X) * dg(Y), g(X) * ddg(Y))
+
+    return dict(exact_u=u, exact_grad=grad, exact_hess=hess)
+
+
+def _problem_exp1(kappa=0.5):
+    """Smooth solution u = g(x) g(y), g(t) = sin(2 pi t), with the constant
+    anisotropic A = [[1, k], [k, 1]] on (0,1)^2."""
+    kappa = float(kappa)
+    tp = 2.0 * np.pi
 
     def f(x):
         s0, c0 = np.sin(tp * x[..., 0]), np.cos(tp * x[..., 0])
@@ -131,11 +140,10 @@ def _problem_exp1(kappa=0.5):
         bounds=(0.0, 1.0, 0.0, 1.0),
         A=_const_matrix([[1.0, kappa], [kappa, 1.0]]),
         f=f,
-        exact_u=u,
-        exact_grad=grad,
-        exact_hess=hess,
         initial_n=4,
         params={"kappa": kappa},
+        **_product(lambda t: np.sin(tp * t), lambda t: tp * np.cos(tp * t),
+                   lambda t: -tp * tp * np.sin(tp * t)),
     )
 
 
@@ -183,11 +191,9 @@ def _problem_exp2(alpha=1.5):
         wxx = 2.0 * X * Y * r6 * ((a - 4.0) * px + 2.0 * (a - 1.0) * r2)
         wyy = 2.0 * X * Y * r6 * ((a - 4.0) * py + 2.0 * (a - 1.0) * r2)
         wxy = 2.0 * r6 * (r2 * px + (a - 4.0) * Y * Y * px + 2.0 * Y * Y * r2)
-        H = np.empty(x.shape[:-1] + (2, 2))
-        H[..., 0, 0] = wxx * g - 2.0 * wx * (1.0 - Y)
-        H[..., 1, 1] = wyy * g - 2.0 * wy * (1.0 - X)
-        H[..., 0, 1] = wxy * g - wx * (1.0 - X) - wy * (1.0 - Y) + w
-        H[..., 1, 0] = H[..., 0, 1]
+        H = _sym(wxx * g - 2.0 * wx * (1.0 - Y),
+                 wxy * g - wx * (1.0 - X) - wy * (1.0 - Y) + w,
+                 wyy * g - 2.0 * wy * (1.0 - X))
         return np.where((r2 > 0.0)[..., None, None], H, 0.0)
 
     def f(x):
@@ -227,29 +233,7 @@ def _problem_exp3():
     """
 
     def A(x):
-        s = np.sign(x[..., 0] * x[..., 1])
-        M = np.empty(x.shape[:-1] + (2, 2))
-        M[..., 0, 0] = 2.0
-        M[..., 1, 1] = 2.0
-        M[..., 0, 1] = s
-        M[..., 1, 0] = s
-        return M
-
-    def u(x):
-        return _phi(x[..., 0]) * _phi(x[..., 1])
-
-    def grad(x):
-        X, Y = x[..., 0], x[..., 1]
-        return np.stack([_phi_p(X) * _phi(Y), _phi(X) * _phi_p(Y)], axis=-1)
-
-    def hess(x):
-        X, Y = x[..., 0], x[..., 1]
-        H = np.empty(x.shape[:-1] + (2, 2))
-        H[..., 0, 0] = _phi_pp(X) * _phi(Y)
-        H[..., 1, 1] = _phi(X) * _phi_pp(Y)
-        H[..., 0, 1] = _phi_p(X) * _phi_p(Y)
-        H[..., 1, 0] = H[..., 0, 1]
-        return H
+        return _sym(2.0, np.sign(x[..., 0] * x[..., 1]), 2.0)
 
     def f(x):
         X, Y = x[..., 0], x[..., 1]
@@ -265,11 +249,9 @@ def _problem_exp3():
         bounds=(-1.0, 1.0, -1.0, 1.0),
         A=A,
         f=f,
-        exact_u=u,
-        exact_grad=grad,
-        exact_hess=hess,
         initial_n=5,
         params={},
+        **_product(_phi, _phi_p, _phi_pp),
     )
 
 
@@ -279,13 +261,7 @@ def _problem_exp4():
     """
 
     def A(x):
-        ind = (x[..., 0] ** 3 - x[..., 1] > 0.0).astype(np.float64)
-        M = np.empty(x.shape[:-1] + (2, 2))
-        M[..., 0, 0] = 0.02
-        M[..., 0, 1] = 0.01
-        M[..., 1, 0] = 0.01
-        M[..., 1, 1] = 1.0 + ind
-        return M
+        return _sym(0.02, 0.01, 1.0 + (x[..., 0] ** 3 - x[..., 1] > 0.0))
 
     def f(x):
         return np.full(x.shape[:-1], -1.0)
@@ -301,26 +277,8 @@ def _problem_exp4():
 
 
 def _problem_poly():
-    """Poisson problem whose solution x(1-x) y(1-y) lies in P4 of V_h."""
-
-    def u(x):
-        X, Y = x[..., 0], x[..., 1]
-        return X * (1.0 - X) * Y * (1.0 - Y)
-
-    def grad(x):
-        X, Y = x[..., 0], x[..., 1]
-        return np.stack(
-            [(1.0 - 2.0 * X) * Y * (1.0 - Y), X * (1.0 - X) * (1.0 - 2.0 * Y)], axis=-1
-        )
-
-    def hess(x):
-        X, Y = x[..., 0], x[..., 1]
-        H = np.empty(x.shape[:-1] + (2, 2))
-        H[..., 0, 0] = -2.0 * Y * (1.0 - Y)
-        H[..., 1, 1] = -2.0 * X * (1.0 - X)
-        H[..., 0, 1] = (1.0 - 2.0 * X) * (1.0 - 2.0 * Y)
-        H[..., 1, 0] = H[..., 0, 1]
-        return H
+    """Poisson problem whose solution u = g(x) g(y), g(t) = t (1 - t), lies in
+    P4 of V_h."""
 
     def f(x):
         X, Y = x[..., 0], x[..., 1]
@@ -331,11 +289,10 @@ def _problem_poly():
         bounds=(0.0, 1.0, 0.0, 1.0),
         A=_const_matrix(np.eye(2)),
         f=f,
-        exact_u=u,
-        exact_grad=grad,
-        exact_hess=hess,
         initial_n=2,
         params={},
+        **_product(lambda t: t * (1.0 - t), lambda t: 1.0 - 2.0 * t,
+                   lambda t: np.full_like(t, -2.0)),
     )
 
 
@@ -395,6 +352,13 @@ class CordesInfo:
     worst_point: np.ndarray = None
 
 
+def _require_finite(values, pts, name):
+    """Raise ValueError naming the first point whose row of values is not finite."""
+    finite = np.isfinite(values).reshape(len(pts), -1).all(axis=1)
+    if not finite.all():
+        raise ValueError("%s is not finite at %s" % (name, pts[np.argmin(finite)]))
+
+
 def _gamma(A):
     """gamma = tr(A)/||A||_F^2 of coefficient values A (..., 2, 2)."""
     tr = A[..., 0, 0] + A[..., 1, 1]
@@ -407,10 +371,12 @@ def cordes_analyze(problem, sample_points):
 
     Only the sample points are checked, nothing between them.  Raises
     CordesViolated when the ratio ||A||_F^2/tr(A)^2 reaches 1 (the
-    two-dimensional ellipticity threshold) at any sampled point.
+    two-dimensional ellipticity threshold) at any sampled point, and
+    ValueError when A is not finite, not symmetric or not positive definite.
     """
     pts = np.asarray(sample_points, dtype=np.float64).reshape(-1, 2)
     A = problem.A(pts)
+    _require_finite(A, pts, "A")
     if np.abs(A - np.swapaxes(A, -1, -2)).max() > 1e-12:
         raise ValueError("coefficient matrix is not symmetric")
     a, b, d = A[:, 0, 0], A[:, 0, 1], A[:, 1, 1]
@@ -447,14 +413,17 @@ class _CoefficientSample:
 
 def _coefficient_sample(problem, space):
     """Sample the coefficients once for every volume assembly on the space's
-    mesh and degree; raises CordesViolated before anything else is evaluated."""
+    mesh and degree; raises CordesViolated before anything else is evaluated,
+    and ValueError for a non-finite A or f."""
     mesh = space.mesh
     q = quadrature(2 * space.degree + 2)
     ref_pts = np.broadcast_to(q.points, (mesh.n_cells,) + q.points.shape)
     pts = physical_points(mesh, np.arange(mesh.n_cells), ref_pts)
     cordes = cordes_analyze(problem, pts.reshape(-1, 2))
     A = problem.A(pts)
-    return _CoefficientSample(q, A, _gamma(A), problem.f(pts), cordes)
+    f = problem.f(pts)
+    _require_finite(f, pts.reshape(-1, 2), "f")
+    return _CoefficientSample(q, A, _gamma(A), f, cordes)
 
 
 def _eliminate_dirichlet(K, free):
@@ -492,8 +461,8 @@ def assemble_stabilization(space_V, eta1, eta2):
     """Facet penalty S: eta1 * sum_F h_F^-1 int [du/dn][dv/dn]
     + eta2 * sum_F h_F int ([D2 u] n) . ([D2 v] n), interior facets only.
     """
-    if eta1 < 0 or eta2 < 0:
-        raise ValueError("penalty weights must be >= 0")
+    if not (0.0 <= eta1 < np.inf and 0.0 <= eta2 < np.inf):
+        raise ValueError("penalty weights must be finite and >= 0")
     mesh = space_V.mesh
     n = space_V.n_dofs
     int_f = mesh.interior_facets()
@@ -632,7 +601,7 @@ def assemble_nsz(space_V, sample, eta1):
     rhs(v) = int gamma f tr(D2v).  The gradient-jump penalty is mandatory
     (the form is not coercive without it).
     """
-    if eta1 <= 0:
+    if not eta1 > 0:
         raise ValueError("the direct scheme requires eta1 > 0")
     if space_V.degree < 2:
         warnings.warn(

@@ -48,8 +48,11 @@ class Solution:
 def gmres(apply, b, precond=None, tol_abs=1e-8, tol_rel=1e-8, max_iter=MAX_ITER):
     """Full GMRES with modified Gram-Schmidt and right preconditioning.
 
-    Stops when the residual norm reaches max(tol_abs, tol_rel * ||b||).
-    Returns (x, SolveReport); `iterations` counts Arnoldi steps.
+    Stops when the recursive residual estimate reaches
+    tol = max(tol_abs, tol_rel * ||b||), after min(max_iter, len(b)) Arnoldi
+    steps, or at an exact breakdown.  Returns (x, SolveReport); `iterations`
+    counts Arnoldi steps, and `converged` is whether the true residual
+    ||b - apply(x)|| is at most tol.
     """
     b = np.asarray(b, dtype=np.float64)
     n = b.shape[0]
@@ -70,8 +73,7 @@ def gmres(apply, b, precond=None, tol_abs=1e-8, tol_rel=1e-8, max_iter=MAX_ITER)
     cs, sn = [], []
     g = [beta]
 
-    converged = False
-    for j in range(max_iter):
+    for j in range(min(max_iter, n)):
         # copy: apply or M may hand back their argument (e.g. the identity),
         # and the in-place orthogonalization below must not touch V
         w = np.array(apply(M(V[j])), dtype=np.float64)
@@ -98,7 +100,6 @@ def gmres(apply, b, precond=None, tol_abs=1e-8, tol_rel=1e-8, max_iter=MAX_ITER)
         res = abs(g[j + 1])
         history.append(res)
         if res <= tol:
-            converged = True
             break
         if hnext == 0.0:
             # exact breakdown: the Krylov space is invariant; the current
@@ -114,9 +115,7 @@ def gmres(apply, b, precond=None, tol_abs=1e-8, tol_rel=1e-8, max_iter=MAX_ITER)
         R[:j + 1, j] = h
     x = M(np.array(V[:k]).T @ np.linalg.solve(R, g[:k]))
     true_res = float(np.linalg.norm(b - apply(x)))
-    if not converged and true_res <= tol:
-        converged = True
-    return x, SolveReport(k, history, converged, true_res)
+    return x, SolveReport(k, history, true_res <= tol, true_res)
 
 
 def solve_problem(
@@ -132,17 +131,18 @@ def solve_problem(
 
     recovery-cg / recovery-dg run the matrix-free preconditioned GMRES
     solve to the absolute and relative tolerance `tol`; nsz assembles its
-    sparse matrix and uses a direct factorization.  Raises ValueError for
-    tol <= 0, and for eta2 > 0 with nsz, which has no Hessian-jump penalty.
+    sparse matrix and uses a direct factorization.  Raises ValueError for a
+    tol that is not finite and > 0, and for a nonzero eta2 with nsz, which has
+    no Hessian-jump penalty.
     Boundary coefficients of the returned function are exactly zero.
     """
     if scheme not in SCHEMES:
         raise ValueError("unknown scheme %r; choose from %s" % (scheme, list(SCHEMES)))
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be finite and > 0")
 
     if scheme == "nsz":
-        if eta2 is not None and eta2 > 0:
+        if eta2 is not None and eta2 != 0:
             raise ValueError("the nsz scheme has no Hessian-jump penalty; eta2 must be 0")
         space_V = build_space(mesh, p, "CG")
         sample = _coefficient_sample(problem, space_V)

@@ -103,6 +103,17 @@ def _mono_deriv(exps, pts, dx, dy):
     return (ca * cb) * x ** ea * y ** eb
 
 
+def _sym(a, b, d):
+    """The symmetric field [[a, b], [b, d]] of arrays or scalars that broadcast
+    together, shape (..., 2, 2)."""
+    S = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(d)) + (2, 2))
+    S[..., 0, 0] = a
+    S[..., 0, 1] = b
+    S[..., 1, 0] = b
+    S[..., 1, 1] = d
+    return S
+
+
 def _equispaced_nodes(p):
     """Nodes ordered: 3 vertices, edge 0/1/2 interiors (directed), cell interior.
 
@@ -151,9 +162,7 @@ class ReferenceElement:
         hxx = _mono_deriv(self.exps, pts, 2, 0) @ self.coeffs
         hxy = _mono_deriv(self.exps, pts, 1, 1) @ self.coeffs
         hyy = _mono_deriv(self.exps, pts, 0, 2) @ self.coeffs
-        row0 = np.stack([hxx, hxy], axis=-1)
-        row1 = np.stack([hxy, hyy], axis=-1)
-        return np.stack([row0, row1], axis=-2)
+        return _sym(hxx, hxy, hyy)
 
 
 @cache

@@ -62,6 +62,11 @@ def test_config_validation():
         _tiny_uniform(eta1=-1.0).validate()
     with pytest.raises(ValueError):
         _tiny_uniform(scheme="fdm").validate()
+    # NaN fails every comparison, so it must not slip through a "< 0" test
+    for name in ("tol", "eta1", "eta2"):
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="must be finite"):
+                _tiny_uniform(**{name: value}).validate()
     # a field the chosen refinement never reads must keep its default
     for refinement, name, value in (("uniform", "theta", 0.5), ("uniform", "max_dofs", 1),
                                     ("uniform", "convention", "linear"),
@@ -316,6 +321,32 @@ def test_cli_rejects_non_positive_tol(command, tol, capsys):
     rc = main(command + ["--tol", tol])
     assert rc == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--experiment", "exp1", "--levels", "1", "--initial-n", "2", "--kappa", "nan"],
+    ["adapt", "--experiment", "exp2", "--alpha", "nan", "--max-dofs", "200"],
+    ["run", "--experiment", "exp1", "--levels", "1", "--initial-n", "2", "--tol", "nan"],
+    ["run", "--experiment", "exp1", "--levels", "1", "--initial-n", "2", "--eta1", "nan"],
+    ["run", "--experiment", "exp1", "--levels", "1", "--initial-n", "2", "--eta1", "inf"],
+    ["iters", "--kappas", "0.9", "--h-exponents", "2", "--eta1-values", "inf"],
+])
+def test_cli_rejects_non_finite_options(argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    rc = main(argv + ["--out", str(out)])
+    assert rc == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_unreachable_tol_exits_3(tmp_path):
+    out = tmp_path / "out.csv"
+    rc = main(["run", "--experiment", "exp1", "--levels", "1", "--initial-n", "2",
+               "--tol", "1e-300", "--out", str(out)])
+    assert rc == 3
+    _, rows = read_csv(out)
+    # GMRES takes no more Arnoldi steps than the system has unknowns
+    assert 0 < rows[0][-1] <= rows[0][0]
 
 
 def test_cli_nsz_rejects_eta2(capsys):

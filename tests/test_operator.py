@@ -93,6 +93,20 @@ def test_exp3_solution_vanishes_on_boundary():
         assert np.abs(p.exact_u(edge)).max() < 1e-14
 
 
+def test_exp4_coefficient_and_forcing():
+    # A = [[0.02, 0.01], [0.01, 1]] above y = x^3 and [[.., ..], [.., 2]] below it
+    p = make_problem("exp4")
+    pts = _sample_points(p, n=500, seed=4)
+    below = pts[:, 0] ** 3 > pts[:, 1]
+    assert below.any() and (~below).any()
+    A = p.A(pts)
+    assert A.shape == (500, 2, 2)
+    assert np.all(A[:, 0, 0] == 0.02)
+    assert np.all(A[:, 0, 1] == 0.01) and np.all(A[:, 1, 0] == 0.01)
+    assert np.array_equal(A[:, 1, 1], np.where(below, 2.0, 1.0))
+    assert np.array_equal(p.f(pts), np.full(500, -1.0))
+
+
 # ----------------------------------------------------------------------
 # symbolic re-derivation: check grad, hess and f = A : D2(u) for the
 # manufactured solutions against sympy, evaluated at random points
@@ -169,6 +183,14 @@ def test_exp3_derivatives_match_sympy():
     pts2 = pts.copy()
     pts2[:, 1] *= -1.0
     _check_against_sympy(problem, upm, X, Y, [[2, -1], [-1, 2]], pts2)
+
+
+def test_poly_derivatives_match_sympy():
+    problem = make_problem("poly")
+    X, Y = sympy.symbols("x y", real=True)
+    u = X * (1 - X) * Y * (1 - Y)
+    _check_against_sympy(problem, u, X, Y, [[1, 0], [0, 1]],
+                         _sample_points(problem, seed=5), tol=1e-13)
 
 
 # ----------------------------------------------------------------------
@@ -293,6 +315,31 @@ def test_cordes_rejects_degenerate():
     )
     with pytest.raises((ValueError, CordesViolated)):
         cordes_analyze(prob, np.array([[0.5, 0.5]]))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_cordes_rejects_non_finite_coefficient(value):
+    # one bad point among finite ones is named; the eigenvalue and ratio
+    # tests would let a NaN through
+    pts = np.array([[0.1, 0.1], [0.5, 0.7], [0.9, 0.2]])
+
+    def A(x):
+        M = np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2)).copy()
+        M[np.isclose(x[..., 0], 0.5), 0, 1] = value
+        M[np.isclose(x[..., 0], 0.5), 1, 0] = value
+        return M
+
+    problem = ProblemData(name="t", bounds=(0, 1, 0, 1), A=A, f=lambda x: x[..., 0])
+    with pytest.raises(ValueError, match=r"A is not finite at \[0.5 0.7\]"):
+        cordes_analyze(problem, pts)
+    with pytest.raises(ValueError, match="A is not finite"):
+        cordes_analyze(make_problem("exp1", kappa=value), pts)
+
+
+def test_coefficient_sample_rejects_non_finite_forcing():
+    V = build_space(build_rect_mesh(0, 1, 0, 1, 2, 2), 2, "CG")
+    with pytest.raises(ValueError, match="f is not finite"):
+        _coefficient_sample(make_problem("exp2", alpha=np.nan), V)
 
 
 def test_cordes_violation_attributes():
@@ -420,6 +467,14 @@ def test_stabilization_rejects_negative_weights():
     V = build_space(mesh, 2, "CG")
     with pytest.raises(ValueError):
         assemble_stabilization(V, -1.0, 0.0)
+
+
+@pytest.mark.parametrize("eta1, eta2", [(np.nan, 0.0), (np.inf, 0.0), (0.0, np.nan),
+                                        (1.0, np.inf)])
+def test_stabilization_rejects_non_finite_weights(eta1, eta2):
+    V = build_space(build_rect_mesh(0, 1, 0, 1, 2, 2), 2, "CG")
+    with pytest.raises(ValueError, match="finite"):
+        assemble_stabilization(V, eta1, eta2)
 
 
 def test_stabilization_vanishes_on_smooth_functions():

@@ -113,6 +113,18 @@ def test_gmres_memory_follows_iterations_not_max_iter():
     assert rep_tight.residual_history == rep.residual_history
 
 
+def test_gmres_stops_after_n_steps_and_judges_the_true_residual():
+    # a tolerance below round-off is never reached: n steps span the whole
+    # space, and the recursive estimate alone must not report convergence
+    rng = np.random.default_rng(6)
+    A = np.eye(5) + 0.3 * rng.standard_normal((5, 5))
+    b = rng.standard_normal(5)
+    _, rep = gmres(lambda v: A @ v, b, tol_abs=1e-300, tol_rel=0.0)
+    assert rep.iterations == 5
+    assert not rep.converged
+    assert rep.final_true_residual > 1e-300
+
+
 def test_gmres_rejects_bad_max_iter():
     with pytest.raises(ValueError):
         gmres(lambda v: v, np.ones(2), max_iter=0)
@@ -218,6 +230,15 @@ def test_nsz_rejects_hessian_jump_penalty():
     with pytest.raises(ValueError, match="eta2"):
         solve_problem(problem, mesh, p=2, scheme="nsz", eta2=5.0)
     assert solve_problem(problem, mesh, p=2, scheme="nsz", eta2=0.0).report.converged
+
+
+@pytest.mark.parametrize("scheme", ["recovery-cg", "nsz"])
+@pytest.mark.parametrize("tol", [np.nan, np.inf])
+def test_solve_rejects_non_finite_tol(scheme, tol):
+    problem = make_problem("exp1", kappa=0.5)
+    mesh = build_rect_mesh(0, 1, 0, 1, 2, 2)
+    with pytest.raises(ValueError, match="tol"):
+        solve_problem(problem, mesh, p=2, scheme=scheme, tol=tol)
 
 
 def test_nsz_solve_report_shape():

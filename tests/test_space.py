@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from nondivfem import bisect, boundary_dofs, build_rect_mesh, build_space, interpolate, quadrature
 from nondivfem.space import (
     _cg_dof_count,
+    _sym,
     _edge_points,
     _facet_edges,
     evaluate,
@@ -22,6 +23,16 @@ from nondivfem.space import (
 def exact_monomial_integral(a, b):
     # int over the reference triangle of x^a y^b
     return math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
+
+
+def test_sym_broadcasts_scalars_and_arrays():
+    a, b = np.arange(6.0).reshape(2, 3), np.array([7.0, 8.0, 9.0])
+    S = _sym(a, b, 5.0)
+    assert S.shape == (2, 3, 2, 2)
+    assert np.array_equal(S[..., 0, 0], a)
+    assert np.array_equal(S[..., 0, 1], np.broadcast_to(b, (2, 3)))
+    assert np.array_equal(S, np.swapaxes(S, -1, -2))
+    assert np.all(S[..., 1, 1] == 5.0)
 
 
 def test_degree_two_integrates_xy():
