@@ -27,14 +27,7 @@ def _cap_threads():
 
 _cap_threads()
 
-from .mesh import (
-    Mesh,
-    build_rect_mesh,
-    bisect,
-    uniform_refine,
-    write_mesh,
-    read_mesh,
-)
+from .mesh import Mesh, build_rect_mesh, bisect
 from .space import (
     QuadratureRule,
     quadrature,
@@ -79,9 +72,6 @@ __all__ = [
     "Mesh",
     "build_rect_mesh",
     "bisect",
-    "uniform_refine",
-    "write_mesh",
-    "read_mesh",
     "QuadratureRule",
     "quadrature",
     "FunctionSpace",

@@ -35,7 +35,6 @@ __all__ = [
     "run_iteration_table",
     "run_scheme_comparison",
     "write_csv",
-    "read_csv",
     "main",
 ]
 
@@ -117,20 +116,6 @@ def write_csv(path, header, rows):
     else:
         with open(path, "w") as fh:
             fh.write(text)
-
-
-def read_csv(path):
-    """Parse a harness CSV back into (header, rows); empty fields become None."""
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    header = lines[0].split(",")
-    rows = []
-    for ln in lines[1:]:
-        row = []
-        for tok in ln.split(","):
-            row.append(None if tok == "" else float(tok))
-        rows.append(row)
-    return header, rows
 
 
 # ----------------------------------------------------------------------

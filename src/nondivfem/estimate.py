@@ -5,11 +5,13 @@ h_F^-1-weighted normal-gradient jumps over interior facets; an exact
 solution in H2 contributes nothing to the jumps, so only u_h's jumps
 enter the error.  The local estimator combines the strong volume residual
 of the rescaled equation with the same jump terms, attributed to both
-cells next to each facet.  Both are integrated with rules exact to degree
-2p + 4, two above the assembly rule, fixed in `_level_data`.
+cells next to each facet, and the per-cell H2_h error `ErrorNorms.h2h_T`
+charges them the same way, so the two compare cell by cell.  Both are
+integrated with rules exact to degree 2p + 4, two above the assembly rule,
+fixed in `_level_data`.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,7 +34,11 @@ class ErrorNorms:
     l2: float
     h1: float
     h2h: float
-    h2_broken: float = 0.0
+    h2_broken: float
+    # per cell: sqrt of the cellwise Hessian error squared plus the jump
+    # terms of its interior facets, each facet charged to both cells; left
+    # out of == and repr, which compare and print the norms
+    h2h_T: np.ndarray = field(compare=False, repr=False)
 
 
 @dataclass
@@ -106,13 +112,15 @@ def _error_norms(d, exact):
     dh = d.hess - exact["hess"](d.pts)
     l2_sq = float(np.einsum("cq,cq->", d.wdet, du**2))
     h1_semi_sq = float(np.einsum("cq,cqi->", d.wdet, dg**2))
-    h2_broken_sq = float(np.einsum("cq,cqij->", d.wdet, dh**2))
+    dh_sq = dh**2
+    h2_broken_sq = float(np.einsum("cq,cqij->", d.wdet, dh_sq))
     h2h_sq = h2_broken_sq + float(d.jumps.sum())
     return ErrorNorms(
         l2=np.sqrt(l2_sq),
         h1=np.sqrt(l2_sq + h1_semi_sq),
         h2h=np.sqrt(h2h_sq),
         h2_broken=np.sqrt(h2_broken_sq),
+        h2h_T=np.sqrt(_charge_jumps(d, np.einsum("cq,cqij->c", d.wdet, dh_sq))),
     )
 
 
@@ -121,9 +129,11 @@ def estimate_level(u_h, problem):
     one solved level, from a single evaluation of u_h and its jumps and of
     A and f.  gamma = tr(A)/||A||_F^2 comes from that sample of A.
 
-    Returns (EstimatorField, ErrorNorms or None); the values equal those of
-    separate local_estimator (given the CordesInfo's gamma) and error_norms
-    calls bit for bit.
+    Returns (EstimatorField, ErrorNorms or None).  The per-cell eta_T and
+    the per-cell H2_h errors h2h_T of the ErrorNorms charge each facet's
+    jump term alike, so they compare cell by cell.  The values equal those
+    of separate local_estimator (given the CordesInfo's gamma) and
+    error_norms calls bit for bit.
     """
     d = _level_data(u_h)
     errors = None
@@ -148,16 +158,6 @@ def local_estimator(u_h, problem, gamma):
     """
     d = _level_data(u_h)
     return _estimator(d, problem, problem.A(d.pts), gamma(d.pts))
-
-
-def local_h2h_errors(u_h, exact):
-    """Per-cell H2_h error pieces: cellwise Hessian error squared plus the
-    jump terms of every adjacent interior facet (both-cells attribution,
-    matching the estimator's convention).  Returns sqrt of the cell sums.
-    """
-    d = _level_data(u_h)
-    dh = d.hess - exact["hess"](d.pts)
-    return np.sqrt(_charge_jumps(d, np.einsum("cq,cqij->c", d.wdet, dh**2)))
 
 
 def eoc(series):

@@ -49,7 +49,7 @@ one as its first child (or that child's two children), then its second.
 
 import numpy as np
 
-__all__ = ["Mesh", "build_rect_mesh", "bisect", "uniform_refine", "write_mesh", "read_mesh"]
+__all__ = ["Mesh", "build_rect_mesh", "bisect"]
 
 
 class Mesh:
@@ -251,41 +251,3 @@ def bisect(mesh, marked):
     keep = np.array([np.ones_like(s0), s1, s0, s2]).T
     return Mesh(vertices, slots[keep], refinement_edges=edges[keep])
 
-
-def uniform_refine(mesh, sweeps=2):
-    """Bisect every cell `sweeps` times; two sweeps halve h on structured meshes."""
-    for _ in range(sweeps):
-        mesh = bisect(mesh, range(mesh.n_cells))
-    return mesh
-
-
-def write_mesh(mesh, path):
-    """Plain-text dump: `vertices N cells M`, N coordinate lines, M cell lines.
-
-    A cell line holds the three vertex indices and the local index of the
-    cell's refinement edge, so a mesh read back bisects as the original.
-    """
-    with open(path, "w") as fh:
-        fh.write("vertices %d cells %d\n" % (mesh.n_vertices, mesh.n_cells))
-        for x, y in mesh.vertices:
-            fh.write("%r %r\n" % (float(x), float(y)))
-        for (i, j, k), e in zip(mesh.cells, mesh.refinement_edges):
-            fh.write("%d %d %d %d\n" % (i, j, k, e))
-
-
-def read_mesh(path):
-    """Read a mesh written by `write_mesh`, refinement edges included."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 4 or header[0] != "vertices" or header[2] != "cells":
-            raise ValueError("malformed mesh header")
-        n, m = int(header[1]), int(header[3])
-        vertices = np.array(
-            [[float(w) for w in fh.readline().split()] for _ in range(n)]
-        )
-        cells = np.array(
-            [[int(w) for w in fh.readline().split()] for _ in range(m)], dtype=np.int64
-        )
-    if cells.shape != (m, 4):
-        raise ValueError("cell lines must hold three vertex indices and a refinement edge")
-    return Mesh(vertices, cells[:, :3], cells[:, 3])

@@ -178,10 +178,10 @@ def _problem_exp2(alpha=1.5):
         out = np.stack([ux, uy], axis=-1)
         return np.where((r2 > 0.0)[..., None], out, 0.0)
 
-    def hess(x):
+    def _hess_parts(x, mixed):
+        """r^2, u_xx, u_yy and, when `mixed`, u_xy off the origin."""
         X, Y, r2, r2s = _w_parts(x)
         g = (1.0 - X) * (1.0 - Y)
-        w = 2.0 * X * Y * r2s ** ((a - 2.0) / 2.0)
         r4 = r2s ** ((a - 4.0) / 2.0)
         r6 = r2s ** ((a - 6.0) / 2.0)
         px = Y * Y + (a - 1.0) * X * X
@@ -190,15 +190,20 @@ def _problem_exp2(alpha=1.5):
         wy = 2.0 * X * r4 * py
         wxx = 2.0 * X * Y * r6 * ((a - 4.0) * px + 2.0 * (a - 1.0) * r2)
         wyy = 2.0 * X * Y * r6 * ((a - 4.0) * py + 2.0 * (a - 1.0) * r2)
+        parts = (r2, wxx * g - 2.0 * wx * (1.0 - Y), wyy * g - 2.0 * wy * (1.0 - X))
+        if not mixed:
+            return parts
+        w = 2.0 * X * Y * r2s ** ((a - 2.0) / 2.0)
         wxy = 2.0 * r6 * (r2 * px + (a - 4.0) * Y * Y * px + 2.0 * Y * Y * r2)
-        H = _sym(wxx * g - 2.0 * wx * (1.0 - Y),
-                 wxy * g - wx * (1.0 - X) - wy * (1.0 - Y) + w,
-                 wyy * g - 2.0 * wy * (1.0 - X))
-        return np.where((r2 > 0.0)[..., None, None], H, 0.0)
+        return parts + (wxy * g - wx * (1.0 - X) - wy * (1.0 - Y) + w,)
+
+    def hess(x):
+        r2, uxx, uyy, uxy = _hess_parts(x, mixed=True)
+        return np.where((r2 > 0.0)[..., None, None], _sym(uxx, uxy, uyy), 0.0)
 
     def f(x):
-        H = hess(x)
-        return H[..., 0, 0] + H[..., 1, 1]
+        r2, uxx, uyy = _hess_parts(x, mixed=False)
+        return np.where(r2 > 0.0, uxx + uyy, 0.0)
 
     return ProblemData(
         name="exp2",
@@ -261,7 +266,8 @@ def _problem_exp4():
     """
 
     def A(x):
-        return _sym(0.02, 0.01, 1.0 + (x[..., 0] ** 3 - x[..., 1] > 0.0))
+        X = x[..., 0]
+        return _sym(0.02, 0.01, 1.0 + (X * X * X - x[..., 1] > 0.0))
 
     def f(x):
         return np.full(x.shape[:-1], -1.0)
@@ -366,16 +372,18 @@ def _gamma(A):
     return tr / fro2
 
 
-def cordes_analyze(problem, sample_points):
+def cordes_analyze(problem, sample_points, A=None):
     """Measure eps = min over samples of tr(A)^2/||A||_F^2 - 1, clamped to (0, 1].
 
-    Only the sample points are checked, nothing between them.  Raises
-    CordesViolated when the ratio ||A||_F^2/tr(A)^2 reaches 1 (the
-    two-dimensional ellipticity threshold) at any sampled point, and
-    ValueError when A is not finite, not symmetric or not positive definite.
+    `A` holds the values of problem.A at the sample points when the caller
+    has them already; otherwise they are evaluated here.  Only the sample
+    points are checked, nothing between them.  Raises CordesViolated when
+    the ratio ||A||_F^2/tr(A)^2 reaches 1 (the two-dimensional ellipticity
+    threshold) at any sampled point, and ValueError when A is not finite,
+    not symmetric or not positive definite.
     """
     pts = np.asarray(sample_points, dtype=np.float64).reshape(-1, 2)
-    A = problem.A(pts)
+    A = problem.A(pts) if A is None else A.reshape(-1, 2, 2)
     _require_finite(A, pts, "A")
     if np.abs(A - np.swapaxes(A, -1, -2)).max() > 1e-12:
         raise ValueError("coefficient matrix is not symmetric")
@@ -419,8 +427,8 @@ def _coefficient_sample(problem, space):
     q = quadrature(2 * space.degree + 2)
     ref_pts = np.broadcast_to(q.points, (mesh.n_cells,) + q.points.shape)
     pts = physical_points(mesh, np.arange(mesh.n_cells), ref_pts)
-    cordes = cordes_analyze(problem, pts.reshape(-1, 2))
     A = problem.A(pts)
+    cordes = cordes_analyze(problem, pts, A)
     f = problem.f(pts)
     _require_finite(f, pts.reshape(-1, 2), "f")
     return _CoefficientSample(q, A, _gamma(A), f, cordes)

@@ -17,6 +17,7 @@ from nondivfem import (
     cordes_analyze,
     error_norms,
     eoc,
+    estimate_level,
     gmres,
     interpolate,
     ls_slope,
@@ -25,7 +26,6 @@ from nondivfem import (
     solve_problem,
 )
 from nondivfem.bench import run_iteration_table
-from nondivfem.estimate import local_estimator, local_h2h_errors
 from nondivfem.hessian import assemble_mass_W, build_hessian_operator
 from nondivfem.operator import ProblemData, apply_system, assemble_rhs
 
@@ -189,9 +189,8 @@ def test_criterion_7_estimator_efficiency():
         n = 2**k
         mesh = build_rect_mesh(0, 1, 0, 1, n, n)
         sol = solve_problem(problem, mesh, p=2)
-        est = local_estimator(sol.u_h, problem, sol.cordes.gamma)
-        loc = local_h2h_errors(sol.u_h, _exact_dict(problem))
-        bound = 2.0 * loc + 1e-8
+        est, err = estimate_level(sol.u_h, problem)
+        bound = 2.0 * err.h2h_T + 1e-8
         violations += int(np.sum(est.eta_T > bound))
         worst = max(worst, float((est.eta_T / bound).max()))
         cells_checked += mesh.n_cells

@@ -5,12 +5,19 @@ from nondivfem.bench import (
     CSV_HEADER,
     RunConfig,
     main,
-    read_csv,
     run_convergence,
     run_iteration_table,
     run_scheme_comparison,
     write_csv,
 )
+
+
+def _read_csv(path):
+    """(header, rows) of a harness CSV; empty fields become None."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    rows = [[None if tok == "" else float(tok) for tok in ln.split(",")] for ln in lines[1:]]
+    return lines[0].split(","), rows
 
 
 def _tiny_uniform(**kw):
@@ -32,7 +39,7 @@ def test_csv_roundtrip(tmp_path):
     path = str(tmp_path / "out.csv")
     rows = [[25, 0.3535, 1e-3, None, 0.125, 2.5e-1, 16], [81, 0.1767, 9.9e-5, 0.5, None, 1e-1, 16]]
     write_csv(path, CSV_HEADER, rows)
-    header, back = read_csv(path)
+    header, back = _read_csv(path)
     assert header == CSV_HEADER
     for r0, r1 in zip(rows, back):
         for a, b in zip(r0, r1):
@@ -96,7 +103,7 @@ def test_uniform_study_rows(tmp_path):
     assert np.isclose(rows[1][1], rows[0][1] / 2)
     assert all(r[2] is not None and r[4] is not None for r in rows)
     assert rows[1][4] < rows[0][4]
-    header, parsed = read_csv(path)
+    header, parsed = _read_csv(path)
     assert header == CSV_HEADER
     assert len(parsed) == 2
 
@@ -292,7 +299,7 @@ def test_cli_run_uniform(tmp_path, capsys):
         "--initial-n", "2", "--out", path,
     ])
     assert rc == 0
-    header, rows = read_csv(path)
+    header, rows = _read_csv(path)
     assert header == CSV_HEADER and len(rows) == 1
 
 
@@ -344,7 +351,7 @@ def test_cli_unreachable_tol_exits_3(tmp_path):
     rc = main(["run", "--experiment", "exp1", "--levels", "1", "--initial-n", "2",
                "--tol", "1e-300", "--out", str(out)])
     assert rc == 3
-    _, rows = read_csv(out)
+    _, rows = _read_csv(out)
     # GMRES takes no more Arnoldi steps than the system has unknowns
     assert 0 < rows[0][-1] <= rows[0][0]
 
@@ -370,7 +377,7 @@ def test_cli_adapt(tmp_path):
         "--theta", "0.7", "--out", path,
     ])
     assert rc == 0
-    _, rows = read_csv(path)
+    _, rows = _read_csv(path)
     assert len(rows) >= 2
 
 
@@ -444,7 +451,7 @@ def test_cli_iters(tmp_path):
         "--out", path,
     ])
     assert rc == 0
-    header, rows = read_csv(path)
+    header, rows = _read_csv(path)
     assert header[0] == "h" and len(rows) == 2
 
 
@@ -530,6 +537,23 @@ def test_every_exported_name_resolves():
                              for m in pkgutil.iter_modules(nondivfem.__path__)]
     for mod in modules:
         assert [n for n in mod.__all__ if not hasattr(mod, n)] == [], mod.__name__
+
+
+def test_public_surface_is_pinned():
+    # adding or dropping a public name is a deliberate edit of this list
+    import nondivfem
+
+    assert sorted(nondivfem.__all__) == [
+        "AdaptiveRecord", "CordesInfo", "CordesViolated", "ErrorNorms", "EstimatorField",
+        "FEFunction", "FunctionSpace", "HessianOperator", "Mesh", "ProblemData",
+        "QuadratureRule", "Solution", "SolveReport", "SystemOperator", "adaptive_loop",
+        "apply_system", "assemble_mass_W", "assemble_nsz", "assemble_rhs", "bisect",
+        "boundary_dofs", "build_hessian_operator", "build_preconditioner", "build_rect_mesh",
+        "build_space", "build_system", "cordes_analyze", "doerfler_mark", "eoc",
+        "error_norms", "estimate_level", "gmres", "initial_mesh", "interpolate",
+        "local_estimator", "ls_slope", "make_problem", "quadrature", "recover_hessian",
+        "solve_problem",
+    ]
 
 
 def test_thread_cap_env(monkeypatch):

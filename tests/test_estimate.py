@@ -15,9 +15,8 @@ from nondivfem import (
     ls_slope,
     make_problem,
     solve_problem,
-    uniform_refine,
 )
-from nondivfem.estimate import _gradient_jumps_sq, estimate_level, local_h2h_errors
+from nondivfem.estimate import _gradient_jumps_sq, _level_data, estimate_level
 from nondivfem.space import FEFunction, facet_quadrature
 
 from fe_oracle import pullback_points, tabulate_at
@@ -87,7 +86,9 @@ def test_estimate_level_matches_separate_calls(name):
     est, err = estimate_level(sol.u_h, problem)
     assert np.array_equal(est.eta_T, local_estimator(sol.u_h, problem, sol.cordes.gamma).eta_T)
     if problem.has_exact:
-        assert err == error_norms(sol.u_h, _exact_dict(problem))
+        ref = error_norms(sol.u_h, _exact_dict(problem))
+        assert err == ref
+        assert np.array_equal(err.h2h_T, ref.h2h_T)
     else:
         assert err is None
 
@@ -145,12 +146,27 @@ def test_local_h2h_squares_sum_to_more_than_global():
     problem = make_problem("exp1", kappa=0.5)
     mesh = build_rect_mesh(0, 1, 0, 1, 4, 4)
     sol = solve_problem(problem, mesh, p=2)
-    ex = _exact_dict(problem)
-    local = local_h2h_errors(sol.u_h, ex)
-    err = error_norms(sol.u_h, ex)
-    total = np.sqrt(np.sum(local**2))
+    _, err = estimate_level(sol.u_h, problem)
+    assert err.h2h_T.shape == (mesh.n_cells,)
+    total = np.sqrt(np.sum(err.h2h_T**2))
     assert total >= err.h2h - 1e-12
     assert total <= np.sqrt(2.0) * err.h2h + 1e-12
+
+
+def test_h2h_T_is_cellwise_hessian_error_plus_both_sides_jumps():
+    # oracle: the cellwise Hessian error squared, then the jump term of every
+    # interior facet added to its cells on one side and then on the other
+    problem = make_problem("exp3")
+    mesh = bisect(build_rect_mesh(*problem.bounds, 4, 4), [0, 5, 17])
+    sol = solve_problem(problem, mesh, p=2)
+    _, err = estimate_level(sol.u_h, problem)
+    d = _level_data(sol.u_h)
+    dh = d.hess - problem.exact_hess(d.pts)
+    cell_sq = np.einsum("cq,cqij->c", d.wdet, dh**2)
+    for side in (0, 1):
+        cell_sq = cell_sq + np.bincount(mesh.facet_cells[d.int_f, side], d.jumps,
+                                        minlength=mesh.n_cells)
+    assert np.array_equal(err.h2h_T, np.sqrt(cell_sq))
 
 
 # ----------------------------------------------------------------------
@@ -211,7 +227,8 @@ def test_estimator_reliability_ratio_stable():
         est = local_estimator(sol.u_h, problem, sol.cordes.gamma)
         err = error_norms(sol.u_h, _exact_dict(problem))
         ratios.append(est.eta_global / err.h2h)
-        mesh = uniform_refine(mesh)
+        for _ in range(2):
+            mesh = bisect(mesh, np.arange(mesh.n_cells))
     ratios = np.array(ratios)
     assert ratios.min() > 0.05
     assert ratios.max() / ratios.min() < 5.0

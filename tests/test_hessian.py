@@ -12,7 +12,6 @@ from nondivfem import (
     build_space,
     interpolate,
     recover_hessian,
-    uniform_refine,
 )
 from nondivfem import hessian
 from nondivfem.hessian import assemble_C
@@ -447,4 +446,5 @@ def test_recovery_stable_over_refinement_levels():
         if bound is None:
             bound = 2.0 * mx
         assert mx < bound
-        mesh = uniform_refine(mesh)
+        for _ in range(2):
+            mesh = bisect(mesh, np.arange(mesh.n_cells))

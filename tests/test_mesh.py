@@ -4,15 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fe_oracle import reference_bisect, reference_dof_map, reference_facets
-from nondivfem import (
-    Mesh,
-    bisect,
-    build_rect_mesh,
-    build_space,
-    read_mesh,
-    uniform_refine,
-    write_mesh,
-)
+from nondivfem import Mesh, bisect, build_rect_mesh, build_space
 
 
 def test_unit_square_two_cells():
@@ -168,61 +160,25 @@ def test_aspect_ratio_bounded_over_uniform_rounds():
 
 
 def test_uniform_refine_matches_structured():
-    m = uniform_refine(build_rect_mesh(0, 1, 0, 1, 2, 2))
+    # two sweeps of bisection over every cell halve h on a structured mesh
+    m = build_rect_mesh(0, 1, 0, 1, 2, 2)
+    for _ in range(2):
+        m = bisect(m, np.arange(m.n_cells))
     ref = build_rect_mesh(0, 1, 0, 1, 4, 4)
     assert (m.n_vertices, m.n_cells, m.n_facets) == (ref.n_vertices, ref.n_cells, ref.n_facets)
     assert np.isclose(m.h_max, ref.h_max)
 
 
-def test_write_read_roundtrip(tmp_path):
-    m = bisect(build_rect_mesh(0, 1, 0, 1, 2, 2), [0, 3])
-    path = tmp_path / "mesh.txt"
-    write_mesh(m, str(path))
-    m2 = read_mesh(str(path))
-    assert np.array_equal(m.vertices, m2.vertices)
-    assert np.array_equal(m.cells, m2.cells)
-
-
-def test_write_read_keeps_refinement_edges(tmp_path):
-    # on a 2x1 rectangle the longest edges are [1, 2]; a reader that
-    # re-derived them would bisect cell 0 into 4 cells instead of 3
-    r = build_rect_mesh(0, 2, 0, 1, 1, 1)
-    m = Mesh(r.vertices, r.cells, refinement_edges=[2, 1])
-    path = tmp_path / "mesh.txt"
-    write_mesh(m, str(path))
-    m2 = read_mesh(str(path))
-    assert np.array_equal(m2.refinement_edges, [2, 1])
-    b, b2 = bisect(m, [0]), bisect(m2, [0])
-    assert b.n_cells == b2.n_cells == 3
-    assert np.array_equal(b.vertices, b2.vertices)
-    assert np.array_equal(b.cells, b2.cells)
-    assert np.array_equal(b.refinement_edges, b2.refinement_edges)
-    # a cell line without the edge column is rejected
-    lines = path.read_text().splitlines()
-    lines[-1] = " ".join(lines[-1].split()[:3])
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError):
-        read_mesh(str(path))
-
-
-# the second cell of the unit square is "0 3 2 2"; -1 would wrap to vertex 3
+# a cell line holds three vertex ids and the refinement edge; the second cell
+# of the unit square is "0 3 2 2", and -1 would wrap to vertex 3
 @pytest.mark.parametrize("line", ["0 -1 2 2", "0 3 4 2", "0 3 2 -1", "0 3 2 3"])
-def test_read_mesh_rejects_out_of_range_indices(tmp_path, line):
-    path = tmp_path / "mesh.txt"
-    write_mesh(build_rect_mesh(0, 1, 0, 1, 1, 1), str(path))
-    lines = path.read_text().splitlines()
-    assert lines[-1] == "0 3 2 2"
-    lines[-1] = line
-    path.write_text("\n".join(lines) + "\n")
+def test_read_mesh_rejects_out_of_range_indices(line):
+    m = build_rect_mesh(0, 1, 0, 1, 1, 1)
+    rows = np.column_stack([m.cells, m.refinement_edges])
+    assert rows[-1].tolist() == [0, 3, 2, 2]
+    rows[-1] = [int(w) for w in line.split()]
     with pytest.raises(ValueError):
-        read_mesh(str(path))
-
-
-def test_read_malformed_header(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("not a mesh\n")
-    with pytest.raises(ValueError):
-        read_mesh(str(path))
+        Mesh(m.vertices, rows[:, :3], rows[:, 3])
 
 
 @settings(max_examples=25, deadline=None)
