@@ -45,6 +45,9 @@ class ErrorNorms:
 class EstimatorField:
     eta_T: np.ndarray
 
+    def __eq__(self, other):
+        return isinstance(other, EstimatorField) and np.array_equal(self.eta_T, other.eta_T)
+
     @property
     def eta_global(self):
         return float(np.sqrt(np.sum(self.eta_T**2)))

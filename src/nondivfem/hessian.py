@@ -11,8 +11,8 @@ average-times-jump term on every interior facet as well.  Componentwise
 this reduces to four scalar systems M_W h_ij = C_ij u sharing one mass
 matrix; `assemble_C` builds the four C_ij for either test space with one
 volume kernel and one facet loop.  Facet terms that couple a cell with
-itself are folded into that cell's volume block, and the four blocks are
-summed on one shared sparsity pattern (`space.scatter`).
+itself are folded into that cell's volume block, and `space.scatter`
+converts the four blocks from one set of coordinates.
 
 Every sparse LU of the package but the DG mass matrix, which is factored
 cell by cell, goes through `_factor`: the CG mass matrix here, the
@@ -147,8 +147,8 @@ def assemble_C(space_V, space_W):
     trial side is its test side is added to the cell's volume block, so only
     the two cross terms of an interior facet are blocks of their own: one
     per cell plus two per interior facet for a DG test space, one per cell
-    for a CG one.  The four C_ij are summed on one shared pattern, and each
-    then drops the sums that vanish in exact arithmetic.
+    for a CG one.  Each C_ij is converted from COO on its own, and then
+    drops the sums that vanish in exact arithmetic.
     """
     mesh = space_V.mesh
     nW, nV = space_W.ref.n_basis, space_V.ref.n_basis

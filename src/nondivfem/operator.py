@@ -442,17 +442,18 @@ def _eliminate_dirichlet(K, free):
 
 
 def assemble_B(space_W, sample):
-    """Weighted mass matrices (B_ij)_{kl} = int gamma A_ij psi_l psi_k."""
+    """Weighted mass matrices (B_ij)_{kl} = int gamma A_ij psi_l psi_k; B_10 is B_01."""
     mesh = space_W.mesh
     q = sample.rule
     phi = space_W.ref.tabulate(q.points)                   # (q, nloc)
     coeff = sample.gamma[..., None, None] * sample.A * mesh.cell_det[:, None, None, None]
     blk = np.einsum("q,cqij,qk,ql->ijckl", q.weights, coeff, phi, phi, optimize=True)
-    B = scatter(blk, space_W.dof_map, space_W.dof_map, (space_W.n_dofs, space_W.n_dofs))
-    for Bij in B[0] + B[1]:
+    B00, B01, B11 = scatter(blk[(0, 0, 1), (0, 1, 1)], space_W.dof_map, space_W.dof_map,
+                            (space_W.n_dofs, space_W.n_dofs))
+    for Bij in (B00, B01, B11):
         # a block of A that vanishes (A_01 of exp2) would store only zeros
         Bij.eliminate_zeros()
-    return B
+    return [[B00, B01], [B01, B11]]
 
 
 def assemble_load(space_W, sample):

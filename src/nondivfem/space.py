@@ -372,35 +372,16 @@ def scatter(blocks, rows, cols, shape):
     (n, nr) times cols (n, nc): one matrix for a 3-d array, nested lists of
     matrices over the leading axes otherwise.
 
-    A single block goes through SciPy's COO-to-CSR conversion, about twice
-    as fast for one block as the sort below.  Several blocks share one
-    pattern, computed once (Cuvelier, Japhet & Scarella, BIT 2016): a stable
-    sort of the integer keys row * n_cols + col gives the sorted distinct
-    keys and the position of every entry among them, and each block is
-    summed onto those positions by one `np.bincount`.  Every matrix owns its
-    index arrays, so pruning one in place leaves the others intact.
+    The coordinates are built once, as int32 whenever every dimension fits,
+    and each block goes through SciPy's COO-to-CSR conversion, which sums
+    duplicates and sorts the indices.  Blocks on the same dofs therefore get
+    identical patterns, and every matrix owns its index arrays, so pruning
+    one in place leaves the others intact.
     """
-    if blocks.ndim == 3:
-        nr, nc = rows.shape[1], cols.shape[1]
-        r = np.repeat(rows, nc, axis=1).ravel()
-        c = np.tile(cols, (1, nr)).ravel()
-        return sp.coo_matrix((blocks.ravel(), (r, c)), shape=shape).tocsr()
-
-    keys = (rows[:, :, None].astype(np.int64) * shape[1] + cols[:, None, :]).ravel()
-    order = np.argsort(keys, kind="stable")                # timsort: the keys come in runs
-    sorted_keys = keys[order]
-    first = np.diff(sorted_keys, prepend=-1) != 0
-    pattern = sorted_keys[first]
-    entry = np.empty_like(order)                           # position in the pattern
-    entry[order] = np.cumsum(first) - 1
-    idx = np.int32 if max(*shape, pattern.size) < 2**31 else np.int64
-    indices = (pattern % shape[1]).astype(idx)
-    indptr = np.searchsorted(pattern, shape[1] * np.arange(shape[0] + 1)).astype(idx)
-
-    def build(b):
-        if b.ndim > 3:
-            return [build(x) for x in b]
-        data = np.bincount(entry, b.ravel(), minlength=pattern.size)
-        return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=shape)
-
-    return build(blocks)
+    idx = np.int32 if max(shape) < 2**31 else np.int64
+    r = np.repeat(rows.astype(idx, copy=False), cols.shape[1], axis=1).ravel()
+    c = np.tile(cols.astype(idx, copy=False), (1, rows.shape[1])).ravel()
+    mats = np.empty(blocks.shape[:-3], dtype=object)
+    for i in np.ndindex(mats.shape):
+        mats[i] = sp.coo_matrix((blocks[i].ravel(), (r, c)), shape=shape).tocsr()
+    return mats.tolist()                                   # the matrix itself for 0-d

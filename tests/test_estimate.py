@@ -93,6 +93,18 @@ def test_estimate_level_matches_separate_calls(name):
         assert err is None
 
 
+def test_estimator_fields_compare_by_their_values():
+    problem = make_problem("exp1")
+    sol = solve_problem(problem, build_rect_mesh(*problem.bounds, 4, 4), 2)
+    est, _ = estimate_level(sol.u_h, problem)
+    again, _ = estimate_level(sol.u_h, problem)
+    assert est == again
+    perturbed = dataclasses.replace(est, eta_T=est.eta_T.copy())
+    perturbed.eta_T[3] *= 1.0 + 1e-12
+    assert est != perturbed
+    assert not est == perturbed
+
+
 def test_estimate_level_samples_A_and_f_once():
     # gamma comes from the estimator's own sample of A, not from a second one
     problem = make_problem("exp3")

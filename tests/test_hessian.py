@@ -140,8 +140,9 @@ def test_assemble_C_matches_pointwise_quadrature(p, continuity):
     st.sampled_from(["CG", "DG"]),
 )
 def test_assemble_C_matches_the_oracle_on_random_meshes(seed, nx, ny, rounds, p, continuity):
-    # same-cell facet terms are folded into the cell blocks and the four
-    # blocks summed on one pattern; neither may change a single entry
+    # same-cell facet terms are folded into the cell blocks, and the four
+    # blocks are converted from one set of coordinates; neither may change
+    # a single entry
     rng = np.random.default_rng(seed)
     mesh = build_rect_mesh(0, rng.uniform(0.5, 2), 0, rng.uniform(0.5, 2), nx, ny)
     for _ in range(rounds):

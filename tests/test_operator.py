@@ -444,6 +444,35 @@ def test_B_offdiagonal_total_weight():
     assert np.isclose(one @ (B[0][1] @ one), 0.8 * 0.5 * 1.0, atol=1e-13)
 
 
+@pytest.mark.parametrize("continuity", ["CG", "DG"])
+@pytest.mark.parametrize("name", ["exp1", "exp2", "exp3", "exp4"])
+def test_B_converts_its_symmetric_pair_once(name, continuity):
+    # B_10 is B_01, and all four blocks equal bit for bit those of the
+    # four-block einsum, each converted from COO on its own
+    problem = make_problem(name)
+    rng = np.random.default_rng(7)
+    mesh = build_rect_mesh(*problem.bounds, 3, 3)
+    for _ in range(2):
+        mesh = bisect(mesh, rng.choice(mesh.n_cells, size=mesh.n_cells // 3, replace=False))
+    W = build_space(mesh, 2, continuity)
+    sample = _coefficient_sample(problem, W)
+    B = assemble_B(W, sample)
+    assert B[1][0] is B[0][1]
+
+    phi = W.ref.tabulate(sample.rule.points)
+    coeff = sample.gamma[..., None, None] * sample.A * mesh.cell_det[:, None, None, None]
+    blk = np.einsum("q,cqij,qk,ql->ijckl", sample.rule.weights, coeff, phi, phi, optimize=True)
+    n_loc = W.ref.n_basis
+    rows = np.repeat(W.dof_map, n_loc, axis=1).ravel()
+    cols = np.tile(W.dof_map, (1, n_loc)).ravel()
+    for i in range(2):
+        for j in range(2):
+            ref = sp.coo_matrix((blk[i, j].ravel(), (rows, cols)), shape=B[i][j].shape).tocsr()
+            ref.eliminate_zeros()
+            for attr in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(B[i][j], attr), getattr(ref, attr))
+
+
 def test_load_vector():
     mesh = build_rect_mesh(0, 1, 0, 1, 2, 2)
     W = build_space(mesh, 2, "DG")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,8 +217,8 @@ def _leaves(nested):
     st.sampled_from([(), (3,), (2, 2)]),
 )
 def test_scatter_sums_every_block_like_its_own_coo_matrix(seed, n, lead):
-    # several blocks share one pattern; each must still be the COO sum of
-    # its own data, with sorted indices, and own its index arrays
+    # every block is the COO sum of its own data bit for bit, with sorted
+    # indices, and owns its index arrays
     rng = np.random.default_rng(seed)
     shape = (int(rng.integers(1, 7)), int(rng.integers(1, 7)))
     rows = rng.integers(0, shape[0], size=(n, 3))
@@ -228,19 +229,16 @@ def test_scatter_sums_every_block_like_its_own_coo_matrix(seed, n, lead):
         assert isinstance(out, sp.csr_matrix)
     matrices = _leaves(out)
     assert len(matrices) == math.prod(lead)
-    # summation order may differ: compare with the sum of |terms| per entry
     flat = blocks.reshape((len(matrices), n, 3, 2))
     oracles = [_coo_sum(b, rows, cols, shape) for b in flat]
-    bounds = [1e-15 * _coo_sum(np.abs(b), rows, cols, shape).data for b in flat]
 
-    def check(m, ref, bound):
+    def check(m, ref):
         assert m.shape == shape
-        assert np.array_equal(m.indptr, ref.indptr)
-        assert np.array_equal(m.indices, ref.indices)
-        assert np.all(np.abs(m.data - ref.data) <= bound)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(m, name), getattr(ref, name))
 
-    for m, ref, bound in zip(matrices, oracles, bounds):
-        check(m, ref, bound)
+    for m, ref in zip(matrices, oracles):
+        check(m, ref)
 
     # pruning one matrix in place leaves the others as they were
     for a in range(len(matrices)):
@@ -251,5 +249,44 @@ def test_scatter_sums_every_block_like_its_own_coo_matrix(seed, n, lead):
     if matrices[0].nnz:
         matrices[0].data[::2] = 0.0
         matrices[0].eliminate_zeros()
-        for m, ref, bound in zip(matrices[1:], oracles[1:], bounds[1:]):
-            check(m, ref, bound)
+        for m, ref in zip(matrices[1:], oracles[1:]):
+            check(m, ref)
+
+
+@pytest.mark.parametrize("assembler", ["stabilization", "C_DG"])
+def test_scatter_peaks_at_most_3_5_times_its_blocks(assembler, monkeypatch):
+    # coordinates are built once for all blocks and every block converts on
+    # its own, so the working set beyond the blocks is about one block's COO
+    from nondivfem import hessian, operator
+
+    calls = []
+    for module in (hessian, operator):
+        monkeypatch.setattr(module, "scatter", lambda *args: calls.append(args) or scatter(*args))
+    mesh = build_rect_mesh(0, 1, 0, 1, 32, 32)
+    V = build_space(mesh, 2, "CG")
+    if assembler == "stabilization":
+        operator.assemble_stabilization(V, 1.0, 0.0)
+    else:
+        hessian.assemble_C(V, build_space(mesh, 2, "DG"))
+    (args,) = calls
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        scatter(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * args[0].nbytes
+
+
+def test_scatter_takes_int64_coordinates_beyond_int32():
+    # a column index of 2**31 + 3 does not fit int32 coordinates
+    shape = (2, 2**31 + 4)
+    rows = np.array([[0, 1], [1, 1]])
+    cols = np.array([[2**31 + 3], [5]])
+    blocks = np.array([[[1.0], [2.0]], [[3.0], [4.0]]])
+    out = scatter(blocks, rows, cols, shape)
+    assert out.shape == shape
+    assert out.indices.dtype == np.int64
+    assert out.nnz == 3
+    assert out[0, 2**31 + 3] == 1.0 and out[1, 2**31 + 3] == 2.0 and out[1, 5] == 7.0
