@@ -8,11 +8,11 @@ matrix-valued space W_h (CG or DG, same degree) and is defined via
 tested against all w in W_h.  With continuous test functions only the
 domain boundary contributes; discontinuous test functions see an
 average-times-jump term on every interior facet as well.  Componentwise
-this reduces to four scalar systems M_W h_ij = C_ij u sharing one mass
-matrix; `assemble_C` builds the four C_ij for either test space with one
-volume kernel and one facet loop.  Facet terms that couple a cell with
-itself are folded into that cell's volume block, and `space.scatter`
-converts the four blocks from one set of coordinates.
+this reduces to three scalar systems M_W h_ij = C_ij u, as C_10 = C_01,
+sharing one mass matrix; `assemble_C` builds C_00, C_01 and C_11 for either
+test space with one volume kernel and one facet loop.  Facet terms that
+couple a cell with itself are folded into that cell's volume block, and
+`space.scatter` converts the three blocks from one set of coordinates.
 
 Every sparse LU of the package but the DG mass matrix, which is factored
 cell by cell, goes through `_factor`: the CG mass matrix here, the
@@ -35,6 +35,7 @@ from scipy.sparse.linalg import splu
 
 from .space import (
     FEFunction,
+    _compact,
     build_space,
     facet_quadrature,
     facet_traces,
@@ -147,8 +148,8 @@ def assemble_C(space_V, space_W):
     trial side is its test side is added to the cell's volume block, so only
     the two cross terms of an interior facet are blocks of their own: one
     per cell plus two per interior facet for a DG test space, one per cell
-    for a CG one.  Each C_ij is converted from COO on its own, and then
-    drops the sums that vanish in exact arithmetic.
+    for a CG one.  C_00, C_01 and C_11 are converted from COO one by one and
+    drop the sums that vanish in exact arithmetic; C_10 is C_01.
     """
     mesh = space_V.mesh
     nW, nV = space_W.ref.n_basis, space_V.ref.n_basis
@@ -160,9 +161,10 @@ def assemble_C(space_V, space_W):
                        [(r, s, 0.5 * (1.0 if s else -1.0)) for s in (0, 1) for r in (0, 1)]))
     n_blocks = mesh.n_cells + sum(len(facets) for facets, terms in groups
                                   for r, s, _ in terms if r != s)
+    I, J = [0, 0, 1], [0, 1, 1]                            # components (I[m], J[m])
     # the volume blocks come first, then each cross term's facet blocks
-    data = np.empty((2, 2, n_blocks, nW, nV))
-    volume = data[:, :, :mesh.n_cells]
+    data = np.empty((3, n_blocks, nW, nV))
+    volume = data[:, :mesh.n_cells]
 
     q = quadrature(max(space_V.degree + space_W.degree - 2, 1))
     gV = space_V.ref.tabulate_grad(q.points)               # (q, nV, 2)
@@ -173,8 +175,8 @@ def assemble_C(space_V, space_W):
     # smallest true entry)
     R[np.abs(R) < 1e-10 * np.abs(R).max()] = 0.0
     Jinv = mesh.cell_inv_jacobians
-    G = -np.einsum("c,cai,cbj->ijcab", mesh.cell_det, Jinv, Jinv)
-    volume[...] = (G.reshape(2, 2, -1, 4) @ R).reshape(2, 2, -1, nW, nV)
+    G = -np.einsum("c,cam,cbm->mcab", mesh.cell_det, Jinv[:, :, I], Jinv[:, :, J])
+    volume[...] = (G.reshape(3, -1, 4) @ R).reshape(3, -1, nW, nV)
 
     start = mesh.n_cells
     t, wt = facet_quadrature(2 * space_V.degree + 2)
@@ -182,32 +184,30 @@ def assemble_C(space_V, space_W):
         if len(facets) == 0:
             continue
         wlen = wt[None, :] * mesh.facet_lengths[facets][:, None]
-        normals = mesh.facet_normals[facets]
+        normals = mesh.facet_normals[facets][:, J]
         cells, grads, vals = {}, {}, {}
         for side in {side for r, s, _ in terms for side in (r, s)}:
             cells[side], _, grads[side], _ = facet_traces(space_V, facets, side, t)
             _, vals[side], _, _ = facet_traces(space_W, facets, side, t)
         for r, s, w in terms:
-            term = np.einsum("ft,ftli,ftk,fj->ijfkl", w * wlen, grads[r], vals[s], normals,
-                             optimize=True)
+            term = np.einsum("ft,ftlm,ftk,fm->mfkl", w * wlen, grads[r][..., I], vals[s],
+                             normals, optimize=True)
             if r == s:
                 # the term couples each cell with itself: add it to the
                 # cell blocks one local edge k at a time, as no two facet
                 # sides share a (cell, k) slot
                 local = mesh.facet_local[facets, s]
                 for k in range(3):
-                    volume[:, :, cells[s][local == k]] += term[:, :, local == k]
+                    volume[:, cells[s][local == k]] += term[:, local == k]
                 continue
-            data[:, :, start:start + len(facets)] = term
+            data[:, start:start + len(facets)] = term
             start += len(facets)
             rows.append(space_W.dof_map[cells[s]])
             cols.append(space_V.dof_map[cells[r]])
 
-    C = scatter(data, np.concatenate(rows), np.concatenate(cols),
-                (space_W.n_dofs, space_V.n_dofs))
-    for Cij in C[0] + C[1]:
-        _drop_round_off(Cij)
-    return C
+    C00, C01, C11 = (_drop_round_off(Cij) for Cij in scatter(
+        data, np.concatenate(rows), np.concatenate(cols), (space_W.n_dofs, space_V.n_dofs)))
+    return [[C00, C01], [C01, C11]]
 
 
 def _drop_round_off(A):
@@ -220,7 +220,7 @@ def _drop_round_off(A):
     """
     A.data[np.abs(A.data) < 1e-12 * np.abs(A.data).max(initial=0.0)] = 0.0
     A.eliminate_zeros()
-    return A
+    return _compact(A)
 
 
 @dataclass
@@ -229,7 +229,8 @@ class HessianOperator:
 
     `M_lu` is SuperLU's factor of M_W for a CG test space and the exact
     cellwise factor `_CellwiseLU` for a DG one; both offer `solve`, `L` and `U`.
-    `C_trace` is C_00 + C_11 without its round-off entries.
+    `C` holds three distinct matrices, as C[1][0] is C[0][1], and `C_trace`
+    is C_00 + C_11 without its round-off entries.
     """
 
     space_V: object
@@ -262,11 +263,9 @@ def build_hessian_operator(space_V, mode="CG"):
 
 
 def recover_hessian(op, u):
-    """Recovered Hessian components h_ij in W_h, as a 2x2 array of functions."""
+    """Recovered Hessian h_ij in W_h from three mass solves; H[1][0] is H[0][1]."""
     coeffs = u.coeffs if isinstance(u, FEFunction) else np.asarray(u, dtype=np.float64)
-    H = [[None, None], [None, None]]
-    for i in range(2):
-        for j in range(2):
-            H[i][j] = FEFunction(op.space_W, op.mass_solve(op.C[i][j] @ coeffs))
-    return H
+    h00, h01, h11 = (FEFunction(op.space_W, op.mass_solve(Cij @ coeffs))
+                     for Cij in (op.C[0][0], op.C[0][1], op.C[1][1]))
+    return [[h00, h01], [h01, h11]]
 

@@ -39,6 +39,7 @@ import scipy.sparse as sp
 
 from .hessian import _factor, build_hessian_operator
 from .space import (
+    _compact,
     _sym,
     boundary_dofs,
     build_space,
@@ -150,9 +151,12 @@ def _problem_exp1(kappa=0.5):
 def _problem_exp2(alpha=1.5):
     """Poisson problem with the corner-singular solution
     u = r^alpha sin(2 phi) (1 - x)(1 - y) = 2 x y r^(alpha-2) (1 - x)(1 - y)
-    on (0,1)^2; the Hessian blows up like r^(alpha-2) at the origin.
+    on (0,1)^2; the Hessian blows up like r^(alpha-2) at the origin, which
+    is square-integrable only for alpha > 1, so smaller alpha raise ValueError.
     """
     a = float(alpha)
+    if not (1.0 < a < np.inf):
+        raise ValueError("exp2 needs a finite alpha > 1 for u in H2, got %r" % alpha)
 
     def _w_parts(x):
         X, Y = x[..., 0], x[..., 1]
@@ -453,6 +457,7 @@ def assemble_B(space_W, sample):
     for Bij in (B00, B01, B11):
         # a block of A that vanishes (A_01 of exp2) would store only zeros
         Bij.eliminate_zeros()
+        _compact(Bij)
     return [[B00, B01], [B01, B11]]
 
 
@@ -586,15 +591,15 @@ def build_preconditioner(op):
     """Surrogate matrix with diagonal mass inverses, assembled and factored.
 
     P = (sum_i C_ii)^T diag(M)^-1 (sum_ij diag(B_ij) diag(M)^-1 C_ij) + S,
-    with Dirichlet rows and columns replaced by the identity.
+    with Dirichlet rows and columns replaced by the identity; the inner sum
+    has three terms, the mixed one weighted 2 as B_10 = B_01 and C_10 = C_01.
     """
     hop = op.hessian_op
     w_inv = sp.diags(1.0 / hop.M_W.diagonal())
-    inner = None
-    for i in range(2):
-        for j in range(2):
-            term = sp.diags(op.B[i][j].diagonal()) @ w_inv @ hop.C[i][j]
-            inner = term if inner is None else inner + term
+    B, C = op.B, hop.C
+    inner = (sp.diags(B[0][0].diagonal()) @ w_inv @ C[0][0]
+             + sp.diags(2.0 * B[0][1].diagonal()) @ w_inv @ C[0][1]
+             + sp.diags(B[1][1].diagonal()) @ w_inv @ C[1][1])
     P = _eliminate_dirichlet(hop.C_trace.T @ w_inv @ inner + op.S, op.free_mask)
     return Preconditioner(matrix=P, lu=_factor(P))
 

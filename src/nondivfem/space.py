@@ -52,8 +52,16 @@ def _gauss01(n):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@cache
 def quadrature(degree):
-    """Collapsed Gauss rule exact to `degree` on the reference triangle.
+    """Collapsed Gauss rule exact to `degree` on the reference triangle,
+    built once per degree with read-only arrays.
 
     The n x n Gauss-Legendre rule on the square (u, v) in [0,1]^2 maps onto
     the triangle via x = u (1 - v), y = v (Duffy, SIAM J. Numer. Anal.
@@ -67,14 +75,14 @@ def quadrature(degree):
     U, V = np.meshgrid(x, x, indexing="ij")
     W = np.outer(w, w) * (1.0 - V)
     pts = np.stack([(U * (1.0 - V)).ravel(), V.ravel()], axis=1)
-    return QuadratureRule(pts, W.ravel(), degree)
+    return QuadratureRule(*_read_only(pts, W.ravel()), degree)
 
 
+@cache
 def facet_quadrature(degree):
-    """Gauss-Legendre rule on [0, 1] exact to `degree` (weights sum to 1)."""
-    n = max(1, int(np.ceil((degree + 1) / 2)))
-    x, w = _gauss01(n)
-    return x, w
+    """Gauss-Legendre rule on [0, 1] exact to `degree` (weights sum to 1),
+    built once per degree with read-only arrays."""
+    return _read_only(*_gauss01(max(1, int(np.ceil((degree + 1) / 2)))))
 
 
 # ----------------------------------------------------------------------
@@ -383,5 +391,21 @@ def scatter(blocks, rows, cols, shape):
     c = np.tile(cols.astype(idx, copy=False), (1, rows.shape[1])).ravel()
     mats = np.empty(blocks.shape[:-3], dtype=object)
     for i in np.ndindex(mats.shape):
-        mats[i] = sp.coo_matrix((blocks[i].ravel(), (r, c)), shape=shape).tocsr()
+        mats[i] = _compact(sp.coo_matrix((blocks[i].ravel(), (r, c)), shape=shape).tocsr())
     return mats.tolist()                                   # the matrix itself for 0-d
+
+
+def _compact(A):
+    """Give the pruned CSR matrix A `data` and `indices` that own their
+    memory, in place, and return A.
+
+    SciPy's prune, run after summing duplicates or eliminating zeros, leaves
+    both as leading views of their buffers unless it drops over half of
+    them.  A view shorter than its buffer is copied, which frees the unused
+    tail; one as long as its buffer is replaced by the buffer itself.
+    """
+    for name in ("data", "indices"):
+        a = getattr(A, name)
+        if a.base is not None:
+            setattr(A, name, a.base if a.base.shape == a.shape else a.copy())
+    return A

@@ -399,6 +399,19 @@ def test_cli_rejects_a_parameter_the_experiment_lacks(experiment, option, capsys
 
 
 @pytest.mark.parametrize("argv", [
+    ["run", "--experiment", "exp2", "--alpha", "0.5", "--levels", "3", "--initial-n", "2"],
+    ["adapt", "--experiment", "exp2", "--alpha", "1", "--max-dofs", "200"],
+])
+def test_cli_rejects_exp2_alpha_without_h2_solution(argv, tmp_path, capsys):
+    # for alpha <= 1 neither u is in H2 nor f in L2: every row would be meaningless
+    out = tmp_path / "out.csv"
+    rc = main(argv + ["--out", str(out)])
+    assert rc == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
     ["compare", "--experiment", "exp1", "--scheme", "nsz"],
     ["compare", "--experiment", "exp1", "--degree", "3"],
     ["run", "--experiment", "exp1", "--quad-degree", "6"],

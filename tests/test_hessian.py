@@ -162,37 +162,58 @@ def test_assemble_C_matches_the_oracle_on_random_meshes(seed, nx, ny, rounds, p,
 @pytest.mark.parametrize("continuity", ["CG", "DG"])
 def test_assemble_C_scatters_one_block_per_cell_and_coupling(monkeypatch, continuity):
     # every facet term with trial side == test side lands in its cell's
-    # block; only the two cross terms of an interior facet stay separate
-    counts = []
+    # block; only the two cross terms of an interior facet stay separate.
+    # The stack holds the three components C_00, C_01, C_11
+    shapes = []
     scatter = hessian.scatter
 
     def recording(blocks, rows, cols, shape):
-        counts.append(blocks.shape[-3])
+        shapes.append(blocks.shape[:-2])
         return scatter(blocks, rows, cols, shape)
 
     monkeypatch.setattr(hessian, "scatter", recording)
     mesh = _randomly_bisected_mesh(seed=4)
     assemble_C(build_space(mesh, 2, "CG"), build_space(mesh, 2, continuity))
-    assert len(counts) == 1
+    assert len(shapes) == 1
+    (components, count), = shapes
+    assert components == 3
     if continuity == "DG":
-        assert counts[0] == mesh.n_cells + 2 * len(mesh.interior_facets())
+        assert count == mesh.n_cells + 2 * len(mesh.interior_facets())
     else:
-        assert counts[0] <= mesh.n_cells + len(mesh.boundary_facets())
+        assert count <= mesh.n_cells + len(mesh.boundary_facets())
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 @pytest.mark.parametrize("mode", ["CG", "DG"])
 def test_C_01_equals_C_10_without_round_off_entries(p, mode):
     # tangential derivatives of a C0 trial function are continuous, so the
-    # mixed blocks agree; entries that vanish in exact arithmetic are not stored
+    # mixed blocks agree and one matrix serves both (the oracle tests above
+    # check C_10 on its own); entries that vanish in exact arithmetic are
+    # not stored
     mesh = _randomly_bisected_mesh(seed=10 + p)
     op = build_hessian_operator(build_space(mesh, p, "CG"), mode)
-    C01, C10 = op.C[0][1].sorted_indices(), op.C[1][0].sorted_indices()
-    assert np.array_equal(C01.indptr, C10.indptr)
-    assert np.array_equal(C01.indices, C10.indices)
-    assert np.abs(C01.data - C10.data).max() <= 1e-13 * np.abs(C01.data).max()
-    for blk in op.C[0] + op.C[1] + [op.C_trace]:
+    assert op.C[1][0] is op.C[0][1]
+    for blk in (op.C[0][0], op.C[0][1], op.C[1][1], op.C_trace):
         assert np.abs(blk.data).min() >= 1e-12 * np.abs(blk.data).max()
+
+
+@pytest.mark.parametrize("mode", ["CG", "DG"])
+def test_recover_hessian_solves_three_components(monkeypatch, mode):
+    op = build_hessian_operator(build_space(_randomly_bisected_mesh(seed=5), 2, "CG"), mode)
+    u = np.random.default_rng(5).standard_normal(op.space_V.n_dofs)
+    calls = []
+    solve = op.mass_solve
+
+    def counting(rhs):
+        calls.append(rhs)
+        return solve(rhs)
+
+    monkeypatch.setattr(op, "mass_solve", counting)
+    H = recover_hessian(op, u)
+    assert len(calls) == 3
+    assert H[1][0] is H[0][1]
+    for i, j in ((0, 0), (0, 1), (1, 1)):
+        assert np.array_equal(H[i][j].coeffs, solve(op.C[i][j] @ u))
 
 
 @pytest.mark.parametrize("mode", ["CG", "DG"])

@@ -62,7 +62,7 @@ def test_make_problem_names_a_parameter_the_problem_lacks(name, param):
 
 def test_catalog_parameters_recorded():
     assert make_problem("exp1", kappa=0.9).params["kappa"] == 0.9
-    assert make_problem("exp2", alpha=0.5).params["alpha"] == 0.5
+    assert make_problem("exp2", alpha=1.25).params["alpha"] == 1.25
     assert make_problem("exp4").has_exact is False
     assert make_problem("poly").has_exact is True
 
@@ -74,8 +74,15 @@ def test_exp1_forcing_value():
     assert np.isclose(val, -8.0 * np.pi**2, atol=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0, np.nan, np.inf])
+def test_exp2_rejects_alpha_without_h2_solution(alpha):
+    # the Hessian r^(alpha - 2) is square-integrable only for alpha > 1
+    with pytest.raises(ValueError, match="alpha > 1"):
+        make_problem("exp2", alpha=alpha)
+
+
 def test_exp2_finite_at_origin():
-    p = make_problem("exp2", alpha=0.5)
+    p = make_problem("exp2", alpha=1.25)
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     assert np.all(p.exact_u(pts) == 0.0)
     assert np.all(np.isfinite(p.exact_grad(pts)))
@@ -160,7 +167,7 @@ def test_exp1_derivatives_match_sympy():
     _check_against_sympy(problem, u, X, Y, A, _sample_points(problem, seed=1))
 
 
-@pytest.mark.parametrize("alpha", [0.5, 1.5])
+@pytest.mark.parametrize("alpha", [1.25, 1.5])
 def test_exp2_derivatives_match_sympy(alpha):
     problem = make_problem("exp2", alpha=alpha)
     X, Y = sympy.symbols("x y", positive=True)
@@ -349,8 +356,10 @@ def test_cordes_rejects_non_finite_coefficient(value):
 
 def test_coefficient_sample_rejects_non_finite_forcing():
     V = build_space(build_rect_mesh(0, 1, 0, 1, 2, 2), 2, "CG")
+    problem = ProblemData(name="t", bounds=(0, 1, 0, 1), A=_const_matrix(np.eye(2)),
+                          f=lambda x: np.where(x[..., 0] > 0.5, np.nan, 1.0))
     with pytest.raises(ValueError, match="f is not finite"):
-        _coefficient_sample(make_problem("exp2", alpha=np.nan), V)
+        _coefficient_sample(problem, V)
 
 
 def test_cordes_violation_attributes():
@@ -471,6 +480,19 @@ def test_B_converts_its_symmetric_pair_once(name, continuity):
             ref.eliminate_zeros()
             for attr in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(B[i][j], attr), getattr(ref, attr))
+
+
+@pytest.mark.parametrize("mode", ["CG", "DG"])
+def test_system_matrices_own_exactly_sized_arrays(mode):
+    # pruning after the COO-to-CSR conversion or after dropping entries must
+    # not leave data and indices as views of the longer COO-sized buffers
+    op = build_system(make_problem("exp1", kappa=0.9), build_rect_mesh(0, 1, 0, 1, 4, 4), 2,
+                      mode, eta1=1.0)
+    hop = op.hessian_op
+    for A in [hop.M_W, hop.C_trace, op.S] + op.B[0] + op.B[1] + hop.C[0] + hop.C[1]:
+        assert A.nnz > 0
+        assert A.data.base is None and A.indices.base is None
+        assert A.data.size == A.indices.size == A.nnz
 
 
 def test_load_vector():

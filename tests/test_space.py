@@ -62,6 +62,17 @@ def test_facet_rule_exactness():
         assert np.isclose(np.sum(w * t**k), 1.0 / (k + 1), atol=1e-14)
 
 
+@pytest.mark.parametrize("rule", [quadrature, facet_quadrature])
+def test_quadrature_rules_are_built_once_and_read_only(rule):
+    first = rule(6)
+    assert rule(6) is first
+    points, weights = (first.points, first.weights) if rule is quadrature else first
+    for a in (points, weights):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
 def test_quadrature_rejects_degree_zero():
     with pytest.raises(ValueError):
         quadrature(0)
