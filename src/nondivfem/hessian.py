@@ -12,7 +12,11 @@ this reduces to three scalar systems M_W h_ij = C_ij u, as C_10 = C_01,
 sharing one mass matrix; `assemble_C` builds C_00, C_01 and C_11 for either
 test space with one volume kernel and one facet loop.  Facet terms that
 couple a cell with itself are folded into that cell's volume block, and
-`space.scatter` converts the three blocks from one set of coordinates.
+`space.scatter` converts the three blocks from one set of coordinates.  A
+CG test space is the trial space itself.  `space._snap_round_off` zeroes the
+round-off of vanishing integrals in the reference tensors, the cell blocks
+of B and the summed C_ij, and `scatter` stores no exact zero, so M_W, its
+factors, B and C hold only what the exact integrals have.
 
 Every sparse LU of the package but the DG mass matrix, which is factored
 cell by cell, goes through `_factor`: the CG mass matrix here, the
@@ -36,6 +40,7 @@ from scipy.sparse.linalg import splu
 from .space import (
     FEFunction,
     _compact,
+    _snap_round_off,
     build_space,
     facet_quadrature,
     facet_traces,
@@ -66,10 +71,11 @@ def _factor(A):
 
 @cache
 def _reference_mass(p):
-    """Read-only mass matrix int phi_l phi_k of the degree-p reference cell."""
+    """Read-only mass matrix int phi_l phi_k of the degree-p reference cell;
+    the entries that vanish in exact arithmetic (12 of 36 at p = 2) are 0."""
     q = quadrature(2 * p + 2)
     phi = reference_element(p).tabulate(q.points)          # (q, nloc)
-    m_ref = np.einsum("q,qk,ql->kl", q.weights, phi, phi)
+    m_ref = _snap_round_off(np.einsum("q,qk,ql->kl", q.weights, phi, phi))
     m_ref.setflags(write=False)
     return m_ref
 
@@ -86,7 +92,8 @@ class _CellwiseLU:
     `solve` computes x_T = M_ref^-1 r_T / det_T for all cells in one matrix
     product, for right-hand sides of shape (n,) or (n, k) like SuperLU.  The
     sparse factors L = blockdiag(L_ref) and U = blockdiag(det_T U_ref), from
-    the unpivoted LU (LDL^T) of the SPD M_ref, are built on first access.
+    the unpivoted LU (LDL^T) of the SPD M_ref, are built on first access
+    and, like SuperLU's, store only the nonzeros of each triangle.
     """
 
     def __init__(self, m_ref, cell_det, dof_map):
@@ -108,20 +115,9 @@ class _CellwiseLU:
     def _factors(self):
         c = np.linalg.cholesky(self.m_ref)                 # M_ref = c c^T
         d = np.diag(c)
-        l_ref, u_ref = c / d, d[:, None] * c.T             # U_ref = D L_ref^T
-        n_cells, n_loc = self.cell_det.size, self.m_ref.shape[0]
-        base = n_loc * np.arange(n_cells)[:, None]
-        n = n_cells * n_loc
-        # every position of a triangle is stored, as SuperLU stores a dense block
-        i, j = np.tril_indices(n_loc)
-
-        def block_diagonal(blocks, r, c):
-            data = np.broadcast_to(blocks, (n_cells, n_loc, n_loc))[:, r, c]
-            return sp.csc_matrix((data.ravel(), ((base + r).ravel(), (base + c).ravel())),
-                                 shape=(n, n))
-
-        return (block_diagonal(l_ref, i, j),
-                block_diagonal(self.cell_det[:, None, None] * u_ref, j, i))
+        l_ref, u_ref = sp.csr_matrix(c / d), sp.csr_matrix(d[:, None] * c.T)  # U_ref = D L_ref^T
+        return (sp.kron(sp.identity(self.cell_det.size), l_ref, format="csc"),
+                sp.kron(sp.diags(self.cell_det), u_ref, format="csc"))
 
     @property
     def L(self):
@@ -169,11 +165,10 @@ def assemble_C(space_V, space_W):
     q = quadrature(max(space_V.degree + space_W.degree - 2, 1))
     gV = space_V.ref.tabulate_grad(q.points)               # (q, nV, 2)
     gW = space_W.ref.tabulate_grad(q.points)               # (q, nW, 2)
-    R = np.einsum("q,qla,qkb->abkl", q.weights, gV, gW).reshape(4, nW * nV)
     # R's entries are rationals; those that vanish exactly come out as
     # round-off (<1e-13 of the largest up to p = 6, against >1e-4 for the
     # smallest true entry)
-    R[np.abs(R) < 1e-10 * np.abs(R).max()] = 0.0
+    R = _snap_round_off(np.einsum("q,qla,qkb->abkl", q.weights, gV, gW).reshape(4, nW * nV))
     Jinv = mesh.cell_inv_jacobians
     G = -np.einsum("c,cam,cbm->mcab", mesh.cell_det, Jinv[:, :, I], Jinv[:, :, J])
     volume[...] = (G.reshape(3, -1, 4) @ R).reshape(3, -1, nW, nV)
@@ -211,15 +206,14 @@ def assemble_C(space_V, space_W):
 
 
 def _drop_round_off(A):
-    """Drop the entries of A below 1e-12 of its largest, in place.
+    """Drop the entries of the CSR matrix A below 1e-12 of its largest, in place.
 
     The volume and facet parts of C_ij, and C_00 and C_11 in their sum,
     cancel exactly at many positions; their round-off (about 1e-14 of the
     largest entry, against >1e-4 for the smallest true one) would enter
     every apply and the pattern of the preconditioner built from C.
     """
-    A.data[np.abs(A.data) < 1e-12 * np.abs(A.data).max(initial=0.0)] = 0.0
-    A.eliminate_zeros()
+    _snap_round_off(A.data)
     return _compact(A)
 
 
@@ -250,7 +244,7 @@ def build_hessian_operator(space_V, mode="CG"):
         raise ValueError("the trial space must be CG")
     if mode not in ("CG", "DG"):
         raise ValueError("mode must be 'CG' or 'DG'")
-    space_W = build_space(space_V.mesh, space_V.degree, mode)
+    space_W = space_V if mode == "CG" else build_space(space_V.mesh, space_V.degree, "DG")
     M = assemble_mass_W(space_W)
     C = assemble_C(space_V, space_W)
     if mode == "DG":

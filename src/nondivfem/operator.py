@@ -39,7 +39,7 @@ import scipy.sparse as sp
 
 from .hessian import _factor, build_hessian_operator
 from .space import (
-    _compact,
+    _snap_round_off,
     _sym,
     boundary_dofs,
     build_space,
@@ -446,18 +446,17 @@ def _eliminate_dirichlet(K, free):
 
 
 def assemble_B(space_W, sample):
-    """Weighted mass matrices (B_ij)_{kl} = int gamma A_ij psi_l psi_k; B_10 is B_01."""
+    """Weighted mass matrices (B_ij)_{kl} = int gamma A_ij psi_l psi_k; B_10 is B_01.
+
+    Each component's block on each cell drops its round-off entries, where
+    the integral of psi_l psi_k vanishes; a vanishing A_01 stores nothing."""
     mesh = space_W.mesh
     q = sample.rule
     phi = space_W.ref.tabulate(q.points)                   # (q, nloc)
     coeff = sample.gamma[..., None, None] * sample.A * mesh.cell_det[:, None, None, None]
     blk = np.einsum("q,cqij,qk,ql->ijckl", q.weights, coeff, phi, phi, optimize=True)
-    B00, B01, B11 = scatter(blk[(0, 0, 1), (0, 1, 1)], space_W.dof_map, space_W.dof_map,
-                            (space_W.n_dofs, space_W.n_dofs))
-    for Bij in (B00, B01, B11):
-        # a block of A that vanishes (A_01 of exp2) would store only zeros
-        Bij.eliminate_zeros()
-        _compact(Bij)
+    B00, B01, B11 = scatter(_snap_round_off(blk[(0, 0, 1), (0, 1, 1)], (2, 3)), space_W.dof_map,
+                            space_W.dof_map, (space_W.n_dofs, space_W.n_dofs))
     return [[B00, B01], [B01, B11]]
 
 

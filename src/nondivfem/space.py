@@ -382,9 +382,10 @@ def scatter(blocks, rows, cols, shape):
 
     The coordinates are built once, as int32 whenever every dimension fits,
     and each block goes through SciPy's COO-to-CSR conversion, which sums
-    duplicates and sorts the indices.  Blocks on the same dofs therefore get
-    identical patterns, and every matrix owns its index arrays, so pruning
-    one in place leaves the others intact.
+    duplicates and sorts the indices.  Every matrix then drops its exact
+    zeros, so a position whose summed entries are all zero is not stored,
+    and owns its index arrays, so pruning one in place leaves the others
+    intact.
     """
     idx = np.int32 if max(shape) < 2**31 else np.int64
     r = np.repeat(rows.astype(idx, copy=False), cols.shape[1], axis=1).ravel()
@@ -395,15 +396,30 @@ def scatter(blocks, rows, cols, shape):
     return mats.tolist()                                   # the matrix itself for 0-d
 
 
+def _snap_round_off(a, axis=None):
+    """Zero, in place, the entries of `a` below 1e-12 of the largest
+    magnitude in their block, and return `a`.  A block is `a` itself, or
+    each of its sub-arrays over `axis`.
+
+    Integrals that vanish in exact arithmetic come out of quadrature as
+    round-off near 1e-16 of their block's largest entry.  Relative to its
+    block, the rule does not depend on the size of a cell.
+    """
+    mag = np.abs(a)
+    a[mag < 1e-12 * mag.max(axis=axis, keepdims=True, initial=0.0)] = 0.0
+    return a
+
+
 def _compact(A):
-    """Give the pruned CSR matrix A `data` and `indices` that own their
-    memory, in place, and return A.
+    """Drop the exact zeros of the CSR matrix A and give its `data` and
+    `indices` arrays that own their memory, in place; return A.
 
     SciPy's prune, run after summing duplicates or eliminating zeros, leaves
     both as leading views of their buffers unless it drops over half of
     them.  A view shorter than its buffer is copied, which frees the unused
     tail; one as long as its buffer is replaced by the buffer itself.
     """
+    A.eliminate_zeros()
     for name in ("data", "indices"):
         a = getattr(A, name)
         if a.base is not None:

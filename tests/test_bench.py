@@ -567,45 +567,3 @@ def test_public_surface_is_pinned():
         "local_estimator", "ls_slope", "make_problem", "quadrature", "recover_hessian",
         "solve_problem",
     ]
-
-
-def test_thread_cap_env(monkeypatch):
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    monkeypatch.setenv("NONDIVFEM_THREADS", "1")
-    from nondivfem import _cap_threads
-
-    _cap_threads()
-    import os
-
-    assert os.environ["OMP_NUM_THREADS"] == "1"
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
-
-
-def test_thread_cap_applies_to_blas(tmp_path):
-    # the cap must be in the environment before numpy loads its BLAS, so
-    # it is checked in a fresh interpreter that imports nondivfem first
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    if not Path("/proc/self/status").exists():
-        pytest.skip("needs /proc/self/status")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                        "NUMEXPR_NUM_THREADS")}
-    env["NONDIVFEM_THREADS"] = "1"
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    code = (
-        "import nondivfem, numpy as np\n"
-        "a = np.random.default_rng(0).standard_normal((300, 300))\n"
-        "a @ a\n"
-        "with open('/proc/self/status') as fh:\n"
-        "    print([ln.split()[1] for ln in fh if ln.startswith('Threads:')][0])\n"
-    )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120, check=True, cwd=str(tmp_path))
-    assert int(out.stdout.strip()) == 1

@@ -391,6 +391,14 @@ def test_cellwise_dg_mass_factor_is_exact(seed, p):
     assert lu.L.nnz + lu.U.nnz == superlu.L.nnz + superlu.U.nnz
 
 
+def test_cg_recovery_tests_with_its_trial_space():
+    V = build_space(_randomly_bisected_mesh(seed=1), 2, "CG")
+    assert build_hessian_operator(V, "CG").space_W is V
+    W = build_hessian_operator(V, "DG").space_W
+    assert W is not V
+    assert (W.continuity, W.degree, W.mesh) == ("DG", 2, V.mesh)
+
+
 def test_recovery_is_l2_projection_for_smooth_u():
     # when u is a single global polynomial its recovered Hessian solves
     # M h = M (exact Hessian dofs) up to quadrature error, i.e. recovery

@@ -457,7 +457,9 @@ def test_B_offdiagonal_total_weight():
 @pytest.mark.parametrize("name", ["exp1", "exp2", "exp3", "exp4"])
 def test_B_converts_its_symmetric_pair_once(name, continuity):
     # B_10 is B_01, and all four blocks equal bit for bit those of the
-    # four-block einsum, each converted from COO on its own
+    # four-block einsum, each component's block on each cell with its entries
+    # below 1e-12 of that block's largest set to zero, and each converted
+    # from COO on its own; what was dropped is round-off of the block
     problem = make_problem(name)
     rng = np.random.default_rng(7)
     mesh = build_rect_mesh(*problem.bounds, 3, 3)
@@ -474,12 +476,23 @@ def test_B_converts_its_symmetric_pair_once(name, continuity):
     n_loc = W.ref.n_basis
     rows = np.repeat(W.dof_map, n_loc, axis=1).ravel()
     cols = np.tile(W.dof_map, (1, n_loc)).ravel()
+
+    def assembled(local):
+        return sp.coo_matrix((local.ravel(), (rows, cols)), shape=B[0][0].shape).tocsr()
+
     for i in range(2):
         for j in range(2):
-            ref = sp.coo_matrix((blk[i, j].ravel(), (rows, cols)), shape=B[i][j].shape).tocsr()
+            raw = blk[i, j]
+            block_max = np.abs(raw).max(axis=(1, 2), keepdims=True)
+            kept = np.where(np.abs(raw) < 1e-12 * block_max, 0.0, raw)
+            ref = assembled(kept)
             ref.eliminate_zeros()
             for attr in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(B[i][j], attr), getattr(ref, attr))
+            # entry by entry, the raw sum moves by at most 1e-12 of the
+            # largest entry of each cell block summed into it
+            bound = assembled(np.broadcast_to(1e-12 * block_max, raw.shape)).toarray()
+            assert np.all(np.abs(assembled(raw) - B[i][j]).toarray() <= bound)
 
 
 @pytest.mark.parametrize("mode", ["CG", "DG"])
@@ -493,6 +506,26 @@ def test_system_matrices_own_exactly_sized_arrays(mode):
         assert A.nnz > 0
         assert A.data.base is None and A.indices.base is None
         assert A.data.size == A.indices.size == A.nnz
+
+
+@pytest.mark.parametrize("mode", ["CG", "DG"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("name", ["exp1", "exp3", "exp4"])
+def test_system_matrices_store_no_round_off_entries(name, p, mode):
+    # every matrix stores only what the exact integrals have: no explicit
+    # zero anywhere, and no mass entry at round-off level (a quarter of the
+    # entries at p = 2 when the reference mass kept its vanishing ones)
+    problem = make_problem(name)
+    rng = np.random.default_rng(p)
+    mesh = build_rect_mesh(*problem.bounds, 4, 4)
+    for _ in range(2):
+        mesh = bisect(mesh, rng.choice(mesh.n_cells, size=mesh.n_cells // 3, replace=False))
+    op = build_system(problem, mesh, p, mode, eta1=1.0)
+    hop = op.hessian_op
+    for A in [hop.M_W, hop.C_trace, op.S] + op.B[0] + op.B[1] + hop.C[0] + hop.C[1]:
+        assert A.nnz > 0 and np.all(A.data != 0.0)
+    M = np.abs(hop.M_W.data)
+    assert M.min() >= 1e-12 * M.max()
 
 
 def test_load_vector():

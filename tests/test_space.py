@@ -264,6 +264,24 @@ def test_scatter_sums_every_block_like_its_own_coo_matrix(seed, n, lead):
             check(m, ref)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=12))
+def test_scatter_stores_no_position_whose_entries_are_all_zero(seed, n):
+    # half the local entries are exactly zero; a position is stored exactly
+    # when some entry summed into it is not, with the COO sum as its value
+    rng = np.random.default_rng(seed)
+    shape = (int(rng.integers(1, 7)), int(rng.integers(1, 7)))
+    rows = rng.integers(0, shape[0], size=(n, 3))
+    cols = rng.integers(0, shape[1], size=(n, 2))
+    blocks = np.where(rng.random((2, n, 3, 2)) < 0.5, 0.0, rng.standard_normal((2, n, 3, 2)))
+    for m, b in zip(scatter(blocks, rows, cols, shape), blocks):
+        touched = _coo_sum((b != 0.0).astype(np.float64), rows, cols, shape)
+        touched.eliminate_zeros()
+        assert np.array_equal(m.indptr, touched.indptr)
+        assert np.array_equal(m.indices, touched.indices)
+        assert np.array_equal(m.toarray(), _coo_sum(b, rows, cols, shape).toarray())
+
+
 @pytest.mark.parametrize("assembler", ["stabilization", "C_DG"])
 def test_scatter_peaks_at_most_3_5_times_its_blocks(assembler, monkeypatch):
     # coordinates are built once for all blocks and every block converts on
