@@ -21,13 +21,16 @@ factors, B and C hold only what the exact integrals have.
 Every sparse LU of the package but the DG mass matrix, which is factored
 cell by cell, goes through `_factor`: the CG mass matrix here, the
 preconditioner in `operator` and the cellwise-Hessian matrix in `solve`.
-All three have a symmetric sparsity pattern, so SuperLU runs in symmetric
-mode with a minimum-degree ordering of A^T + A (George & Liu, SIAM Review
-1989).  Symmetric mode pivots on the diagonal, which keeps that ordering
-intact; it fills less than SuperLU's default COLAMD ordering with partial
-pivoting at every degree.  The DG mass matrix is block diagonal with blocks
-det_T M_ref, so `_CellwiseLU` solves with one reference inverse per degree
-(Hesthaven & Warburton, Nodal Discontinuous Galerkin Methods, 2008).
+All three have a symmetric sparsity pattern; on a DG test space the
+preconditioner is the assembled system matrix, whose pattern is symmetric
+too (at p = 1 up to round-off entries where its sparse products cancel).
+So SuperLU runs in symmetric mode with a minimum-degree ordering of
+A^T + A (George & Liu, SIAM Review 1989).  Symmetric mode pivots on the
+diagonal, which keeps that ordering intact; it fills less than SuperLU's
+default COLAMD ordering with partial pivoting at every degree.  The DG
+mass matrix is block diagonal with blocks det_T M_ref, so `_CellwiseLU`
+solves with one reference inverse per degree (Hesthaven & Warburton, Nodal
+Discontinuous Galerkin Methods, 2008).
 """
 
 from dataclasses import dataclass, field
@@ -94,6 +97,7 @@ class _CellwiseLU:
     sparse factors L = blockdiag(L_ref) and U = blockdiag(det_T U_ref), from
     the unpivoted LU (LDL^T) of the SPD M_ref, are built on first access
     and, like SuperLU's, store only the nonzeros of each triangle.
+    `inverse` is M^-1 itself as a sparse matrix, for the DG preconditioner.
     """
 
     def __init__(self, m_ref, cell_det, dof_map):
@@ -110,6 +114,11 @@ class _CellwiseLU:
         r = rhs.reshape(n_cells, n_loc, -1).transpose(0, 2, 1).reshape(-1, n_loc)
         x = (r @ self.m_inv_T).reshape(n_cells, -1, n_loc) / self.cell_det[:, None, None]
         return x.transpose(0, 2, 1).reshape(rhs.shape)
+
+    @property
+    def inverse(self):
+        """M^-1 = blockdiag(M_ref^-1 / det_T) as a sparse matrix."""
+        return sp.kron(sp.diags(1.0 / self.cell_det), self.m_inv_T.T, format="csr")
 
     @cached_property
     def _factors(self):

@@ -17,8 +17,10 @@ Two discretizations are assembled here:
 
 * the recovery scheme: a matrix-free action built from the Hessian
   recovery blocks (4 + 1 mass solves per application) plus an optional
-  facet penalty, with an explicitly assembled diagonal-surrogate
-  preconditioner;
+  facet penalty, with an assembled preconditioner: a surrogate with
+  diagonal mass and weighted-mass matrices for a CG test space, and the
+  system matrix itself for a DG one, whose block-diagonal mass matrix has
+  an exact sparse inverse;
 * a direct scheme using the cellwise exact Hessian with a mandatory
   gradient-jump penalty, assembled as an ordinary sparse matrix.
 
@@ -587,18 +589,24 @@ class Preconditioner:
 
 
 def build_preconditioner(op):
-    """Surrogate matrix with diagonal mass inverses, assembled and factored.
+    """The preconditioner P, assembled and factored.
 
-    P = (sum_i C_ii)^T diag(M)^-1 (sum_ij diag(B_ij) diag(M)^-1 C_ij) + S,
-    with Dirichlet rows and columns replaced by the identity; the inner sum
-    has three terms, the mixed one weighted 2 as B_10 = B_01 and C_10 = C_01.
+    P = (sum_i C_ii)^T W^-1 (sum_ij B'_ij W^-1 C_ij) + S, with Dirichlet rows
+    and columns replaced by the identity; the inner sum has three terms, the
+    mixed one weighted 2 as B_10 = B_01 and C_10 = C_01.  A CG test space
+    takes the surrogate W = diag(M), B'_ij = diag(B_ij).  A DG test space
+    takes the exact block-diagonal W^-1 = M^-1 of `_CellwiseLU.inverse` and
+    B'_ij = B_ij, so P is the system matrix and GMRES converges in one step.
     """
     hop = op.hessian_op
-    w_inv = sp.diags(1.0 / hop.M_W.diagonal())
-    B, C = op.B, hop.C
-    inner = (sp.diags(B[0][0].diagonal()) @ w_inv @ C[0][0]
-             + sp.diags(2.0 * B[0][1].diagonal()) @ w_inv @ C[0][1]
-             + sp.diags(B[1][1].diagonal()) @ w_inv @ C[1][1])
+    C = hop.C
+    b00, b01, b11 = op.B[0][0], 2.0 * op.B[0][1], op.B[1][1]
+    if hop.space_W.continuity == "DG":
+        w_inv = hop.M_lu.inverse
+    else:
+        w_inv = sp.diags(1.0 / hop.M_W.diagonal())
+        b00, b01, b11 = (sp.diags(b.diagonal()) for b in (b00, b01, b11))
+    inner = b00 @ w_inv @ C[0][0] + b01 @ w_inv @ C[0][1] + b11 @ w_inv @ C[1][1]
     P = _eliminate_dirichlet(hop.C_trace.T @ w_inv @ inner + op.S, op.free_mask)
     return Preconditioner(matrix=P, lu=_factor(P))
 

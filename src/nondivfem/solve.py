@@ -1,8 +1,10 @@
 """Linear solvers and the top-level solve orchestration.
 
-The recovery scheme's system matrix is never assembled; GMRES sees it
-through a callback.  Right preconditioning keeps the monitored residual
-equal to the true residual of the original system.
+GMRES sees the recovery scheme's system matrix through the matrix-free
+apply.  Right preconditioning keeps the monitored residual equal to the
+true residual of the original system.  For a DG test space the
+preconditioner is the assembled system matrix, so GMRES takes one step and
+its true-residual check compares that matrix with the matrix-free apply.
 """
 
 from dataclasses import dataclass, field
@@ -130,7 +132,9 @@ def solve_problem(
     """Assemble and solve one discrete problem on a fixed mesh.
 
     recovery-cg / recovery-dg run the matrix-free preconditioned GMRES
-    solve to the absolute and relative tolerance `tol`; nsz assembles its
+    solve to the absolute and relative tolerance `tol`, with the diagonal
+    surrogate preconditioner (CG) or the exact assembled system (DG, one
+    GMRES step; see `build_preconditioner`); nsz assembles its
     sparse matrix and uses a direct factorization.  Raises ValueError for a
     tol that is not finite and > 0, and for a nonzero eta2 with nsz, which has
     no Hessian-jump penalty.

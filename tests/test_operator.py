@@ -854,6 +854,26 @@ def test_sparse_lu_fills_no_more_than_colamd(p, mode):
         assert np.linalg.norm(A @ lu.solve(b) - b) <= 1e-12 * np.linalg.norm(b)
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("name", ["exp3", "exp4"])
+def test_dg_preconditioner_is_the_system_matrix(name, p):
+    # with the exact block-diagonal mass inverse and the full B_ij the DG
+    # preconditioner is the assembled system, so GMRES takes one step
+    problem = make_problem(name)
+    rng = np.random.default_rng(p)
+    mesh = build_rect_mesh(*problem.bounds, 6, 6)
+    for _ in range(2):
+        mesh = bisect(mesh, rng.choice(mesh.n_cells, size=mesh.n_cells // 3, replace=False))
+    op = build_system(problem, mesh, p, "DG", eta1=1.0, eta2=0.5)
+    pre = build_preconditioner(op)
+    for _ in range(3):
+        u = rng.standard_normal(op.n_dofs)
+        Ku = apply_system(op, u)
+        assert np.linalg.norm(pre.matrix @ u - Ku) <= 1e-12 * np.linalg.norm(Ku)
+    sol = solve_problem(problem, mesh, p, scheme="recovery-dg", eta1=1.0, eta2=0.5)
+    assert sol.report.converged and sol.report.iterations == 1
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_dg_operators_match_superlu_mass_solves(p):
     # the cellwise DG mass factor moves only round-off: the system action,
