@@ -11,12 +11,14 @@ average-times-jump term on every interior facet as well.  Componentwise
 this reduces to three scalar systems M_W h_ij = C_ij u, as C_10 = C_01,
 sharing one mass matrix; `assemble_C` builds C_00, C_01 and C_11 for either
 test space with one volume kernel and one facet loop.  Facet terms that
-couple a cell with itself are folded into that cell's volume block, and
-`space.scatter` converts the three blocks from one set of coordinates.  A
-CG test space is the trial space itself.  `space._snap_round_off` zeroes the
-round-off of vanishing integrals in the reference tensors, the cell blocks
-of B and the summed C_ij, and `scatter` stores no exact zero, so M_W, its
-factors, B and C hold only what the exact integrals have.
+couple a cell with itself are folded into that cell's volume block; an
+interior facet tests only the p + 1 functions whose trace on it does not
+vanish, so its two cross terms are (p + 1)-row blocks that `space.scatter`
+converts apart from the cell blocks.  A CG test space is the trial space
+itself.  `space._snap_round_off` zeroes the round-off of vanishing integrals
+in the reference tensors, the cell blocks of B and the summed C_ij, and
+`scatter` stores no exact zero, so M_W, its factors, B and C hold only what
+the exact integrals have.
 
 Every sparse LU of the package but the DG mass matrix, which is factored
 cell by cell, goes through `_factor`: the CG mass matrix here, the
@@ -149,27 +151,18 @@ def assemble_C(space_V, space_W):
     of (trial side, test side, weight) terms: boundary facets always contribute
     (plus, plus, 1); a discontinuous test space adds every interior facet, where
     psi on one side sees that side's outward normal (n_plus = -n_F,
-    n_minus = +n_F) and {.} averages the two traces of grad phi.  A term whose
-    trial side is its test side is added to the cell's volume block, so only
-    the two cross terms of an interior facet are blocks of their own: one
-    per cell plus two per interior facet for a DG test space, one per cell
-    for a CG one.  C_00, C_01 and C_11 are converted from COO one by one and
+    n_minus = +n_F) and {.} averages the two traces of grad phi.  An interior
+    facet's terms test only the p + 1 functions psi_k whose trace on it does
+    not vanish (`ReferenceElement.edge_dofs`).  A term whose trial side is its
+    test side is added to the cell's volume block, so only the two cross
+    terms of an interior facet are blocks of their own, (p + 1) x nV each,
+    scattered apart from the volume blocks and added.  C_00, C_01 and C_11
     drop the sums that vanish in exact arithmetic; C_10 is C_01.
     """
     mesh = space_V.mesh
     nW, nV = space_W.ref.n_basis, space_V.ref.n_basis
-    rows, cols = [space_W.dof_map], [space_V.dof_map]
-
-    groups = [(mesh.boundary_facets(), [(0, 0, 1.0)])]
-    if space_W.continuity == "DG":
-        groups.append((mesh.interior_facets(),
-                       [(r, s, 0.5 * (1.0 if s else -1.0)) for s in (0, 1) for r in (0, 1)]))
-    n_blocks = mesh.n_cells + sum(len(facets) for facets, terms in groups
-                                  for r, s, _ in terms if r != s)
+    shape = (space_W.n_dofs, space_V.n_dofs)
     I, J = [0, 0, 1], [0, 1, 1]                            # components (I[m], J[m])
-    # the volume blocks come first, then each cross term's facet blocks
-    data = np.empty((3, n_blocks, nW, nV))
-    volume = data[:, :mesh.n_cells]
 
     q = quadrature(max(space_V.degree + space_W.degree - 2, 1))
     gV = space_V.ref.tabulate_grad(q.points)               # (q, nV, 2)
@@ -180,37 +173,58 @@ def assemble_C(space_V, space_W):
     R = _snap_round_off(np.einsum("q,qla,qkb->abkl", q.weights, gV, gW).reshape(4, nW * nV))
     Jinv = mesh.cell_inv_jacobians
     G = -np.einsum("c,cam,cbm->mcab", mesh.cell_det, Jinv[:, :, I], Jinv[:, :, J])
-    volume[...] = (G.reshape(3, -1, 4) @ R).reshape(3, -1, nW, nV)
+    volume = (G.reshape(3, -1, 4) @ R).reshape(3, -1, nW, nV)
 
-    start = mesh.n_cells
+    # (facets, terms, whether each term tests only the facet's edge functions)
+    groups = [(mesh.boundary_facets(), [(0, 0, 1.0)], False)]
+    if space_W.continuity == "DG":
+        groups.append((mesh.interior_facets(),
+                       [(r, s, 0.5 * (1.0 if s else -1.0)) for s in (0, 1) for r in (0, 1)],
+                       True))
+    cross, rows, cols = [], [], []
+    spec = "ft,ftlm,ftk,fm->mfkl"                          # (weight, d_i phi_l, psi_k, n_j)
     t, wt = facet_quadrature(2 * space_V.degree + 2)
-    for facets, terms in groups:
+    for facets, terms, on_edge in groups:
         if len(facets) == 0:
             continue
         wlen = wt[None, :] * mesh.facet_lengths[facets][:, None]
         normals = mesh.facet_normals[facets][:, J]
-        cells, grads, vals = {}, {}, {}
+        # contracted in the order einsum picks for all nW test functions, the
+        # edge rows keep the values of that full contraction bit for bit; the
+        # DG system amplifies round-off in C about 1e7 times at 64x64 cells,
+        # so another order would show in its solution
+        shapes = [wlen.shape, (len(facets), len(t), nV, 3), (len(facets), len(t), nW),
+                  normals.shape]
+        path = np.einsum_path(spec, *(np.broadcast_to(0.0, n) for n in shapes),
+                              optimize=True)[0]
+        cells, grads, vals, tested = {}, {}, {}, {}
         for side in {side for r, s, _ in terms for side in (r, s)}:
             cells[side], _, grads[side], _ = facet_traces(space_V, facets, side, t)
             _, vals[side], _, _ = facet_traces(space_W, facets, side, t)
+            tested[side] = (space_W.ref.edge_dofs[mesh.facet_local[facets, side]] if on_edge
+                            else np.broadcast_to(np.arange(nW), (len(facets), nW)))
+            if on_edge:
+                vals[side] = np.take_along_axis(vals[side], tested[side][:, None, :], axis=2)
         for r, s, w in terms:
-            term = np.einsum("ft,ftlm,ftk,fm->mfkl", w * wlen, grads[r][..., I], vals[s],
-                             normals, optimize=True)
+            term = np.einsum(spec, w * wlen, grads[r][..., I], vals[s], normals, optimize=path)
             if r == s:
                 # the term couples each cell with itself: add it to the
                 # cell blocks one local edge k at a time, as no two facet
                 # sides share a (cell, k) slot
                 local = mesh.facet_local[facets, s]
                 for k in range(3):
-                    volume[:, cells[s][local == k]] += term[:, local == k]
+                    on_k = local == k
+                    volume[:, cells[s][on_k, None], tested[s][on_k]] += term[:, on_k]
                 continue
-            data[:, start:start + len(facets)] = term
-            start += len(facets)
-            rows.append(space_W.dof_map[cells[s]])
+            cross.append(term)
+            rows.append(np.take_along_axis(space_W.dof_map[cells[s]], tested[s], axis=1))
             cols.append(space_V.dof_map[cells[r]])
 
-    C00, C01, C11 = (_drop_round_off(Cij) for Cij in scatter(
-        data, np.concatenate(rows), np.concatenate(cols), (space_W.n_dofs, space_V.n_dofs)))
+    C = scatter(volume, space_W.dof_map, space_V.dof_map, shape)
+    if cross:
+        C = [Cij + Fij for Cij, Fij in zip(C, scatter(
+            np.concatenate(cross, axis=1), np.concatenate(rows), np.concatenate(cols), shape))]
+    C00, C01, C11 = (_drop_round_off(Cij) for Cij in C)
     return [[C00, C01], [C01, C11]]
 
 

@@ -20,9 +20,12 @@ Two discretizations are assembled here:
   facet penalty, with an assembled preconditioner: a surrogate with
   diagonal mass and weighted-mass matrices for a CG test space, and the
   system matrix itself for a DG one, whose block-diagonal mass matrix has
-  an exact sparse inverse;
+  an exact sparse inverse, so that its factored solve is the solution;
 * a direct scheme using the cellwise exact Hessian with a mandatory
   gradient-jump penalty, assembled as an ordinary sparse matrix.
+
+Both replace the rows and columns of boundary dofs by the identity
+(`_eliminate_dirichlet`).
 
 The preconditioner, like the CG mass matrix and the direct scheme's matrix,
 is factored by `hessian._factor`: a symmetric-mode sparse LU with
@@ -441,10 +444,17 @@ def _coefficient_sample(problem, space):
 
 
 def _eliminate_dirichlet(K, free):
-    """K with the rows and columns of fixed dofs replaced by the identity."""
-    f = free.astype(np.float64)
-    D_free = sp.diags(f)
-    return (D_free @ K @ D_free + sp.diags(1.0 - f)).tocsr()
+    """K as CSR with the rows and columns of fixed dofs replaced by the identity.
+
+    A CSR copy of K has the entries of fixed rows and columns zeroed; adding
+    the identity on the fixed dofs sets their diagonal, and the zeros are
+    then dropped.
+    """
+    K = K.tocsr(copy=True)
+    K.data[~(np.repeat(free, np.diff(K.indptr)) & free[K.indices])] = 0.0
+    K = K + sp.diags(1.0 - free.astype(np.float64))
+    K.eliminate_zeros()
+    return K
 
 
 def assemble_B(space_W, sample):
@@ -596,18 +606,24 @@ def build_preconditioner(op):
     mixed one weighted 2 as B_10 = B_01 and C_10 = C_01.  A CG test space
     takes the surrogate W = diag(M), B'_ij = diag(B_ij).  A DG test space
     takes the exact block-diagonal W^-1 = M^-1 of `_CellwiseLU.inverse` and
-    B'_ij = B_ij, so P is the system matrix and GMRES converges in one step.
+    B'_ij = B_ij, so P is the system matrix and its solve is the solution;
+    there the inner sum is one product of the row of B'_ij W^-1 with the
+    column of C_ij.
     """
     hop = op.hessian_op
     C = hop.C
     b00, b01, b11 = op.B[0][0], 2.0 * op.B[0][1], op.B[1][1]
     if hop.space_W.continuity == "DG":
-        w_inv = hop.M_lu.inverse
+        m_inv = hop.M_lu.inverse
+        inner = (sp.hstack([b @ m_inv for b in (b00, b01, b11)], format="csr")
+                 @ sp.vstack([C[0][0], C[0][1], C[1][1]], format="csr"))
+        K = hop.C_trace.T.tocsr() @ (m_inv @ inner)
     else:
         w_inv = sp.diags(1.0 / hop.M_W.diagonal())
         b00, b01, b11 = (sp.diags(b.diagonal()) for b in (b00, b01, b11))
-    inner = b00 @ w_inv @ C[0][0] + b01 @ w_inv @ C[0][1] + b11 @ w_inv @ C[1][1]
-    P = _eliminate_dirichlet(hop.C_trace.T @ w_inv @ inner + op.S, op.free_mask)
+        inner = b00 @ w_inv @ C[0][0] + b01 @ w_inv @ C[0][1] + b11 @ w_inv @ C[1][1]
+        K = hop.C_trace.T @ w_inv @ inner
+    P = _eliminate_dirichlet(K + op.S, op.free_mask)
     return Preconditioner(matrix=P, lu=_factor(P))
 
 

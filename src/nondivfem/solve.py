@@ -3,8 +3,10 @@
 GMRES sees the recovery scheme's system matrix through the matrix-free
 apply.  Right preconditioning keeps the monitored residual equal to the
 true residual of the original system.  For a DG test space the
-preconditioner is the assembled system matrix, so GMRES takes one step and
-its true-residual check compares that matrix with the matrix-free apply.
+preconditioner is the assembled system matrix, so GMRES starts from its
+factored solve: the initial residual, one matrix-free apply, compares that
+matrix with the apply, and GMRES takes no step when it meets the tolerance.
+The direct scheme's factored solve goes through the same check.
 """
 
 from dataclasses import dataclass, field
@@ -47,13 +49,15 @@ class Solution:
     system: object = field(default=None, repr=False)
 
 
-def gmres(apply, b, precond=None, tol_abs=1e-8, tol_rel=1e-8, max_iter=MAX_ITER):
+def gmres(apply, b, precond=None, x0=None, tol_abs=1e-8, tol_rel=1e-8, max_iter=MAX_ITER):
     """Full GMRES with modified Gram-Schmidt and right preconditioning.
 
-    Stops when the recursive residual estimate reaches
+    Starts from x0 (zero when None), whose residual r0 = b - apply(x0) costs
+    one apply, and stops when the recursive residual estimate reaches
     tol = max(tol_abs, tol_rel * ||b||), after min(max_iter, len(b)) Arnoldi
-    steps, or at an exact breakdown.  Returns (x, SolveReport); `iterations`
-    counts Arnoldi steps, and `converged` is whether the true residual
+    steps, or at an exact breakdown.  An x0 with ||r0|| <= tol comes back as
+    it is after 0 steps.  Returns (x, SolveReport); `iterations` counts
+    Arnoldi steps, and `converged` is whether the true residual
     ||b - apply(x)|| is at most tol.
     """
     b = np.asarray(b, dtype=np.float64)
@@ -62,15 +66,18 @@ def gmres(apply, b, precond=None, tol_abs=1e-8, tol_rel=1e-8, max_iter=MAX_ITER)
         raise ValueError("max_iter must be >= 1")
     M = precond if precond is not None else (lambda r: r)
 
-    beta = float(np.linalg.norm(b))
-    tol = max(tol_abs, tol_rel * beta)
+    tol = max(tol_abs, tol_rel * float(np.linalg.norm(b)))
+    if x0 is not None:
+        x0 = np.array(x0, dtype=np.float64)
+    r0 = b if x0 is None else b - apply(x0)
+    beta = float(np.linalg.norm(r0))
     history = [beta]
     if beta <= tol:
-        return np.zeros(n), SolveReport(0, history, True, beta)
+        return (np.zeros(n) if x0 is None else x0), SolveReport(0, history, True, beta)
 
     # the Krylov basis, the Hessenberg columns and the rotations grow by one
     # entry per step, so memory follows the iterations taken, not max_iter
-    V = [b / beta]
+    V = [r0 / beta]
     H = []          # column j: the rotated H[:j + 1, j], upper triangular
     cs, sn = [], []
     g = [beta]
@@ -116,6 +123,8 @@ def gmres(apply, b, precond=None, tol_abs=1e-8, tol_rel=1e-8, max_iter=MAX_ITER)
     for j, h in enumerate(H):
         R[:j + 1, j] = h
     x = M(np.array(V[:k]).T @ np.linalg.solve(R, g[:k]))
+    if x0 is not None:
+        x = x0 + x
     true_res = float(np.linalg.norm(b - apply(x)))
     return x, SolveReport(k, history, true_res <= tol, true_res)
 
@@ -131,13 +140,15 @@ def solve_problem(
 ):
     """Assemble and solve one discrete problem on a fixed mesh.
 
-    recovery-cg / recovery-dg run the matrix-free preconditioned GMRES
-    solve to the absolute and relative tolerance `tol`, with the diagonal
-    surrogate preconditioner (CG) or the exact assembled system (DG, one
-    GMRES step; see `build_preconditioner`); nsz assembles its
-    sparse matrix and uses a direct factorization.  Raises ValueError for a
-    tol that is not finite and > 0, and for a nonzero eta2 with nsz, which has
-    no Hessian-jump penalty.
+    Every scheme ends in preconditioned GMRES to the absolute and relative
+    tolerance `tol`.  recovery-cg runs it on the matrix-free system with the
+    diagonal surrogate preconditioner.  recovery-dg factors the assembled
+    system (see `build_preconditioner`) and starts GMRES from its solution,
+    so GMRES checks the matrix-free residual and takes no step unless round-off
+    leaves it above tol.  nsz assembles its sparse matrix and starts from its
+    factored solve in the same way.  Raises ValueError for a tol that is not
+    finite and > 0, and for a nonzero eta2 with nsz, which has no Hessian-jump
+    penalty.
     Boundary coefficients of the returned function are exactly zero.
     """
     if scheme not in SCHEMES:
@@ -152,16 +163,19 @@ def solve_problem(
         sample = _coefficient_sample(problem, space_V)
         e1 = 1.0 if eta1 is None else float(eta1)
         K, rhs = assemble_nsz(space_V, sample, e1)
-        x = _factor(K).solve(rhs)
-        res = float(np.linalg.norm(rhs - K @ x))
-        report = SolveReport(0, [float(np.linalg.norm(rhs)), res], True, res)
-        u_h = FEFunction(space_V, x)
-        return Solution(u_h=u_h, report=report, cordes=sample.cordes)
+        lu = _factor(K)
+        x, report = gmres(lambda v: K @ v, rhs, precond=lu.solve, x0=lu.solve(rhs),
+                          tol_abs=tol, tol_rel=tol, max_iter=MAX_ITER)
+        return Solution(u_h=FEFunction(space_V, x), report=report, cordes=sample.cordes)
 
     mode = "CG" if scheme == "recovery-cg" else "DG"
     op = build_system(problem, mesh, p, mode, eta1, eta2)
     b = assemble_rhs(op)
     P = build_preconditioner(op)
-    x, report = gmres(op.apply, b, precond=P.solve, tol_abs=tol, tol_rel=tol, max_iter=MAX_ITER)
+    # the DG preconditioner is the system matrix, so P^-1 b is the solution
+    # and GMRES only checks its residual
+    x0 = P.solve(b) if mode == "DG" else None
+    x, report = gmres(op.apply, b, precond=P.solve, x0=x0, tol_abs=tol, tol_rel=tol,
+                      max_iter=MAX_ITER)
     x[~op.free_mask] = 0.0
     return Solution(u_h=FEFunction(op.space_V, x), report=report, cordes=op.cordes, system=op)

@@ -154,6 +154,11 @@ class ReferenceElement:
         self.coeffs = np.linalg.inv(V)                 # column i: basis i
         self.n_edge = self.p - 1
         self.n_interior = (self.p - 1) * (self.p - 2) // 2
+        # row k: the p + 1 basis functions whose trace on local edge k does
+        # not vanish, the edge's two vertices and then its interior nodes
+        ne = self.n_edge
+        self.edge_dofs = np.array([[(k + 1) % 3, (k + 2) % 3, *range(3 + k * ne, 3 + (k + 1) * ne)]
+                                   for k in range(3)])
 
     def tabulate(self, pts):
         """Basis values at pts (..., 2) -> (..., n_basis)."""

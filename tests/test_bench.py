@@ -356,6 +356,14 @@ def test_cli_unreachable_tol_exits_3(tmp_path):
     assert 0 < rows[0][-1] <= rows[0][0]
 
 
+def test_cli_nsz_unreachable_tol_exits_3(tmp_path):
+    # the direct scheme's solve is judged against tol like the recovery ones
+    out = tmp_path / "out.csv"
+    rc = main(["run", "--experiment", "exp1", "--scheme", "nsz", "--levels", "1",
+               "--initial-n", "2", "--tol", "1e-300", "--out", str(out)])
+    assert rc == 3
+
+
 def test_cli_nsz_rejects_eta2(capsys):
     rc = main(["run", "--experiment", "exp1", "--scheme", "nsz", "--levels", "1",
                "--initial-n", "2", "--eta2", "5"])

@@ -162,25 +162,28 @@ def test_assemble_C_matches_the_oracle_on_random_meshes(seed, nx, ny, rounds, p,
 @pytest.mark.parametrize("continuity", ["CG", "DG"])
 def test_assemble_C_scatters_one_block_per_cell_and_coupling(monkeypatch, continuity):
     # every facet term with trial side == test side lands in its cell's
-    # block; only the two cross terms of an interior facet stay separate.
-    # The stack holds the three components C_00, C_01, C_11
+    # block; only the two cross terms of an interior facet stay separate,
+    # scattered on their own and testing just the p + 1 functions of the
+    # facet's edge.  The stacks hold the three components C_00, C_01, C_11
     shapes = []
     scatter = hessian.scatter
 
     def recording(blocks, rows, cols, shape):
-        shapes.append(blocks.shape[:-2])
+        shapes.append(blocks.shape)
         return scatter(blocks, rows, cols, shape)
 
     monkeypatch.setattr(hessian, "scatter", recording)
     mesh = _randomly_bisected_mesh(seed=4)
-    assemble_C(build_space(mesh, 2, "CG"), build_space(mesh, 2, continuity))
-    assert len(shapes) == 1
-    (components, count), = shapes
-    assert components == 3
-    if continuity == "DG":
-        assert count == mesh.n_cells + 2 * len(mesh.interior_facets())
-    else:
-        assert count <= mesh.n_cells + len(mesh.boundary_facets())
+    for p in (1, 2, 3):
+        shapes.clear()
+        V = build_space(mesh, p, "CG")
+        assemble_C(V, build_space(mesh, p, continuity))
+        n_loc = V.ref.n_basis
+        assert shapes[0] == (3, mesh.n_cells, n_loc, n_loc)
+        if continuity == "DG":
+            assert shapes[1:] == [(3, 2 * len(mesh.interior_facets()), p + 1, n_loc)]
+        else:
+            assert len(shapes) == 1
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])

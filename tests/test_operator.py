@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nondivfem import (
     CordesViolated,
@@ -29,6 +31,7 @@ from nondivfem.operator import (
     ProblemData,
     _coefficient_sample,
     _const_matrix,
+    _eliminate_dirichlet,
     assemble_B,
     assemble_load,
     assemble_stabilization,
@@ -858,7 +861,8 @@ def test_sparse_lu_fills_no_more_than_colamd(p, mode):
 @pytest.mark.parametrize("name", ["exp3", "exp4"])
 def test_dg_preconditioner_is_the_system_matrix(name, p):
     # with the exact block-diagonal mass inverse and the full B_ij the DG
-    # preconditioner is the assembled system, so GMRES takes one step
+    # preconditioner is the assembled system, so its solve, GMRES's starting
+    # guess, already meets the tolerance and GMRES takes no step
     problem = make_problem(name)
     rng = np.random.default_rng(p)
     mesh = build_rect_mesh(*problem.bounds, 6, 6)
@@ -871,7 +875,23 @@ def test_dg_preconditioner_is_the_system_matrix(name, p):
         Ku = apply_system(op, u)
         assert np.linalg.norm(pre.matrix @ u - Ku) <= 1e-12 * np.linalg.norm(Ku)
     sol = solve_problem(problem, mesh, p, scheme="recovery-dg", eta1=1.0, eta2=0.5)
-    assert sol.report.converged and sol.report.iterations == 1
+    assert sol.report.converged and sol.report.iterations == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=12),
+       st.floats(min_value=0.0, max_value=1.0), st.sampled_from(["csr", "csc"]))
+def test_eliminate_dirichlet_matches_the_diagonal_products(seed, n, density, fmt):
+    # masking a copy gives D K D + diag(1 - f), D = diag(f), array for array
+    rng = np.random.default_rng(seed)
+    K = sp.random(n, n, density=density, format=fmt, random_state=rng)
+    free = rng.random(n) < 0.7
+    f = free.astype(np.float64)
+    want = (sp.diags(f) @ K @ sp.diags(f) + sp.diags(1.0 - f)).tocsr()
+    got = _eliminate_dirichlet(K, free)
+    assert got.format == "csr"
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -957,8 +977,9 @@ def test_nsz_direct_solve_residual(p):
     problem = make_problem("exp1", kappa=0.9)
     mesh = _bisected_16x16_mesh(p)
     sol = solve_problem(problem, mesh, p, scheme="nsz")
-    rhs_norm, res = sol.report.residual_history
-    assert res <= 1e-12 * rhs_norm
     V = sol.u_h.space
-    K, _ = assemble_nsz(V, _coefficient_sample(problem, V), eta1=1.0)
+    K, rhs = assemble_nsz(V, _coefficient_sample(problem, V), eta1=1.0)
+    # the factored solve is GMRES's starting guess and meets the tolerance
+    assert sol.report.iterations == 0
+    assert sol.report.final_true_residual <= 1e-12 * np.linalg.norm(rhs)
     assert _lu_fill(_factor(K)) < _lu_fill(sp.linalg.splu(K.tocsc()))

@@ -15,7 +15,10 @@ from nondivfem import (
     recover_hessian,
     solve_problem,
 )
+import nondivfem.solve as solve_module
 from nondivfem.bench import RunConfig
+from nondivfem.hessian import _factor
+from nondivfem.operator import Preconditioner, _coefficient_sample, assemble_nsz
 
 
 def _exact_dict(problem):
@@ -124,6 +127,38 @@ def test_gmres_stops_after_n_steps_and_judges_the_true_residual():
     assert rep.iterations == 5
     assert not rep.converged
     assert rep.final_true_residual > 1e-300
+
+
+def test_gmres_exact_initial_guess_takes_no_step():
+    # the initial residual is the one apply: an x0 that meets the tolerance
+    # comes back unchanged, with that residual as the whole history
+    rng = np.random.default_rng(7)
+    A = np.eye(12) + 0.3 * rng.standard_normal((12, 12))
+    b = rng.standard_normal(12)
+    x0 = np.linalg.solve(A, b)
+    applies = []
+    x, rep = gmres(lambda v: applies.append(1) or A @ v, b, x0=x0, tol_abs=1e-10, tol_rel=1e-10)
+    assert np.array_equal(x, x0) and len(applies) == 1
+    assert rep.iterations == 0 and rep.converged
+    assert rep.residual_history == [float(np.linalg.norm(b - A @ x0))]
+    assert rep.final_true_residual == rep.residual_history[0]
+
+
+def test_gmres_poor_initial_guess_converges_to_the_same_solution():
+    rng = np.random.default_rng(8)
+    A = np.eye(30) + 0.2 * rng.standard_normal((30, 30))
+    b = rng.standard_normal(30)
+    tol = 1e-10
+    x_ref, rep_ref = gmres(lambda v: A @ v, b, tol_abs=tol, tol_rel=tol)
+    x0 = 10.0 * rng.standard_normal(30)
+    x, rep = gmres(lambda v: A @ v, b, x0=x0, tol_abs=tol, tol_rel=tol)
+    assert rep_ref.converged and rep.converged and rep.iterations >= 1
+    assert rep.residual_history[0] == float(np.linalg.norm(b - A @ x0))
+    assert float(np.linalg.norm(b - A @ x)) == pytest.approx(rep.final_true_residual)
+    # both residuals are below tol, so the solutions differ by at most
+    # ||A^-1|| * 2 tol
+    bound = 2.0 * tol * np.linalg.norm(np.linalg.inv(A), 2)
+    assert np.linalg.norm(x - x_ref) <= bound
 
 
 def test_gmres_rejects_bad_max_iter():
@@ -274,6 +309,46 @@ def test_solve_rejects_non_finite_tol(scheme, tol):
     mesh = build_rect_mesh(0, 1, 0, 1, 2, 2)
     with pytest.raises(ValueError, match="tol"):
         solve_problem(problem, mesh, p=2, scheme=scheme, tol=tol)
+
+
+def test_nsz_reports_an_unreachable_tol_as_not_converged():
+    # the factored solve starts GMRES, which judges it against tol
+    problem = make_problem("exp1", kappa=0.5)
+    mesh = build_rect_mesh(0, 1, 0, 1, 4, 4)
+    sol = solve_problem(problem, mesh, p=2, scheme="nsz", tol=1e-300)
+    assert not sol.report.converged
+    assert sol.report.final_true_residual > 1e-300
+
+
+def test_nsz_default_tol_keeps_the_factored_solve():
+    # at the default tol GMRES takes no step, so u_h is the direct solve's
+    # vector bit for bit
+    problem = make_problem("exp1", kappa=0.9)
+    mesh = build_rect_mesh(0, 1, 0, 1, 8, 8)
+    sol = solve_problem(problem, mesh, p=2, scheme="nsz")
+    V = sol.u_h.space
+    K, rhs = assemble_nsz(V, _coefficient_sample(problem, V), 1.0)
+    assert sol.report.iterations == 0
+    assert np.array_equal(sol.u_h.coeffs, _factor(K).solve(rhs))
+
+
+def test_dg_recovery_steps_when_the_assembled_system_is_perturbed(monkeypatch):
+    # a starting guess off by more than tol is corrected by GMRES steps
+    problem = make_problem("exp3")
+    mesh = build_rect_mesh(*problem.bounds, 8, 8)
+    exact = solve_problem(problem, mesh, 2, scheme="recovery-dg")
+    assert exact.report.iterations == 0
+
+    def perturbed(op):
+        P = build_preconditioner(op).matrix.copy()
+        k = int(np.argmax(np.abs(P.diagonal()) * op.free_mask))
+        P[k, k] *= 1.0 + 1e-6
+        return Preconditioner(matrix=P, lu=_factor(P))
+
+    monkeypatch.setattr(solve_module, "build_preconditioner", perturbed)
+    sol = solve_problem(problem, mesh, 2, scheme="recovery-dg")
+    assert sol.report.converged and sol.report.iterations >= 1
+    assert np.abs(sol.u_h.coeffs - exact.u_h.coeffs).max() <= 1e-6 * np.abs(exact.u_h.coeffs).max()
 
 
 def test_nsz_solve_report_shape():
