@@ -273,8 +273,9 @@ def run_iteration_table(
 def run_scheme_comparison(config, degrees=(1, 2, 3, 4)):
     """Error columns of all three schemes side by side on shared meshes.
 
-    Returns (header, rows, failed): a cell whose solve raised is left empty
-    and named in `failed`; without an exact solution every cell is empty.
+    Returns (header, rows, failed): a cell whose solve raised or did not
+    converge is left empty and named in `failed`; without an exact solution
+    every cell is empty.
     A degree below 1 raises ValueError before anything is solved.
     """
     config.validate()
@@ -301,6 +302,10 @@ def run_scheme_comparison(config, degrees=(1, 2, 3, 4)):
                         problem, mesh, p, scheme=s, eta1=config.eta1, eta2=config.eta2,
                         tol=config.tol,
                     )
+                    if not sol.report.converged:
+                        raise RuntimeError(
+                            "GMRES did not converge: true residual %g after %d iterations"
+                            % (sol.report.final_true_residual, sol.report.iterations))
                     if exact is not None:
                         err = error_norms(sol.u_h, exact)
                         row += [err.l2, err.h1, err.h2h]

@@ -9,12 +9,17 @@ tested against all w in W_h.  With continuous test functions only the
 domain boundary contributes; discontinuous test functions see an
 average-times-jump term on every interior facet as well.  Componentwise
 this reduces to three scalar systems M_W h_ij = C_ij u, as C_10 = C_01,
-sharing one mass matrix; `assemble_C` builds C_00, C_01 and C_11 for either
-test space with one volume kernel and one facet loop.  Facet terms that
-couple a cell with itself are folded into that cell's volume block; an
-interior facet tests only the p + 1 functions whose trace on it does not
-vanish, so its two cross terms are (p + 1)-row blocks that `space.scatter`
-converts apart from the cell blocks.  A CG test space is the trial space
+sharing one mass matrix.  The stored components (0, 0), (0, 1) and (1, 1)
+and their weights 1, 2, 1 in a sum over all four are defined here once
+(`_I`, `_J`, `_WEIGHTS`); `assemble_C`, `recover_hessian`,
+`operator.assemble_B` and `operator.build_preconditioner` read them, and
+`_symmetric` gives the 2x2 list whose (1, 0) entry is its (0, 1) entry.
+`assemble_C` builds C_00, C_01 and C_11 for either test space with one
+volume kernel and one facet loop.  Facet terms that couple a cell with
+itself are folded into that cell's volume block; an interior facet tests
+only the p + 1 functions whose trace on it does not vanish, so its two
+cross terms are (p + 1)-row blocks that `space.scatter` converts apart
+from the cell blocks.  A CG test space is the trial space
 itself.  `space._snap_round_off` zeroes the round-off of vanishing integrals
 in the reference tensors, the cell blocks of B and the summed C_ij, and
 `scatter` stores no exact zero, so M_W, its factors, B and C hold only what
@@ -61,6 +66,21 @@ __all__ = [
     "build_hessian_operator",
     "recover_hessian",
 ]
+
+# the stored components (_I[m], _J[m]) of a symmetric 2x2 field and their
+# weights in a sum over all four components, as (0, 1) stands for (1, 0) too
+_I, _J = (0, 0, 1), (0, 1, 1)
+_WEIGHTS = (1.0, 2.0, 1.0)
+
+
+def _stored(X):
+    """The three stored components of the 2x2 list X."""
+    return [X[i][j] for i, j in zip(_I, _J)]
+
+
+def _symmetric(x):
+    """The 2x2 list of the three stored components x; [1][0] is [0][1]."""
+    return [[x[0], x[1]], [x[1], x[2]]]
 
 
 def _factor(A):
@@ -162,7 +182,6 @@ def assemble_C(space_V, space_W):
     mesh = space_V.mesh
     nW, nV = space_W.ref.n_basis, space_V.ref.n_basis
     shape = (space_W.n_dofs, space_V.n_dofs)
-    I, J = [0, 0, 1], [0, 1, 1]                            # components (I[m], J[m])
 
     q = quadrature(max(space_V.degree + space_W.degree - 2, 1))
     gV = space_V.ref.tabulate_grad(q.points)               # (q, nV, 2)
@@ -172,7 +191,7 @@ def assemble_C(space_V, space_W):
     # smallest true entry)
     R = _snap_round_off(np.einsum("q,qla,qkb->abkl", q.weights, gV, gW).reshape(4, nW * nV))
     Jinv = mesh.cell_inv_jacobians
-    G = -np.einsum("c,cam,cbm->mcab", mesh.cell_det, Jinv[:, :, I], Jinv[:, :, J])
+    G = -np.einsum("c,cam,cbm->mcab", mesh.cell_det, Jinv[:, :, _I], Jinv[:, :, _J])
     volume = (G.reshape(3, -1, 4) @ R).reshape(3, -1, nW, nV)
 
     # (facets, terms, whether each term tests only the facet's edge functions)
@@ -188,7 +207,7 @@ def assemble_C(space_V, space_W):
         if len(facets) == 0:
             continue
         wlen = wt[None, :] * mesh.facet_lengths[facets][:, None]
-        normals = mesh.facet_normals[facets][:, J]
+        normals = mesh.facet_normals[facets][:, _J]
         # contracted in the order einsum picks for all nW test functions, the
         # edge rows keep the values of that full contraction bit for bit; the
         # DG system amplifies round-off in C about 1e7 times at 64x64 cells,
@@ -206,7 +225,7 @@ def assemble_C(space_V, space_W):
             if on_edge:
                 vals[side] = np.take_along_axis(vals[side], tested[side][:, None, :], axis=2)
         for r, s, w in terms:
-            term = np.einsum(spec, w * wlen, grads[r][..., I], vals[s], normals, optimize=path)
+            term = np.einsum(spec, w * wlen, grads[r][..., _I], vals[s], normals, optimize=path)
             if r == s:
                 # the term couples each cell with itself: add it to the
                 # cell blocks one local edge k at a time, as no two facet
@@ -224,8 +243,7 @@ def assemble_C(space_V, space_W):
     if cross:
         C = [Cij + Fij for Cij, Fij in zip(C, scatter(
             np.concatenate(cross, axis=1), np.concatenate(rows), np.concatenate(cols), shape))]
-    C00, C01, C11 = (_drop_round_off(Cij) for Cij in C)
-    return [[C00, C01], [C01, C11]]
+    return _symmetric([_drop_round_off(Cij) for Cij in C])
 
 
 def _drop_round_off(A):
@@ -282,7 +300,6 @@ def build_hessian_operator(space_V, mode="CG"):
 def recover_hessian(op, u):
     """Recovered Hessian h_ij in W_h from three mass solves; H[1][0] is H[0][1]."""
     coeffs = u.coeffs if isinstance(u, FEFunction) else np.asarray(u, dtype=np.float64)
-    h00, h01, h11 = (FEFunction(op.space_W, op.mass_solve(Cij @ coeffs))
-                     for Cij in (op.C[0][0], op.C[0][1], op.C[1][1]))
-    return [[h00, h01], [h01, h11]]
+    return _symmetric([FEFunction(op.space_W, op.mass_solve(Cij @ coeffs))
+                       for Cij in _stored(op.C)])
 

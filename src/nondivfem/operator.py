@@ -17,10 +17,12 @@ Two discretizations are assembled here:
 
 * the recovery scheme: a matrix-free action built from the Hessian
   recovery blocks (4 + 1 mass solves per application) plus an optional
-  facet penalty, with an assembled preconditioner: a surrogate with
-  diagonal mass and weighted-mass matrices for a CG test space, and the
-  system matrix itself for a DG one, whose block-diagonal mass matrix has
-  an exact sparse inverse, so that its factored solve is the solution;
+  facet penalty, with an assembled preconditioner, one formula over the
+  three stored components of `hessian` whose test space picks only the
+  mass inverse and the weighted masses: their diagonal surrogates for a
+  CG test space, and for a DG one the exact sparse inverse of its
+  block-diagonal mass matrix and the full weighted masses, which makes it
+  the system matrix itself, so that its factored solve is the solution;
 * a direct scheme using the cellwise exact Hessian with a mandatory
   gradient-jump penalty, assembled as an ordinary sparse matrix.
 
@@ -42,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .hessian import _factor, build_hessian_operator
+from .hessian import _I, _J, _WEIGHTS, _factor, _stored, _symmetric, build_hessian_operator
 from .space import (
     _snap_round_off,
     _sym,
@@ -460,16 +462,18 @@ def _eliminate_dirichlet(K, free):
 def assemble_B(space_W, sample):
     """Weighted mass matrices (B_ij)_{kl} = int gamma A_ij psi_l psi_k; B_10 is B_01.
 
-    Each component's block on each cell drops its round-off entries, where
-    the integral of psi_l psi_k vanishes; a vanishing A_01 stores nothing."""
+    One einsum contracts the three stored components of gamma A (see
+    `hessian._I`, `hessian._J`) into a (3, cells, k, l) array of cell
+    blocks, which is scattered as it is.  Each component's block on each
+    cell drops its round-off entries, where the integral of psi_l psi_k
+    vanishes; a vanishing A_01 stores nothing."""
     mesh = space_W.mesh
     q = sample.rule
     phi = space_W.ref.tabulate(q.points)                   # (q, nloc)
-    coeff = sample.gamma[..., None, None] * sample.A * mesh.cell_det[:, None, None, None]
-    blk = np.einsum("q,cqij,qk,ql->ijckl", q.weights, coeff, phi, phi, optimize=True)
-    B00, B01, B11 = scatter(_snap_round_off(blk[(0, 0, 1), (0, 1, 1)], (2, 3)), space_W.dof_map,
-                            space_W.dof_map, (space_W.n_dofs, space_W.n_dofs))
-    return [[B00, B01], [B01, B11]]
+    coeff = sample.gamma[..., None] * sample.A[..., _I, _J] * mesh.cell_det[:, None, None]
+    blk = np.einsum("q,cqm,qk,ql->mckl", q.weights, coeff, phi, phi, optimize=True)
+    return _symmetric(scatter(_snap_round_off(blk, (2, 3)), space_W.dof_map, space_W.dof_map,
+                              (space_W.n_dofs, space_W.n_dofs)))
 
 
 def assemble_load(space_W, sample):
@@ -591,6 +595,8 @@ def assemble_rhs(op):
 
 @dataclass
 class Preconditioner:
+    """An assembled sparse matrix and its factor; `solve` applies the inverse."""
+
     matrix: sp.csr_matrix
     lu: object
 
@@ -601,28 +607,25 @@ class Preconditioner:
 def build_preconditioner(op):
     """The preconditioner P, assembled and factored.
 
-    P = (sum_i C_ii)^T W^-1 (sum_ij B'_ij W^-1 C_ij) + S, with Dirichlet rows
-    and columns replaced by the identity; the inner sum has three terms, the
-    mixed one weighted 2 as B_10 = B_01 and C_10 = C_01.  A CG test space
-    takes the surrogate W = diag(M), B'_ij = diag(B_ij).  A DG test space
-    takes the exact block-diagonal W^-1 = M^-1 of `_CellwiseLU.inverse` and
-    B'_ij = B_ij, so P is the system matrix and its solve is the solution;
-    there the inner sum is one product of the row of B'_ij W^-1 with the
-    column of C_ij.
+    P = C_tr^T (W^-1 (sum_m w_m B'_m W^-1 C_m)) + S over the three stored
+    components m of `hessian._I`, `hessian._J`, weighted w_m = 1, 2, 1 as
+    B_10 = B_01 and C_10 = C_01, with Dirichlet rows and columns replaced
+    by the identity; C_tr = C_00 + C_11.  The inner sum is one product of
+    the row of w_m B'_m W^-1 with the column of C_m.  The test space picks
+    only W^-1 and B'_m: a CG test space takes the surrogate diag(M)^-1 and
+    diag(B_m); a DG test space takes the exact block-diagonal M^-1 of
+    `_CellwiseLU.inverse` and B_m itself, so P is the system matrix and its
+    solve is the solution.
     """
     hop = op.hessian_op
-    C = hop.C
-    b00, b01, b11 = op.B[0][0], 2.0 * op.B[0][1], op.B[1][1]
     if hop.space_W.continuity == "DG":
-        m_inv = hop.M_lu.inverse
-        inner = (sp.hstack([b @ m_inv for b in (b00, b01, b11)], format="csr")
-                 @ sp.vstack([C[0][0], C[0][1], C[1][1]], format="csr"))
-        K = hop.C_trace.T.tocsr() @ (m_inv @ inner)
+        w_inv, B = hop.M_lu.inverse, _stored(op.B)
     else:
         w_inv = sp.diags(1.0 / hop.M_W.diagonal())
-        b00, b01, b11 = (sp.diags(b.diagonal()) for b in (b00, b01, b11))
-        inner = b00 @ w_inv @ C[0][0] + b01 @ w_inv @ C[0][1] + b11 @ w_inv @ C[1][1]
-        K = hop.C_trace.T @ w_inv @ inner
+        B = [sp.diags(b.diagonal()) for b in _stored(op.B)]
+    inner = (sp.hstack([(w * b) @ w_inv for w, b in zip(_WEIGHTS, B)], format="csr")
+             @ sp.vstack(_stored(hop.C), format="csr"))
+    K = hop.C_trace.T.tocsr() @ (w_inv @ inner)
     P = _eliminate_dirichlet(K + op.S, op.free_mask)
     return Preconditioner(matrix=P, lu=_factor(P))
 

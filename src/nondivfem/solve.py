@@ -2,11 +2,12 @@
 
 GMRES sees the recovery scheme's system matrix through the matrix-free
 apply.  Right preconditioning keeps the monitored residual equal to the
-true residual of the original system.  For a DG test space the
-preconditioner is the assembled system matrix, so GMRES starts from its
-factored solve: the initial residual, one matrix-free apply, compares that
-matrix with the apply, and GMRES takes no step when it meets the tolerance.
-The direct scheme's factored solve goes through the same check.
+true residual of the original system.  `solve_problem` makes one GMRES
+call for every scheme; the scheme picks only the apply, the right-hand
+side and the preconditioner.  Where the preconditioner is the system
+matrix, on a DG test space and for the direct scheme, GMRES starts from
+its factored solve: the initial residual, one apply, compares that matrix
+with the apply, and GMRES takes no step when it meets the tolerance.
 """
 
 from dataclasses import dataclass, field
@@ -15,13 +16,14 @@ import numpy as np
 
 from .hessian import _factor
 from .operator import (
+    Preconditioner,
     _coefficient_sample,
     assemble_nsz,
     assemble_rhs,
     build_preconditioner,
     build_system,
 )
-from .space import FEFunction, build_space
+from .space import FEFunction, boundary_dofs, build_space
 
 __all__ = ["SolveReport", "Solution", "gmres", "solve_problem"]
 
@@ -140,15 +142,16 @@ def solve_problem(
 ):
     """Assemble and solve one discrete problem on a fixed mesh.
 
-    Every scheme ends in preconditioned GMRES to the absolute and relative
-    tolerance `tol`.  recovery-cg runs it on the matrix-free system with the
-    diagonal surrogate preconditioner.  recovery-dg factors the assembled
-    system (see `build_preconditioner`) and starts GMRES from its solution,
-    so GMRES checks the matrix-free residual and takes no step unless round-off
-    leaves it above tol.  nsz assembles its sparse matrix and starts from its
-    factored solve in the same way.  Raises ValueError for a tol that is not
-    finite and > 0, and for a nonzero eta2 with nsz, which has no Hessian-jump
-    penalty.
+    Every scheme assembles its right-hand side and a factored
+    `operator.Preconditioner`, then makes the one preconditioned GMRES call
+    to the absolute and relative tolerance `tol`.  recovery-cg runs it from
+    zero on the matrix-free system with the diagonal surrogate
+    preconditioner.  For recovery-dg (see `build_preconditioner`) and nsz,
+    whose eliminated sparse matrix and factor are wrapped in a
+    Preconditioner too, P is the system matrix: GMRES starts from P^-1 b,
+    checks its residual and takes no step unless round-off leaves it above
+    tol.  Raises ValueError for a tol that is not finite and > 0, and for a
+    nonzero eta2 with nsz, which has no Hessian-jump penalty.
     Boundary coefficients of the returned function are exactly zero.
     """
     if scheme not in SCHEMES:
@@ -161,21 +164,18 @@ def solve_problem(
             raise ValueError("the nsz scheme has no Hessian-jump penalty; eta2 must be 0")
         space_V = build_space(mesh, p, "CG")
         sample = _coefficient_sample(problem, space_V)
-        e1 = 1.0 if eta1 is None else float(eta1)
-        K, rhs = assemble_nsz(space_V, sample, e1)
-        lu = _factor(K)
-        x, report = gmres(lambda v: K @ v, rhs, precond=lu.solve, x0=lu.solve(rhs),
-                          tol_abs=tol, tol_rel=tol, max_iter=MAX_ITER)
-        return Solution(u_h=FEFunction(space_V, x), report=report, cordes=sample.cordes)
-
-    mode = "CG" if scheme == "recovery-cg" else "DG"
-    op = build_system(problem, mesh, p, mode, eta1, eta2)
-    b = assemble_rhs(op)
-    P = build_preconditioner(op)
-    # the DG preconditioner is the system matrix, so P^-1 b is the solution
-    # and GMRES only checks its residual
-    x0 = P.solve(b) if mode == "DG" else None
-    x, report = gmres(op.apply, b, precond=P.solve, x0=x0, tol_abs=tol, tol_rel=tol,
+        K, b = assemble_nsz(space_V, sample, 1.0 if eta1 is None else float(eta1))
+        P = Preconditioner(matrix=K, lu=_factor(K))
+        apply, cordes, system = K.__matmul__, sample.cordes, None
+    else:
+        mode = "CG" if scheme == "recovery-cg" else "DG"
+        system = build_system(problem, mesh, p, mode, eta1, eta2)
+        space_V, b, P = system.space_V, assemble_rhs(system), build_preconditioner(system)
+        apply, cordes = system.apply, system.cordes
+    # for every scheme but recovery-cg P is the system matrix, so P^-1 b is
+    # the solution and GMRES only checks its residual
+    x0 = None if scheme == "recovery-cg" else P.solve(b)
+    x, report = gmres(apply, b, precond=P.solve, x0=x0, tol_abs=tol, tol_rel=tol,
                       max_iter=MAX_ITER)
-    x[~op.free_mask] = 0.0
-    return Solution(u_h=FEFunction(op.space_V, x), report=report, cordes=op.cordes, system=op)
+    x[boundary_dofs(space_V)] = 0.0
+    return Solution(u_h=FEFunction(space_V, x), report=report, cordes=cordes, system=system)

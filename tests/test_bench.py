@@ -500,6 +500,20 @@ def test_cli_compare_exits_3_on_failed_cells(capsys):
     assert len(failed) == 1 and "nsz" in failed[0]
 
 
+def test_cli_compare_exits_3_on_unconverged_cells(capsys):
+    # a tol below what round-off lets the true residual reach: every solve
+    # is unconverged, so each cell is named and left empty, and compare
+    # exits 3 as run does
+    args = ["--experiment", "exp1", "--levels", "1", "--initial-n", "2", "--tol", "1e-300"]
+    assert main(["compare", "--degrees", "2"] + args) == 3
+    captured = capsys.readouterr()
+    header, row = (ln.split(",") for ln in captured.out.splitlines())
+    assert header[3:] and all(v == "" for v in row[3:])
+    failed = [ln for ln in captured.err.splitlines() if ln.startswith("failed cell")]
+    assert len(failed) == 3 and all("did not converge" in ln for ln in failed)
+    assert main(["run", "--degree", "2"] + args) == 3
+
+
 @pytest.mark.parametrize("degrees", ["0,2", "2,-1"])
 def test_cli_compare_exits_2_on_degree_below_one(tmp_path, capsys, degrees):
     out = tmp_path / "x.csv"

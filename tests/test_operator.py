@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from nondivfem import (
     solve_problem,
 )
 import nondivfem.operator as nd_operator
-from nondivfem.hessian import _factor, assemble_mass_W
+from nondivfem.hessian import _factor, _stored, assemble_mass_W
 from nondivfem.operator import (
     ProblemData,
     _coefficient_sample,
@@ -498,6 +499,25 @@ def test_B_converts_its_symmetric_pair_once(name, continuity):
             assert np.all(np.abs(assembled(raw) - B[i][j]).toarray() <= bound)
 
 
+@pytest.mark.parametrize("name, continuity", [("exp1", "CG"), ("exp3", "DG")])
+def test_B_peaks_at_most_5_times_what_it_keeps(name, continuity):
+    # one einsum over the three stored components, scattered as it is: no
+    # fourth component and no copy of three
+    problem = make_problem(name)
+    W = build_space(build_rect_mesh(*problem.bounds, 32, 32), 2, continuity)
+    sample = _coefficient_sample(problem, W)
+    assemble_B(W, sample)                                  # warm-up: cached rules and tables
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        B = assemble_B(W, sample)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    kept = sum(b.data.nbytes + b.indices.nbytes + b.indptr.nbytes for b in _stored(B))
+    assert peak <= 5 * kept
+
+
 @pytest.mark.parametrize("mode", ["CG", "DG"])
 def test_system_matrices_own_exactly_sized_arrays(mode):
     # pruning after the COO-to-CSR conversion or after dropping entries must
@@ -876,6 +896,42 @@ def test_dg_preconditioner_is_the_system_matrix(name, p):
         assert np.linalg.norm(pre.matrix @ u - Ku) <= 1e-12 * np.linalg.norm(Ku)
     sol = solve_problem(problem, mesh, p, scheme="recovery-dg", eta1=1.0, eta2=0.5)
     assert sol.report.converged and sol.report.iterations == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=5),
+       st.integers(min_value=1, max_value=3), st.sampled_from(["CG", "DG"]),
+       st.sampled_from(["exp1", "exp3", "exp4"]))
+def test_preconditioner_matches_its_written_out_formula(seed, n, p, mode, name):
+    # the one stacked formula against each test space's own: the CG
+    # surrogate's three diagonal terms summed, and the DG system matrix as
+    # the row of B_m M^-1 times the column of C_m, bit for bit
+    problem = make_problem(name)
+    rng = np.random.default_rng(seed)
+    mesh = build_rect_mesh(*problem.bounds, n, n)
+    for _ in range(2):
+        mesh = bisect(mesh, rng.choice(mesh.n_cells, size=mesh.n_cells // 3, replace=False))
+    op = build_system(problem, mesh, p, mode, eta1=1.0, eta2=0.5)
+    hop = op.hessian_op
+    (B00, B01), (_, B11) = op.B
+    (C00, C01), (_, C11) = hop.C
+    if mode == "CG":
+        w_inv = sp.diags(1.0 / hop.M_W.diagonal())
+        D00, D01, D11 = (sp.diags(b.diagonal()) for b in (B00, B01, B11))
+        inner = D00 @ w_inv @ C00 + 2.0 * D01 @ w_inv @ C01 + D11 @ w_inv @ C11
+        K = hop.C_trace.T @ w_inv @ inner
+    else:
+        m_inv = hop.M_lu.inverse
+        inner = (sp.hstack([b @ m_inv for b in (B00, 2.0 * B01, B11)], format="csr")
+                 @ sp.vstack([C00, C01, C11], format="csr"))
+        K = hop.C_trace.T.tocsr() @ (m_inv @ inner)
+    want = _eliminate_dirichlet(K + op.S, op.free_mask)
+    got = build_preconditioner(op).matrix
+    if mode == "CG":
+        assert abs(got - want).max() <= 1e-13 * abs(want).max()
+    else:
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
 
 
 @settings(max_examples=60, deadline=None)
