@@ -26,20 +26,18 @@ class AdaptiveRecord:
     h_max: float = np.nan
 
 
-def doerfler_mark(eta, theta, convention="squared"):
-    """Smallest prefix of cells (sorted by eta_T descending) carrying the
-    fraction theta of the estimator, in the squared-sum convention by
-    default (sum of marked eta_T^2 >= theta^2 * eta^2).  Ties break by
-    cell id; cells with eta_T = 0 are never marked.
+def doerfler_mark(eta_T, theta):
+    """Doerfler's bulk criterion on squared indicators: the smallest prefix
+    of cells, sorted by eta_T descending, with sum of marked eta_T^2 >=
+    theta^2 * sum of all eta_T^2.  `eta_T` is the per-cell indicator array.
+    Ties break by cell id; cells with eta_T = 0 are never marked.
     """
-    eta_T = np.asarray(eta.eta_T if hasattr(eta, "eta_T") else eta, dtype=np.float64)
+    eta_T = np.asarray(eta_T, dtype=np.float64)
     if eta_T.size == 0:
         raise ValueError("empty estimator field")
     if not 0.0 < theta <= 1.0:
         raise ValueError("theta must be in (0, 1]")
-    if convention not in ("squared", "linear"):
-        raise ValueError("convention must be 'squared' or 'linear'")
-    vals = eta_T**2 if convention == "squared" else eta_T
+    vals = eta_T**2
     vmax = vals.max()
     if vmax == 0.0:
         return np.array([], dtype=np.int64)
@@ -49,7 +47,7 @@ def doerfler_mark(eta, theta, convention="squared"):
     order = np.argsort(-np.round(vals / vmax, 12), kind="stable")
     csum = np.cumsum(vals[order])
     total = csum[-1]
-    target = (theta**2 if convention == "squared" else theta) * total
+    target = theta**2 * total
     # relative slack so exact ties (csum == target up to rounding) do not
     # drag an extra cell in
     k = int(np.argmax(csum >= target - 1e-12 * total)) + 1
@@ -92,14 +90,15 @@ def adaptive_loop(
     eta2=None,
     mesh=None,
     tol=1e-8,
-    convention="squared",
 ):
     """Solve-estimate-mark-refine until the dof budget is exhausted.
 
-    Returns one AdaptiveRecord per solved level.  Levels are solved as long
-    as the mesh has at most max_dofs degrees of freedom, so n_dofs is
-    strictly increasing and bounded by the budget.  Raises ValueError when
-    the initial mesh already has more than max_dofs.
+    Each level marks its cells by Doerfler's bulk criterion on squared
+    indicators (`doerfler_mark` at `theta`) and bisects them.  Returns one
+    AdaptiveRecord per solved level.  Levels are solved as long as the mesh
+    has at most max_dofs degrees of freedom, so n_dofs is strictly
+    increasing and bounded by the budget.  Raises ValueError when the
+    initial mesh already has more than max_dofs.
     """
     mesh = mesh if mesh is not None else initial_mesh(problem)
     records = []
@@ -113,7 +112,7 @@ def adaptive_loop(
         record, est = _solve_and_estimate(problem, mesh, p, len(records), scheme=scheme,
                                           eta1=eta1, eta2=eta2, tol=tol)
         records.append(record)
-        marked = doerfler_mark(est, theta, convention)
+        marked = doerfler_mark(est.eta_T, theta)
         if len(marked) == 0:
             break
         mesh = bisect(mesh, marked)

@@ -43,7 +43,7 @@ CSV_HEADER = ["Ndofs", "h_max", "L2_error", "H1_error", "H2h_error", "Eta_global
 _EXPERIMENTS = ("exp1", "exp2", "exp3", "exp4")
 
 # fields that only one kind of refinement reads
-_IGNORED_BY = {"uniform": ("theta", "max_dofs", "convention"), "adaptive": ("levels",)}
+_IGNORED_BY = {"uniform": ("theta", "max_dofs"), "adaptive": ("levels",)}
 
 
 @dataclass
@@ -59,7 +59,6 @@ class RunConfig:
     max_dofs: int = 100000
     tol: float = 1e-8
     initial_n: int = None
-    convention: str = "squared"
     out: str = None
     params: dict = field(default_factory=dict)
 
@@ -220,7 +219,6 @@ def run_convergence(config):
             eta2=config.eta2,
             mesh=initial_mesh(problem, config.initial_n),
             tol=config.tol,
-            convention=config.convention,
         )
     else:
         records = _uniform_levels(problem, config)
@@ -375,8 +373,6 @@ def build_parser():
     ad.add_argument("--theta", type=float, default=0.9, help="Doerfler marking fraction")
     ad.add_argument("--max-dofs", type=int, default=100000,
                     help="dof budget; the first mesh must fit in it")
-    ad.add_argument("--mark-convention", dest="convention", default="squared",
-                    choices=["squared", "linear"], help="marking by sums of eta_T^2 or of eta_T")
 
     it = sub.add_parser("iters", help="GMRES iteration table", **exact)
     it.add_argument("--kappas", default="0.9,0.99,0.999", help="comma-separated exp1 kappas")

@@ -472,7 +472,8 @@ def assemble_B(space_W, sample):
     phi = space_W.ref.tabulate(q.points)                   # (q, nloc)
     coeff = sample.gamma[..., None] * sample.A[..., _I, _J] * mesh.cell_det[:, None, None]
     blk = np.einsum("q,cqm,qk,ql->mckl", q.weights, coeff, phi, phi, optimize=True)
-    return _symmetric(scatter(_snap_round_off(blk, (2, 3)), space_W.dof_map, space_W.dof_map,
+    del coeff                                              # not held beside scatter's arrays
+    return _symmetric(scatter(_snap_round_off(blk, (-2, -1)), space_W.dof_map, space_W.dof_map,
                               (space_W.n_dofs, space_W.n_dofs)))
 
 

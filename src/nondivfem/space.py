@@ -43,7 +43,6 @@ class QuadratureRule:
 
     points: np.ndarray
     weights: np.ndarray
-    degree: int
 
 
 def _gauss01(n):
@@ -75,7 +74,7 @@ def quadrature(degree):
     U, V = np.meshgrid(x, x, indexing="ij")
     W = np.outer(w, w) * (1.0 - V)
     pts = np.stack([(U * (1.0 - V)).ravel(), V.ravel()], axis=1)
-    return QuadratureRule(*_read_only(pts, W.ravel()), degree)
+    return QuadratureRule(*_read_only(pts, W.ravel()))
 
 
 @cache
@@ -404,12 +403,18 @@ def scatter(blocks, rows, cols, shape):
 def _snap_round_off(a, axis=None):
     """Zero, in place, the entries of `a` below 1e-12 of the largest
     magnitude in their block, and return `a`.  A block is `a` itself, or
-    each of its sub-arrays over `axis`.
+    each of its sub-arrays over the trailing axes `axis`, given as negative
+    numbers.  With more than one leading axis, the sub-arrays over the
+    first are snapped one at a time, so `|a|` is never held whole.
 
     Integrals that vanish in exact arithmetic come out of quadrature as
     round-off near 1e-16 of their block's largest entry.  Relative to its
     block, the rule does not depend on the size of a cell.
     """
+    if axis is not None and a.ndim > len(axis) + 1:
+        for sub in a:                                      # each |sub| is freed on return
+            _snap_round_off(sub, axis)
+        return a
     mag = np.abs(a)
     a[mag < 1e-12 * mag.max(axis=axis, keepdims=True, initial=0.0)] = 0.0
     return a

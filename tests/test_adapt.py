@@ -25,7 +25,7 @@ def test_mark_takes_dominant_cell():
 
 def test_mark_accepts_estimator_field():
     field = EstimatorField(eta_T=np.array([3.0, 4.0, 0.0]))
-    marked = doerfler_mark(field, theta=0.8)
+    marked = doerfler_mark(field.eta_T, theta=0.8)
     assert np.array_equal(marked, [1])
 
 
@@ -57,20 +57,6 @@ def test_mark_guarantee_and_minimality():
             assert sub.sum() < theta**2 * total * (1.0 + 1e-9)
 
 
-def test_mark_linear_convention():
-    eta = np.array([5.0, 3.0, 1.0, 1.0])
-    marked = doerfler_mark(eta, theta=0.5, convention="linear")
-    # linear: need sum of marked eta >= 0.5 * 10 = 5: one cell
-    assert np.array_equal(marked, [0])
-    marked_sq = doerfler_mark(eta, theta=0.5, convention="squared")
-    # squared: need >= 0.25 * 36 = 9 <= 25: same single cell here
-    assert np.array_equal(marked_sq, [0])
-    # but they differ at larger theta
-    m_lin = doerfler_mark(eta, theta=0.9, convention="linear")
-    m_sq = doerfler_mark(eta, theta=0.9, convention="squared")
-    assert len(m_lin) > len(m_sq)
-
-
 def test_mark_ignores_round_off_between_tied_cells():
     # cells 1 and 2 tie in exact arithmetic and the Doerfler cut falls
     # between them: the lower cell id is marked whichever side round-off
@@ -96,8 +82,6 @@ def test_mark_rejects_bad_input():
         doerfler_mark(np.array([1.0]), 0.0)
     with pytest.raises(ValueError):
         doerfler_mark(np.array([1.0]), 1.5)
-    with pytest.raises(ValueError):
-        doerfler_mark(np.array([1.0]), 0.5, convention="cubic")
 
 
 def test_mark_all_zero_marks_nothing():

@@ -76,7 +76,6 @@ def test_config_validation():
                 _tiny_uniform(**{name: value}).validate()
     # a field the chosen refinement never reads must keep its default
     for refinement, name, value in (("uniform", "theta", 0.5), ("uniform", "max_dofs", 1),
-                                    ("uniform", "convention", "linear"),
                                     ("adaptive", "levels", 2)):
         with pytest.raises(ValueError, match=name):
             RunConfig(experiment="exp1", refinement=refinement, **{name: value}).validate()
@@ -84,7 +83,7 @@ def test_config_validation():
 
 def test_uniform_study_rejects_adaptive_settings():
     config = RunConfig(experiment="exp1", params={"kappa": 0.9}, levels=1, initial_n=2,
-                       theta=0.5, max_dofs=1, convention="linear")
+                       theta=0.5, max_dofs=1)
     with pytest.raises(ValueError, match="theta"):
         run_convergence(config)
 
@@ -427,6 +426,7 @@ def test_cli_rejects_exp2_alpha_without_h2_solution(argv, tmp_path, capsys):
     ["run", "--experiment", "exp1", "--theta", "0.5"],
     ["run", "--experiment", "exp1", "--max-dofs", "100"],
     ["run", "--experiment", "exp1", "--mark-convention", "linear"],
+    ["adapt", "--experiment", "exp2", "--mark-convention", "squared"],
 ])
 def test_cli_rejects_options_that_would_be_ignored(argv, capsys):
     with pytest.raises(SystemExit) as exc:
