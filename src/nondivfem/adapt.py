@@ -87,18 +87,18 @@ def adaptive_loop(
     theta=0.9,
     max_dofs=100000,
     eta1=None,
-    eta2=None,
     mesh=None,
     tol=1e-8,
 ):
     """Solve-estimate-mark-refine until the dof budget is exhausted.
 
-    Each level marks its cells by Doerfler's bulk criterion on squared
-    indicators (`doerfler_mark` at `theta`) and bisects them.  Returns one
-    AdaptiveRecord per solved level.  Levels are solved as long as the mesh
-    has at most max_dofs degrees of freedom, so n_dofs is strictly
-    increasing and bounded by the budget.  Raises ValueError when the
-    initial mesh already has more than max_dofs.
+    Each level is solved by `solve_problem` with `scheme`, the gradient-jump
+    penalty `eta1` and `tol`, then marks its cells by Doerfler's bulk
+    criterion on squared indicators (`doerfler_mark` at `theta`) and bisects
+    them.  Returns one AdaptiveRecord per solved level.  Levels are solved
+    as long as the mesh has at most max_dofs degrees of freedom, so n_dofs
+    is strictly increasing and bounded by the budget.  Raises ValueError
+    when the initial mesh already has more than max_dofs.
     """
     mesh = mesh if mesh is not None else initial_mesh(problem)
     records = []
@@ -110,7 +110,7 @@ def adaptive_loop(
                                  % (n_dofs, max_dofs))
             break
         record, est = _solve_and_estimate(problem, mesh, p, len(records), scheme=scheme,
-                                          eta1=eta1, eta2=eta2, tol=tol)
+                                          eta1=eta1, tol=tol)
         records.append(record)
         marked = doerfler_mark(est.eta_T, theta)
         if len(marked) == 0:

@@ -52,7 +52,6 @@ class RunConfig:
     scheme: str = "recovery-cg"
     degree: int = 2
     eta1: float = None
-    eta2: float = None
     refinement: str = "uniform"
     theta: float = 0.9
     levels: int = 5
@@ -79,9 +78,8 @@ class RunConfig:
             raise ValueError("levels must be >= 1")
         if self.max_dofs < 1:
             raise ValueError("max_dofs must be >= 1")
-        for e in (self.eta1, self.eta2):
-            if e is not None and not 0.0 <= e < np.inf:
-                raise ValueError("penalty weights must be finite and >= 0")
+        if self.eta1 is not None and not 0.0 <= self.eta1 < np.inf:
+            raise ValueError("eta1 must be finite and >= 0")
         if not 0.0 < self.tol < np.inf:
             raise ValueError("tol must be finite and > 0")
         for f in fields(self):
@@ -126,7 +124,7 @@ def _solve_level(problem, config, level):
     n0 = config.initial_n if config.initial_n is not None else problem.initial_n
     mesh = initial_mesh(problem, n0 * 2**level)
     record, _ = _solve_and_estimate(problem, mesh, config.degree, level, scheme=config.scheme,
-                                    eta1=config.eta1, eta2=config.eta2, tol=config.tol)
+                                    eta1=config.eta1, tol=config.tol)
     return record
 
 
@@ -216,7 +214,6 @@ def run_convergence(config):
             theta=config.theta,
             max_dofs=config.max_dofs,
             eta1=config.eta1,
-            eta2=config.eta2,
             mesh=initial_mesh(problem, config.initial_n),
             tol=config.tol,
         )
@@ -258,7 +255,7 @@ def run_iteration_table(
                 try:
                     sol = solve_problem(
                         problem, mesh, degree, scheme="recovery-cg",
-                        eta1=e1, eta2=0.0, tol=tol,
+                        eta1=e1, tol=tol,
                     )
                     row.append(sol.report.iterations if sol.report.converged else -1)
                 except (CordesViolated, RuntimeError):
@@ -297,8 +294,7 @@ def run_scheme_comparison(config, degrees=(1, 2, 3, 4)):
             for s in SCHEMES:
                 try:
                     sol = solve_problem(
-                        problem, mesh, p, scheme=s, eta1=config.eta1, eta2=config.eta2,
-                        tol=config.tol,
+                        problem, mesh, p, scheme=s, eta1=config.eta1, tol=config.tol,
                     )
                     if not sol.report.converged:
                         raise RuntimeError(
@@ -329,8 +325,6 @@ def _add_common(sub):
     sub.add_argument("--eta1", type=float, default=None,
                      help="gradient-jump penalty (default: recovery schemes 0 if eps >= 0.5 "
                           "else 1, nsz 1)")
-    sub.add_argument("--eta2", type=float, default=None,
-                     help="Hessian-jump penalty (default 0; recovery schemes only)")
     sub.add_argument("--tol", type=float, default=1e-8, help="absolute and relative tolerance")
     sub.add_argument("--initial-n", type=int, default=None,
                      help="cells per side of the first mesh (default: the problem's own)")

@@ -73,7 +73,7 @@ def _gradient_jumps_sq(u_h, quad_deg):
     """Per-interior-facet values of h_F^-1 int_F [grad(u_h) . n_F]^2."""
     int_f = u_h.space.mesh.interior_facets()
     t, wt = facet_quadrature(quad_deg)
-    dofs, jumps, _ = normal_jumps(u_h.space, int_f, t)
+    dofs, jumps = normal_jumps(u_h.space, int_f, t)
     jump = np.einsum("ftl,fl->ft", jumps, u_h.coeffs[dofs])
     # h_F^-1 int_F [..]^2 = h_F^-1 * (sum_t w_t h_F [..]^2); the lengths cancel
     return int_f, np.einsum("t,ft->f", wt, jump**2)

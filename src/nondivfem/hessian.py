@@ -218,8 +218,8 @@ def assemble_C(space_V, space_W):
                               optimize=True)[0]
         cells, grads, vals, tested = {}, {}, {}, {}
         for side in {side for r, s, _ in terms for side in (r, s)}:
-            cells[side], _, grads[side], _ = facet_traces(space_V, facets, side, t)
-            _, vals[side], _, _ = facet_traces(space_W, facets, side, t)
+            cells[side], _, grads[side] = facet_traces(space_V, facets, side, t)
+            _, vals[side], _ = facet_traces(space_W, facets, side, t)
             tested[side] = (space_W.ref.edge_dofs[mesh.facet_local[facets, side]] if on_edge
                             else np.broadcast_to(np.arange(nW), (len(facets), nW)))
             if on_edge:

@@ -487,25 +487,19 @@ def assemble_load(space_W, sample):
     return np.bincount(space_W.dof_map.ravel(), blk.ravel(), minlength=space_W.n_dofs)
 
 
-def assemble_stabilization(space_V, eta1, eta2):
-    """Facet penalty S: eta1 * sum_F h_F^-1 int [du/dn][dv/dn]
-    + eta2 * sum_F h_F int ([D2 u] n) . ([D2 v] n), interior facets only.
-    """
-    if not (0.0 <= eta1 < np.inf and 0.0 <= eta2 < np.inf):
-        raise ValueError("penalty weights must be finite and >= 0")
-    mesh = space_V.mesh
+def assemble_stabilization(space_V, eta1):
+    """Facet penalty S: eta1 * sum_F h_F^-1 int [du/dn][dv/dn], interior
+    facets only."""
+    if not 0.0 <= eta1 < np.inf:
+        raise ValueError("eta1 must be finite and >= 0")
     n = space_V.n_dofs
-    int_f = mesh.interior_facets()
-    if (eta1 == 0 and eta2 == 0) or len(int_f) == 0:
+    int_f = space_V.mesh.interior_facets()
+    if eta1 == 0 or len(int_f) == 0:
         return sp.csr_matrix((n, n))
     t, wt = facet_quadrature(2 * space_V.degree + 2)
-    h_f = mesh.facet_lengths[int_f]
-    dofs, jump, jump_hess = normal_jumps(space_V, int_f, t, hessians=eta2 > 0)
-    # int_F = h_F sum_t w_t, so the eta1 term's h_F^-1 int_F is sum_t w_t
+    dofs, jump = normal_jumps(space_V, int_f, t)
+    # int_F = h_F sum_t w_t, so h_F^-1 int_F is sum_t w_t
     blk = eta1 * np.einsum("t,ftk,ftl->fkl", wt, jump, jump, optimize=True)
-    if eta2 > 0:
-        blk += eta2 * np.einsum("ft,ftki,ftli->fkl", wt[None, :] * h_f[:, None] ** 2,
-                                jump_hess, jump_hess, optimize=True)
     return scatter(blk, dofs, dofs, (n, n))
 
 
@@ -527,7 +521,6 @@ class SystemOperator:
     f_W: np.ndarray
     free_mask: np.ndarray
     eta1: float
-    eta2: float
     cordes: CordesInfo
 
     @property
@@ -542,11 +535,12 @@ class SystemOperator:
         return apply_system(self, u)
 
 
-def build_system(problem, mesh, p, mode="CG", eta1=None, eta2=None):
+def build_system(problem, mesh, p, mode="CG", eta1=None):
     """Assemble everything the recovery scheme needs on a given mesh.
 
-    Penalty defaults depend on the measured Cordes eps: well-conditioned
-    coefficients (eps >= 0.5) run penalty-free, otherwise eta1 = 1.
+    The gradient-jump penalty eta1 defaults by the measured Cordes eps:
+    well-conditioned coefficients (eps >= 0.5) run penalty-free, otherwise
+    eta1 = 1.
     """
     space_V = build_space(mesh, p, "CG")
     hop = build_hessian_operator(space_V, mode)
@@ -554,10 +548,8 @@ def build_system(problem, mesh, p, mode="CG", eta1=None, eta2=None):
     sample = _coefficient_sample(problem, space_V)
     if eta1 is None:
         eta1 = 0.0 if sample.cordes.epsilon >= 0.5 else 1.0
-    if eta2 is None:
-        eta2 = 0.0
     B = assemble_B(hop.space_W, sample)
-    S = assemble_stabilization(space_V, eta1, eta2)
+    S = assemble_stabilization(space_V, eta1)
     f_W = assemble_load(hop.space_W, sample)
     free = np.ones(space_V.n_dofs, dtype=bool)
     free[boundary_dofs(space_V)] = False
@@ -568,7 +560,6 @@ def build_system(problem, mesh, p, mode="CG", eta1=None, eta2=None):
         f_W=f_W,
         free_mask=free,
         eta1=float(eta1),
-        eta2=float(eta2),
         cordes=sample.cordes,
     )
 
@@ -662,7 +653,7 @@ def assemble_nsz(space_V, sample, eta1):
 
     dm = space_V.dof_map
     n = space_V.n_dofs
-    K = scatter(blk, dm, dm, (n, n)) + assemble_stabilization(space_V, eta1, 0.0)
+    K = scatter(blk, dm, dm, (n, n)) + assemble_stabilization(space_V, eta1)
 
     fq = sample.f * gq * wdet
     rhs_blk = np.einsum("cq,cqk->ck", fq, trH)

@@ -137,7 +137,6 @@ def solve_problem(
     p,
     scheme="recovery-cg",
     eta1=None,
-    eta2=None,
     tol=1e-8,
 ):
     """Assemble and solve one discrete problem on a fixed mesh.
@@ -150,8 +149,9 @@ def solve_problem(
     whose eliminated sparse matrix and factor are wrapped in a
     Preconditioner too, P is the system matrix: GMRES starts from P^-1 b,
     checks its residual and takes no step unless round-off leaves it above
-    tol.  Raises ValueError for a tol that is not finite and > 0, and for a
-    nonzero eta2 with nsz, which has no Hessian-jump penalty.
+    tol.  The one penalty is eta1, on the normal-gradient jumps across
+    interior facets; nsz defaults it to 1 and recovery to `build_system`'s
+    rule.  Raises ValueError for a tol that is not finite and > 0.
     Boundary coefficients of the returned function are exactly zero.
     """
     if scheme not in SCHEMES:
@@ -160,8 +160,6 @@ def solve_problem(
         raise ValueError("tol must be finite and > 0")
 
     if scheme == "nsz":
-        if eta2 is not None and eta2 != 0:
-            raise ValueError("the nsz scheme has no Hessian-jump penalty; eta2 must be 0")
         space_V = build_space(mesh, p, "CG")
         sample = _coefficient_sample(problem, space_V)
         K, b = assemble_nsz(space_V, sample, 1.0 if eta1 is None else float(eta1))
@@ -169,7 +167,7 @@ def solve_problem(
         apply, cordes, system = K.__matmul__, sample.cordes, None
     else:
         mode = "CG" if scheme == "recovery-cg" else "DG"
-        system = build_system(problem, mesh, p, mode, eta1, eta2)
+        system = build_system(problem, mesh, p, mode, eta1)
         space_V, b, P = system.space_V, assemble_rhs(system), build_preconditioner(system)
         apply, cordes = system.apply, system.cordes
     # for every scheme but recovery-cg P is the system matrix, so P^-1 b is

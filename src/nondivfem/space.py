@@ -338,13 +338,12 @@ def _facet_edges(mesh, facets, side):
     return cells, 2 * k + mesh.cell_edge_flipped[cells, k]
 
 
-def facet_traces(space, facets, side, t, hessians=False):
+def facet_traces(space, facets, side, t):
     """Basis traces from one side of `facets` at the points va + t (vb - va).
 
     The reference basis is tabulated once on the six (edge, direction) point
     sets and gathered per facet.  Returns the side's cells (F,), values
-    (F, nt, n_loc), physical gradients (F, nt, n_loc, 2) and physical
-    Hessians (F, nt, n_loc, 2, 2), the last None unless `hessians` is set.
+    (F, nt, n_loc) and physical gradients (F, nt, n_loc, 2).
     """
     cells, rows = _facet_edges(space.mesh, facets, side)
     pts = _edge_points(t)
@@ -352,31 +351,23 @@ def facet_traces(space, facets, side, t, hessians=False):
     Jinv = space.mesh.cell_inv_jacobians[cells]
     vals = ref.tabulate(pts)[rows]
     grads = np.einsum("fji,ftlj->ftli", Jinv, ref.tabulate_grad(pts)[rows], optimize=True)
-    hess = None
-    if hessians:
-        hess = np.einsum("fki,ftlkm,fmj->ftlij", Jinv, ref.tabulate_hess(pts)[rows], Jinv,
-                         optimize=True)
-    return cells, vals, grads, hess
+    return cells, vals, grads
 
 
-def normal_jumps(space, facets, t, hessians=False):
+def normal_jumps(space, facets, t):
     """Jumps of the basis's normal derivatives across interior `facets`.
 
-    Returns the dofs of both cells (F, 2 n_loc), plus cell first, the
-    gradient jumps [grad phi . n_F] (F, nt, 2 n_loc) and, when `hessians` is
-    set, the Hessian jumps [D2 phi] n_F (F, nt, 2 n_loc, 2), else None.  The
-    plus trace enters with sign +1 and the minus trace with -1.
+    Returns the dofs of both cells (F, 2 n_loc), plus cell first, and the
+    gradient jumps [grad phi . n_F] (F, nt, 2 n_loc).  The plus trace
+    enters with sign +1 and the minus trace with -1.
     """
     n_f = space.mesh.facet_normals[facets]
-    dofs, dn, hn = [], [], []
+    dofs, dn = [], []
     for side, sign in ((0, 1.0), (1, -1.0)):
-        cells, _, grads, hess = facet_traces(space, facets, side, t, hessians)
+        cells, _, grads = facet_traces(space, facets, side, t)
         dofs.append(space.dof_map[cells])
         dn.append(sign * np.einsum("ftli,fi->ftl", grads, n_f))
-        if hessians:
-            hn.append(sign * np.einsum("ftlij,fj->ftli", hess, n_f))
-    jumps_hess = np.concatenate(hn, axis=2) if hessians else None
-    return np.concatenate(dofs, axis=1), np.concatenate(dn, axis=2), jumps_hess
+    return np.concatenate(dofs, axis=1), np.concatenate(dn, axis=2)
 
 
 def scatter(blocks, rows, cols, shape):

@@ -62,7 +62,7 @@ def test_criterion_2_smooth_rates():
         for k in (2, 3, 4, 5, 6):
             n = 2**k
             mesh = build_rect_mesh(0, 1, 0, 1, n, n)
-            sol = solve_problem(problem, mesh, p=p, eta1=0.0, eta2=0.0)
+            sol = solve_problem(problem, mesh, p=p, eta1=0.0)
             assert sol.report.converged
             err = error_norms(sol.u_h, _exact_dict(problem))
             tbl["l2"].append(err.l2)
@@ -89,7 +89,7 @@ def test_criterion_3_stabilization_l2_degradation():
         for k in (2, 3, 4, 5):
             n = 2**k
             mesh = build_rect_mesh(0, 1, 0, 1, n, n)
-            sol = solve_problem(problem, mesh, p=2, eta1=eta1, eta2=0.0)
+            sol = solve_problem(problem, mesh, p=2, eta1=eta1)
             errs.append(error_norms(sol.u_h, _exact_dict(problem)).l2)
             hs.append(mesh.h_max)
         rates[eta1] = eoc(zip(hs, errs))[-1]

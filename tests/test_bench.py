@@ -70,7 +70,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         _tiny_uniform(scheme="fdm").validate()
     # NaN fails every comparison, so it must not slip through a "< 0" test
-    for name in ("tol", "eta1", "eta2"):
+    for name in ("tol", "eta1"):
         for value in (np.nan, np.inf):
             with pytest.raises(ValueError, match="must be finite"):
                 _tiny_uniform(**{name: value}).validate()
@@ -363,13 +363,6 @@ def test_cli_nsz_unreachable_tol_exits_3(tmp_path):
     assert rc == 3
 
 
-def test_cli_nsz_rejects_eta2(capsys):
-    rc = main(["run", "--experiment", "exp1", "--scheme", "nsz", "--levels", "1",
-               "--initial-n", "2", "--eta2", "5"])
-    assert rc == 2
-    assert "eta2" in capsys.readouterr().err
-
-
 def test_cli_eta1_help_names_the_nsz_default(capsys):
     with pytest.raises(SystemExit):
         main(["run", "--help"])
@@ -427,6 +420,7 @@ def test_cli_rejects_exp2_alpha_without_h2_solution(argv, tmp_path, capsys):
     ["run", "--experiment", "exp1", "--max-dofs", "100"],
     ["run", "--experiment", "exp1", "--mark-convention", "linear"],
     ["adapt", "--experiment", "exp2", "--mark-convention", "squared"],
+    ["run", "--experiment", "exp1", "--levels", "1", "--eta2", "0"],
 ])
 def test_cli_rejects_options_that_would_be_ignored(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -434,16 +428,47 @@ def test_cli_rejects_options_that_would_be_ignored(argv, capsys):
     assert exc.value.code == 2
 
 
-def test_cli_every_option_has_help():
+def _cli_subparsers():
     import argparse
 
     from nondivfem.bench import build_parser
 
-    subparsers = next(a for a in build_parser()._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    missing = [(name, a.option_strings[-1]) for name, sub in subparsers.choices.items()
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_cli_every_option_has_help():
+    missing = [(name, a.option_strings[-1]) for name, sub in _cli_subparsers().items()
                for a in sub._actions if a.option_strings and not a.help]
     assert not missing
+
+
+def test_cli_options_are_run_config_fields():
+    # _config_from keeps only the options that name a RunConfig field, so an
+    # option outside the field list would be accepted and silently ignored
+    from dataclasses import fields
+
+    names = {f.name for f in fields(RunConfig)}
+    subparsers = _cli_subparsers()
+    set_by_cli = set()
+    for command in ("run", "adapt", "compare"):
+        dests = {a.dest for a in subparsers[command]._actions if a.dest != "help"}
+        extra = {"kappa", "alpha"} | ({"degrees"} if command == "compare" else set())
+        assert dests - extra <= names, (command, sorted(dests - extra - names))
+        set_by_cli |= dests & names
+    assert names - set_by_cli == {"refinement", "params"}
+
+
+def test_readme_names_only_existing_cli_options():
+    import re
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"--[a-z][a-z0-9-]*", section))
+    existing = {o for sub in _cli_subparsers().values() for a in sub._actions
+                for o in a.option_strings}
+    assert named and named <= existing, sorted(named - existing)
 
 
 def test_cli_adapt_exits_3_when_gmres_fails(tmp_path, monkeypatch):
@@ -525,16 +550,6 @@ def test_cli_compare_exits_2_on_degree_below_one(tmp_path, capsys, degrees):
     assert not out.exists()
     err = capsys.readouterr().err
     assert "configuration error" in err and "failed cell" not in err
-
-
-def test_cli_compare_names_nsz_cell_given_eta2(capsys):
-    rc = main([
-        "compare", "--experiment", "exp1", "--degrees", "2", "--levels", "1",
-        "--initial-n", "2", "--eta2", "5",
-    ])
-    assert rc == 3
-    failed = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("failed cell")]
-    assert len(failed) == 1 and "nsz" in failed[0] and "eta2" in failed[0]
 
 
 def test_cli_compare_without_exact_solution_exits_0(capsys):

@@ -577,7 +577,7 @@ def test_load_vector():
 def test_stabilization_zero_weights():
     mesh = build_rect_mesh(0, 1, 0, 1, 2, 2)
     V = build_space(mesh, 2, "CG")
-    S = assemble_stabilization(V, 0.0, 0.0)
+    S = assemble_stabilization(V, 0.0)
     assert S.nnz == 0
 
 
@@ -585,24 +585,23 @@ def test_stabilization_rejects_negative_weights():
     mesh = build_rect_mesh(0, 1, 0, 1, 2, 2)
     V = build_space(mesh, 2, "CG")
     with pytest.raises(ValueError):
-        assemble_stabilization(V, -1.0, 0.0)
+        assemble_stabilization(V, -1.0)
 
 
-@pytest.mark.parametrize("eta1, eta2", [(np.nan, 0.0), (np.inf, 0.0), (0.0, np.nan),
-                                        (1.0, np.inf)])
-def test_stabilization_rejects_non_finite_weights(eta1, eta2):
+@pytest.mark.parametrize("eta1", [np.nan, np.inf])
+def test_stabilization_rejects_non_finite_weights(eta1):
     V = build_space(build_rect_mesh(0, 1, 0, 1, 2, 2), 2, "CG")
     with pytest.raises(ValueError, match="finite"):
-        assemble_stabilization(V, eta1, eta2)
+        assemble_stabilization(V, eta1)
 
 
 def test_stabilization_vanishes_on_smooth_functions():
-    # a single global cubic has continuous gradient and Hessian, so both
-    # penalty terms must annihilate its interpolant (p = 3 reproduces it)
+    # a single global cubic has a continuous gradient, so the penalty must
+    # annihilate its interpolant (p = 3 reproduces it)
     mesh = build_rect_mesh(0, 1, 0, 1, 3, 3)
     V = build_space(mesh, 3, "CG")
     u = interpolate(V, lambda x: x[:, 0] ** 3 - x[:, 1] ** 2 * x[:, 0] + x[:, 1])
-    S = assemble_stabilization(V, 1.0, 1.0)
+    S = assemble_stabilization(V, 1.0)
     val = u.coeffs @ (S @ u.coeffs)
     assert abs(val) < 1e-9
 
@@ -610,7 +609,7 @@ def test_stabilization_vanishes_on_smooth_functions():
 def test_stabilization_symmetric_psd():
     mesh = build_rect_mesh(0, 1, 0, 1, 2, 2)
     V = build_space(mesh, 2, "CG")
-    S = assemble_stabilization(V, 1.0, 0.5)
+    S = assemble_stabilization(V, 1.0)
     assert abs(S - S.T).max() < 1e-12
     rng = np.random.default_rng(5)
     for _ in range(100):
@@ -618,9 +617,9 @@ def test_stabilization_symmetric_psd():
         assert v @ (S @ v) >= -1e-12
 
 
-def _stabilization_oracle(V, eta1, eta2):
+def _stabilization_oracle(V, eta1):
     """Dense facet penalty summed facet by facet and point by point, with
-    physical gradients and Hessians built from the reference element."""
+    physical gradients built from the reference element."""
     mesh = V.mesh
     ref = V.ref
     t, wt = facet_quadrature(2 * V.degree + 2)
@@ -631,19 +630,16 @@ def _stabilization_oracle(V, eta1, eta2):
         n = mesh.facet_normals[f]
         for tk, wk in zip(t, wt):
             x = va + tk * (vb - va)
-            dofs, dn, hn = [], [], []
+            dofs, dn = [], []
             for side, c in zip((1.0, -1.0), mesh.facet_cells[f]):
                 Jinv = mesh.cell_inv_jacobians[c]
                 xr = (Jinv @ (x - mesh.vertices[mesh.cells[c, 0]]))[None]
                 g = ref.tabulate_grad(xr)[0] @ Jinv                 # (nloc, 2)
-                H = Jinv.T @ ref.tabulate_hess(xr)[0] @ Jinv        # (nloc, 2, 2)
                 dofs.append(V.dof_map[c])
                 dn.append(side * g @ n)
-                hn.append(side * H @ n)
             d = np.concatenate(dofs)
             jd = np.concatenate(dn)
-            jh = np.concatenate(hn)
-            blk = wk * h * (eta1 / h * np.outer(jd, jd) + eta2 * h * jh @ jh.T)
+            blk = wk * h * (eta1 / h * np.outer(jd, jd))
             np.add.at(S, np.ix_(d, d), blk)
     return S
 
@@ -654,8 +650,8 @@ def test_stabilization_matches_pointwise_oracle(p):
     mesh = build_rect_mesh(0, 1, 0, 1, 2, 2)
     mesh = bisect(mesh, rng.choice(mesh.n_cells, size=3, replace=False))
     V = build_space(mesh, p, "CG")
-    oracle = _stabilization_oracle(V, 1.0, 1.0)
-    S = assemble_stabilization(V, 1.0, 1.0).toarray()
+    oracle = _stabilization_oracle(V, 1.0)
+    S = assemble_stabilization(V, 1.0).toarray()
     assert np.abs(S - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
 
@@ -664,7 +660,7 @@ def test_stabilization_detects_kinks():
     mesh = build_rect_mesh(0, 1, 0, 1, 2, 2)
     V = build_space(mesh, 2, "CG")
     u = interpolate(V, lambda x: np.minimum(x[:, 0], 1.0 - x[:, 0]))
-    S = assemble_stabilization(V, 1.0, 0.0)
+    S = assemble_stabilization(V, 1.0)
     assert u.coeffs @ (S @ u.coeffs) > 1e-3
 
 
@@ -889,13 +885,13 @@ def test_dg_preconditioner_is_the_system_matrix(name, p):
     mesh = build_rect_mesh(*problem.bounds, 6, 6)
     for _ in range(2):
         mesh = bisect(mesh, rng.choice(mesh.n_cells, size=mesh.n_cells // 3, replace=False))
-    op = build_system(problem, mesh, p, "DG", eta1=1.0, eta2=0.5)
+    op = build_system(problem, mesh, p, "DG", eta1=1.0)
     pre = build_preconditioner(op)
     for _ in range(3):
         u = rng.standard_normal(op.n_dofs)
         Ku = apply_system(op, u)
         assert np.linalg.norm(pre.matrix @ u - Ku) <= 1e-12 * np.linalg.norm(Ku)
-    sol = solve_problem(problem, mesh, p, scheme="recovery-dg", eta1=1.0, eta2=0.5)
+    sol = solve_problem(problem, mesh, p, scheme="recovery-dg", eta1=1.0)
     assert sol.report.converged and sol.report.iterations == 0
 
 
@@ -912,7 +908,7 @@ def test_preconditioner_matches_its_written_out_formula(seed, n, p, mode, name):
     mesh = build_rect_mesh(*problem.bounds, n, n)
     for _ in range(2):
         mesh = bisect(mesh, rng.choice(mesh.n_cells, size=mesh.n_cells // 3, replace=False))
-    op = build_system(problem, mesh, p, mode, eta1=1.0, eta2=0.5)
+    op = build_system(problem, mesh, p, mode, eta1=1.0)
     hop = op.hessian_op
     (B00, B01), (_, B11) = op.B
     (C00, C01), (_, C11) = hop.C

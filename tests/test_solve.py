@@ -294,14 +294,6 @@ def test_preconditioner_reduces_iterations():
     assert rep_pre.iterations < rep_raw.iterations
 
 
-def test_nsz_rejects_hessian_jump_penalty():
-    problem = make_problem("exp1", kappa=0.5)
-    mesh = build_rect_mesh(0, 1, 0, 1, 2, 2)
-    with pytest.raises(ValueError, match="eta2"):
-        solve_problem(problem, mesh, p=2, scheme="nsz", eta2=5.0)
-    assert solve_problem(problem, mesh, p=2, scheme="nsz", eta2=0.0).report.converged
-
-
 @pytest.mark.parametrize("scheme", ["recovery-cg", "nsz"])
 @pytest.mark.parametrize("tol", [np.nan, np.inf])
 def test_solve_rejects_non_finite_tol(scheme, tol):

@@ -294,7 +294,7 @@ def test_scatter_peaks_at_most_3_5_times_its_blocks(assembler, monkeypatch):
     mesh = build_rect_mesh(0, 1, 0, 1, 32, 32)
     V = build_space(mesh, 2, "CG")
     if assembler == "stabilization":
-        operator.assemble_stabilization(V, 1.0, 0.0)
+        operator.assemble_stabilization(V, 1.0)
     else:
         hessian.assemble_C(V, build_space(mesh, 2, "DG"))
     # DG C scatters its cell blocks and its interior-facet blocks apart
