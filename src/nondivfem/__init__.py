@@ -28,7 +28,6 @@ from .operator import (
     SystemOperator,
     cordes_analyze,
     build_system,
-    apply_system,
     assemble_rhs,
     build_preconditioner,
     assemble_nsz,
@@ -67,7 +66,6 @@ __all__ = [
     "SystemOperator",
     "cordes_analyze",
     "build_system",
-    "apply_system",
     "assemble_rhs",
     "build_preconditioner",
     "assemble_nsz",

@@ -15,13 +15,14 @@ __all__ = ["AdaptiveRecord", "doerfler_mark", "adaptive_loop", "initial_mesh"]
 
 @dataclass
 class AdaptiveRecord:
-    """One solved level."""
+    """One solved level; `true_residual` is GMRES's final ||b - A u_h||."""
 
     level: int
     n_dofs: int
     eta_global: float
     gmres_iterations: int
     converged: bool
+    true_residual: float
     errors: object = None
     h_max: float = np.nan
 
@@ -74,6 +75,7 @@ def _solve_and_estimate(problem, mesh, p, level, **solve_options):
         eta_global=est.eta_global,
         gmres_iterations=sol.report.iterations,
         converged=sol.report.converged,
+        true_residual=sol.report.final_true_residual,
         errors=errors,
         h_max=mesh.h_max,
     )

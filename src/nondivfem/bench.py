@@ -24,7 +24,6 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .adapt import _solve_and_estimate, adaptive_loop, initial_mesh
-from .estimate import error_norms
 from .operator import CordesViolated, make_problem
 from .solve import SCHEMES, solve_problem
 from .space import _cg_dof_count
@@ -44,6 +43,16 @@ _EXPERIMENTS = ("exp1", "exp2", "exp3", "exp4")
 
 # fields that only one kind of refinement reads
 _IGNORED_BY = {"uniform": ("theta", "max_dofs"), "adaptive": ("levels",)}
+
+# the lowest degree at which each scheme converges: the cellwise Hessians of
+# P1 vanish, so nsz solves for u_h = 0, and DG recovery's error stalls
+_MIN_DEGREE = {"recovery-cg": 1, "recovery-dg": 2, "nsz": 2}
+
+
+def _check_degree(scheme, degree):
+    """Raise ValueError when `degree` is below `scheme`'s lowest degree."""
+    if degree < _MIN_DEGREE[scheme]:
+        raise ValueError("%s needs degree >= %d, got %d" % (scheme, _MIN_DEGREE[scheme], degree))
 
 
 @dataclass
@@ -68,8 +77,7 @@ class RunConfig:
             )
         if self.scheme not in SCHEMES:
             raise ValueError("unknown scheme %r; choose from %s" % (self.scheme, list(SCHEMES)))
-        if self.degree < 1:
-            raise ValueError("degree must be >= 1")
+        _check_degree(self.scheme, self.degree)
         if self.refinement not in ("uniform", "adaptive"):
             raise ValueError("refinement must be 'uniform' or 'adaptive'")
         if not 0.0 < self.theta <= 1.0:
@@ -119,11 +127,16 @@ def write_csv(path, header, rows):
 # studies
 
 
+def _uniform_mesh(problem, config, level):
+    """Uniform mesh of `level`: the first mesh's cells per side doubled `level` times."""
+    n0 = config.initial_n if config.initial_n is not None else problem.initial_n
+    return initial_mesh(problem, n0 * 2**level)
+
+
 def _solve_level(problem, config, level):
     """AdaptiveRecord of uniform level `level`."""
-    n0 = config.initial_n if config.initial_n is not None else problem.initial_n
-    mesh = initial_mesh(problem, n0 * 2**level)
-    record, _ = _solve_and_estimate(problem, mesh, config.degree, level, scheme=config.scheme,
+    record, _ = _solve_and_estimate(problem, _uniform_mesh(problem, config, level),
+                                    config.degree, level, scheme=config.scheme,
                                     eta1=config.eta1, tol=config.tol)
     return record
 
@@ -265,12 +278,13 @@ def run_iteration_table(
     return header, rows
 
 
-def run_scheme_comparison(config, degrees=(1, 2, 3, 4)):
+def run_scheme_comparison(config, degrees=(2, 3, 4)):
     """Error columns of all three schemes side by side on shared meshes.
 
-    Returns (header, rows, failed): a cell whose solve raised or did not
-    converge is left empty and named in `failed`; without an exact solution
-    every cell is empty.
+    Every cell is solved and measured by the level routine of `run`.
+    Returns (header, rows, failed): a cell whose solve raised, did not
+    converge or lies below its scheme's lowest degree is left empty and
+    named in `failed`; without an exact solution every cell is empty.
     A degree below 1 raises ValueError before anything is solved.
     """
     config.validate()
@@ -281,30 +295,23 @@ def run_scheme_comparison(config, degrees=(1, 2, 3, 4)):
     for s in SCHEMES:
         tag = s.replace("-", "_")
         header += ["%s_L2" % tag, "%s_H1" % tag, "%s_H2h" % tag]
-    exact = None
-    if problem.has_exact:
-        exact = {"u": problem.exact_u, "grad": problem.exact_grad, "hess": problem.exact_hess}
-    n0 = config.initial_n if config.initial_n is not None else problem.initial_n
     rows, failed = [], []
     for p in degrees:
         for level in range(config.levels):
-            mesh = initial_mesh(problem, n0 * 2**level)
+            mesh = _uniform_mesh(problem, config, level)
             n_dofs = _cg_dof_count(mesh, p)
             row = [p, n_dofs, mesh.h_max]
             for s in SCHEMES:
                 try:
-                    sol = solve_problem(
-                        problem, mesh, p, scheme=s, eta1=config.eta1, tol=config.tol,
-                    )
-                    if not sol.report.converged:
+                    _check_degree(s, p)
+                    record, _ = _solve_and_estimate(problem, mesh, p, level, scheme=s,
+                                                    eta1=config.eta1, tol=config.tol)
+                    if not record.converged:
                         raise RuntimeError(
                             "GMRES did not converge: true residual %g after %d iterations"
-                            % (sol.report.final_true_residual, sol.report.iterations))
-                    if exact is not None:
-                        err = error_norms(sol.u_h, exact)
-                        row += [err.l2, err.h1, err.h2h]
-                    else:
-                        row += [None, None, None]
+                            % (record.true_residual, record.gmres_iterations))
+                    e = record.errors
+                    row += [e.l2, e.h1, e.h2h] if e else [None, None, None]
                 except (CordesViolated, RuntimeError, ValueError) as exc:
                     failed.append("degree %d, Ndofs %d, %s: %s" % (p, n_dofs, s, exc))
                     row += [None, None, None]
@@ -379,7 +386,7 @@ def build_parser():
 
     cmp_ = sub.add_parser("compare", help="all three schemes on shared meshes", **exact)
     _add_common(cmp_)
-    cmp_.add_argument("--degrees", default="1,2,3,4", help="comma-separated degrees p")
+    cmp_.add_argument("--degrees", default="2,3,4", help="comma-separated degrees p")
     cmp_.add_argument("--levels", type=int, default=4, help="number of uniform meshes")
 
     return ap

@@ -162,12 +162,15 @@ class _CellwiseLU:
 def assemble_C(space_V, space_W):
     """Recovery blocks as a 2x2 list of CSR matrices: (C_ij u)_k = int H_ij(u) psi_k.
 
+    The test space W lives on the trial space V's mesh and must have V's
+    degree, so both share one reference element and one trace evaluation
+    per facet side; a W of another degree raises ValueError.
     Integration by parts of d_j(d_i u) psi_k gives
         C_ij[k, l] = -int_T d_i(phi_l) d_j(psi_k)  +  sum_F int_F {d_i phi_l} [psi_k n_j].
     The volume part is the geometry tensor -det_T Jinv[a, i] Jinv[b, j]
     contracted with the reference tensor R[a, b, k, l] = int d_a(phi_l) d_b(psi_k)
     over the reference cell (Kirby & Logg, ACM TOMS 2006), whose integrand has
-    degree pV + pW - 2.  The facet part runs over groups of facets, each a list
+    degree 2p - 2.  The facet part runs over groups of facets, each a list
     of (trial side, test side, weight) terms: boundary facets always contribute
     (plus, plus, 1); a discontinuous test space adds every interior facet, where
     psi on one side sees that side's outward normal (n_plus = -n_F,
@@ -175,24 +178,26 @@ def assemble_C(space_V, space_W):
     facet's terms test only the p + 1 functions psi_k whose trace on it does
     not vanish (`ReferenceElement.edge_dofs`).  A term whose trial side is its
     test side is added to the cell's volume block, so only the two cross
-    terms of an interior facet are blocks of their own, (p + 1) x nV each,
+    terms of an interior facet are blocks of their own, (p + 1) x n each,
     scattered apart from the volume blocks and added.  C_00, C_01 and C_11
     drop the sums that vanish in exact arithmetic; C_10 is C_01.
     """
+    if space_W.degree != space_V.degree:
+        raise ValueError("the test space must have the trial space's degree %d, got %d"
+                         % (space_V.degree, space_W.degree))
     mesh = space_V.mesh
-    nW, nV = space_W.ref.n_basis, space_V.ref.n_basis
+    n = space_V.ref.n_basis
     shape = (space_W.n_dofs, space_V.n_dofs)
 
-    q = quadrature(max(space_V.degree + space_W.degree - 2, 1))
-    gV = space_V.ref.tabulate_grad(q.points)               # (q, nV, 2)
-    gW = space_W.ref.tabulate_grad(q.points)               # (q, nW, 2)
+    q = quadrature(max(2 * space_V.degree - 2, 1))
+    g = space_V.ref.tabulate_grad(q.points)                # (q, n, 2)
     # R's entries are rationals; those that vanish exactly come out as
     # round-off (<1e-13 of the largest up to p = 6, against >1e-4 for the
     # smallest true entry)
-    R = _snap_round_off(np.einsum("q,qla,qkb->abkl", q.weights, gV, gW).reshape(4, nW * nV))
+    R = _snap_round_off(np.einsum("q,qla,qkb->abkl", q.weights, g, g).reshape(4, n * n))
     Jinv = mesh.cell_inv_jacobians
     G = -np.einsum("c,cam,cbm->mcab", mesh.cell_det, Jinv[:, :, _I], Jinv[:, :, _J])
-    volume = (G.reshape(3, -1, 4) @ R).reshape(3, -1, nW, nV)
+    volume = (G.reshape(3, -1, 4) @ R).reshape(3, -1, n, n)
 
     # (facets, terms, whether each term tests only the facet's edge functions)
     groups = [(mesh.boundary_facets(), [(0, 0, 1.0)], False)]
@@ -208,20 +213,19 @@ def assemble_C(space_V, space_W):
             continue
         wlen = wt[None, :] * mesh.facet_lengths[facets][:, None]
         normals = mesh.facet_normals[facets][:, _J]
-        # contracted in the order einsum picks for all nW test functions, the
+        # contracted in the order einsum picks for all n test functions, the
         # edge rows keep the values of that full contraction bit for bit; the
         # DG system amplifies round-off in C about 1e7 times at 64x64 cells,
         # so another order would show in its solution
-        shapes = [wlen.shape, (len(facets), len(t), nV, 3), (len(facets), len(t), nW),
+        shapes = [wlen.shape, (len(facets), len(t), n, 3), (len(facets), len(t), n),
                   normals.shape]
-        path = np.einsum_path(spec, *(np.broadcast_to(0.0, n) for n in shapes),
+        path = np.einsum_path(spec, *(np.broadcast_to(0.0, m) for m in shapes),
                               optimize=True)[0]
         cells, grads, vals, tested = {}, {}, {}, {}
         for side in {side for r, s, _ in terms for side in (r, s)}:
-            cells[side], _, grads[side] = facet_traces(space_V, facets, side, t)
-            _, vals[side], _ = facet_traces(space_W, facets, side, t)
+            cells[side], vals[side], grads[side] = facet_traces(space_V, facets, side, t)
             tested[side] = (space_W.ref.edge_dofs[mesh.facet_local[facets, side]] if on_edge
-                            else np.broadcast_to(np.arange(nW), (len(facets), nW)))
+                            else np.broadcast_to(np.arange(n), (len(facets), n)))
             if on_edge:
                 vals[side] = np.take_along_axis(vals[side], tested[side][:, None, :], axis=2)
         for r, s, w in terms:

@@ -38,7 +38,6 @@ degree 2p + 2, on which the Cordes check also runs.
 """
 
 import inspect
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +45,7 @@ import scipy.sparse as sp
 
 from .hessian import _I, _J, _WEIGHTS, _factor, _stored, _symmetric, build_hessian_operator
 from .space import (
+    _compact,
     _snap_round_off,
     _sym,
     boundary_dofs,
@@ -68,7 +68,6 @@ __all__ = [
     "assemble_load",
     "SystemOperator",
     "build_system",
-    "apply_system",
     "assemble_rhs",
     "build_preconditioner",
     "assemble_nsz",
@@ -450,13 +449,11 @@ def _eliminate_dirichlet(K, free):
 
     A CSR copy of K has the entries of fixed rows and columns zeroed; adding
     the identity on the fixed dofs sets their diagonal, and the zeros are
-    then dropped.
+    then dropped, leaving `data` and `indices` that own their memory.
     """
     K = K.tocsr(copy=True)
     K.data[~(np.repeat(free, np.diff(K.indptr)) & free[K.indices])] = 0.0
-    K = K + sp.diags(1.0 - free.astype(np.float64))
-    K.eliminate_zeros()
-    return K
+    return _compact(K + sp.diags(1.0 - free.astype(np.float64)))
 
 
 def assemble_B(space_W, sample):
@@ -532,7 +529,17 @@ class SystemOperator:
         return self.space_V.n_dofs
 
     def apply(self, u):
-        return apply_system(self, u)
+        """One matrix-free application; boundary rows return the input unchanged."""
+        hop = self.hessian_op
+        u = np.asarray(u, dtype=np.float64)
+        ui = np.where(self.free_mask, u, 0.0)
+        g = np.zeros(hop.space_W.n_dofs)
+        for i in range(2):
+            for j in range(2):
+                h_ij = hop.mass_solve(hop.C[i][j] @ ui)
+                g += self.B[i][j] @ h_ij
+        y = hop.C_trace.T @ hop.mass_solve(g) + self.S @ ui
+        return np.where(self.free_mask, y, u)
 
 
 def build_system(problem, mesh, p, mode="CG", eta1=None):
@@ -562,20 +569,6 @@ def build_system(problem, mesh, p, mode="CG", eta1=None):
         eta1=float(eta1),
         cordes=sample.cordes,
     )
-
-
-def apply_system(op, u):
-    """One matrix-free application; boundary rows return the input unchanged."""
-    hop = op.hessian_op
-    u = np.asarray(u, dtype=np.float64)
-    ui = np.where(op.free_mask, u, 0.0)
-    g = np.zeros(hop.space_W.n_dofs)
-    for i in range(2):
-        for j in range(2):
-            h_ij = hop.mass_solve(hop.C[i][j] @ ui)
-            g += op.B[i][j] @ h_ij
-    y = hop.C_trace.T @ hop.mass_solve(g) + op.S @ ui
-    return np.where(op.free_mask, y, u)
 
 
 def assemble_rhs(op):
@@ -631,15 +624,12 @@ def assemble_nsz(space_V, sample, eta1):
 
     a(u, v) = int gamma A : D2u tr(D2v) + eta1 sum_F h_F^-1 int [du/dn][dv/dn],
     rhs(v) = int gamma f tr(D2v).  The gradient-jump penalty is mandatory
-    (the form is not coercive without it).
+    (the form is not coercive without it).  At degree 1 the cellwise
+    Hessians vanish, so the matrix is the penalty alone and the rhs is zero;
+    the command line refuses that degree (`bench._MIN_DEGREE`).
     """
     if not eta1 > 0:
         raise ValueError("the direct scheme requires eta1 > 0")
-    if space_V.degree < 2:
-        warnings.warn(
-            "cellwise Hessians vanish for degree 1; the direct scheme degenerates",
-            stacklevel=2,
-        )
     mesh = space_V.mesh
     q = sample.rule
     H_ref = space_V.ref.tabulate_hess(q.points)

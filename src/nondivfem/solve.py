@@ -7,7 +7,8 @@ call for every scheme; the scheme picks only the apply, the right-hand
 side and the preconditioner.  Where the preconditioner is the system
 matrix, on a DG test space and for the direct scheme, GMRES starts from
 its factored solve: the initial residual, one apply, compares that matrix
-with the apply, and GMRES takes no step when it meets the tolerance.
+with the apply, and GMRES takes no step when it meets the tolerance.  On a
+DG test space that solve is first refined once against the apply.
 """
 
 from dataclasses import dataclass, field
@@ -149,9 +150,11 @@ def solve_problem(
     whose eliminated sparse matrix and factor are wrapped in a
     Preconditioner too, P is the system matrix: GMRES starts from P^-1 b,
     checks its residual and takes no step unless round-off leaves it above
-    tol.  The one penalty is eta1, on the normal-gradient jumps across
-    interior facets; nsz defaults it to 1 and recovery to `build_system`'s
-    rule.  Raises ValueError for a tol that is not finite and > 0.
+    tol.  recovery-dg first refines P^-1 b once against the matrix-free
+    apply, x0 + P^-1 (b - A x0), so its solution does not follow the
+    round-off of the assembled P.  The one penalty is eta1, on the
+    normal-gradient jumps across interior facets; nsz defaults it to 1 and
+    recovery to `build_system`'s rule.  Raises ValueError for a tol that is not finite and > 0.
     Boundary coefficients of the returned function are exactly zero.
     """
     if scheme not in SCHEMES:
@@ -173,6 +176,11 @@ def solve_problem(
     # for every scheme but recovery-cg P is the system matrix, so P^-1 b is
     # the solution and GMRES only checks its residual
     x0 = None if scheme == "recovery-cg" else P.solve(b)
+    if scheme == "recovery-dg":
+        # one step of iterative refinement against the matrix-free apply: the
+        # DG system amplifies round-off about 1e7 times, so without it the
+        # solution would follow the round-off of the assembled K
+        x0 = x0 + P.solve(b - apply(x0))
     x, report = gmres(apply, b, precond=P.solve, x0=x0, tol_abs=tol, tol_rel=tol,
                       max_iter=MAX_ITER)
     x[boundary_dofs(space_V)] = 0.0

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,11 @@ def test_config_validation():
         _tiny_uniform(eta1=-1.0).validate()
     with pytest.raises(ValueError):
         _tiny_uniform(scheme="fdm").validate()
+    # the degree contract: DG recovery and nsz need p >= 2, CG recovery p >= 1
+    for scheme in ("recovery-dg", "nsz"):
+        with pytest.raises(ValueError, match="%s needs degree >= 2" % scheme):
+            _tiny_uniform(scheme=scheme, degree=1).validate()
+    _tiny_uniform(degree=1).validate()
     # NaN fails every comparison, so it must not slip through a "< 0" test
     for name in ("tol", "eta1"):
         for value in (np.nan, np.inf):
@@ -271,20 +278,18 @@ def test_scheme_comparison_rejects_degrees_below_one(tmp_path, monkeypatch, degr
 
 
 def test_comparison_shows_degree_one_gap():
-    # degree 1: the direct scheme degenerates (zero cell Hessians) while
-    # the recovery scheme still converges; the error columns must show it
+    # degree 1: CG recovery converges, while DG recovery (its error stalls)
+    # and the direct scheme (zero cell Hessians, u_h = 0) lie below their
+    # lowest degree: their cells are named as failed, unsolved and empty
     config = RunConfig(experiment="exp1", levels=2, initial_n=4, params={"kappa": 0.5})
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        header, rows, _ = run_scheme_comparison(config, degrees=(1,))
+    header, rows, failed = run_scheme_comparison(config, degrees=(1,))
     byname = [dict(zip(header, r)) for r in rows]
     cg = [r["recovery_cg_L2"] for r in byname]
-    nsz = [r["nsz_L2"] for r in byname]
     assert cg[1] < cg[0]  # recovery converges
-    # the degenerate scheme returns u_h = 0: L2 error frozen at ||u||
-    assert nsz[1] > 0.9 * nsz[0]
+    assert all(r[k] is None for r in byname for k in header
+               if k.startswith(("recovery_dg", "nsz")))
+    assert failed == ["degree 1, Ndofs %d, %s: %s needs degree >= 2, got 1" % (n, s, s)
+                      for n in (25, 81) for s in ("recovery-dg", "nsz")]
 
 
 # ----------------------------------------------------------------------
@@ -535,8 +540,33 @@ def test_cli_compare_exits_3_on_unconverged_cells(capsys):
     header, row = (ln.split(",") for ln in captured.out.splitlines())
     assert header[3:] and all(v == "" for v in row[3:])
     failed = [ln for ln in captured.err.splitlines() if ln.startswith("failed cell")]
-    assert len(failed) == 3 and all("did not converge" in ln for ln in failed)
+    assert len(failed) == 3
+    for ln in failed:
+        m = re.fullmatch(r"failed cell: degree 2, Ndofs 25, [a-z-]+: GMRES did not converge: "
+                         r"true residual (\S+) after (\d+) iterations", ln)
+        assert m, ln
+        assert 1e-300 < float(m.group(1)) < 1e-8 and 0 < int(m.group(2)) <= 25
     assert main(["run", "--degree", "2"] + args) == 3
+
+
+@pytest.mark.parametrize("command, scheme, budget", [
+    ("run", "nsz", ["--levels", "1", "--initial-n", "2"]),
+    ("adapt", "recovery-dg", ["--max-dofs", "200"]),
+])
+def test_cli_refuses_a_degree_below_the_schemes_lowest(tmp_path, capsys, command, scheme,
+                                                       budget):
+    out = tmp_path / "x.csv"
+    rc = main([command, "--experiment", "exp1", "--scheme", scheme, "--degree", "1",
+               "--out", str(out)] + budget)
+    assert rc == 2
+    assert not out.exists()
+    assert "configuration error: %s needs degree >= 2" % scheme in capsys.readouterr().err
+
+
+def test_cli_compare_default_degrees_start_at_two():
+    from nondivfem.bench import build_parser
+
+    assert build_parser().parse_args(["compare", "--experiment", "exp1"]).degrees == "2,3,4"
 
 
 @pytest.mark.parametrize("degrees", ["0,2", "2,-1"])
@@ -597,7 +627,7 @@ def test_public_surface_is_pinned():
         "AdaptiveRecord", "CordesInfo", "CordesViolated", "ErrorNorms", "EstimatorField",
         "FEFunction", "FunctionSpace", "HessianOperator", "Mesh", "ProblemData",
         "QuadratureRule", "Solution", "SolveReport", "SystemOperator", "adaptive_loop",
-        "apply_system", "assemble_mass_W", "assemble_nsz", "assemble_rhs", "bisect",
+        "assemble_mass_W", "assemble_nsz", "assemble_rhs", "bisect",
         "boundary_dofs", "build_hessian_operator", "build_preconditioner", "build_rect_mesh",
         "build_space", "build_system", "cordes_analyze", "doerfler_mark", "eoc",
         "error_norms", "estimate_level", "gmres", "initial_mesh", "interpolate",

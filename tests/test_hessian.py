@@ -186,6 +186,32 @@ def test_assemble_C_scatters_one_block_per_cell_and_coupling(monkeypatch, contin
             assert len(shapes) == 1
 
 
+@pytest.mark.parametrize("continuity, sides", [("CG", [0]), ("DG", [0, 0, 1])])
+def test_assemble_C_traces_each_facet_side_once(monkeypatch, continuity, sides):
+    # W has V's degree, so one trace evaluation per side of each facet group
+    # (the boundary's plus side; on DG also both interior sides) gives the
+    # trial gradients and the test values alike
+    calls = []
+    traces = hessian.facet_traces
+
+    def recording(space, facets, side, t):
+        calls.append(side)
+        return traces(space, facets, side, t)
+
+    monkeypatch.setattr(hessian, "facet_traces", recording)
+    mesh = _randomly_bisected_mesh(seed=4)
+    for p in (1, 2, 3):
+        calls.clear()
+        assemble_C(build_space(mesh, p, "CG"), build_space(mesh, p, continuity))
+        assert sorted(calls) == sides
+
+
+def test_assemble_C_refuses_a_test_space_of_another_degree():
+    mesh = _randomly_bisected_mesh(seed=4)
+    with pytest.raises(ValueError, match="degree 2, got 3"):
+        assemble_C(build_space(mesh, 2, "CG"), build_space(mesh, 3, "DG"))
+
+
 @pytest.mark.parametrize("p", [1, 2, 3])
 @pytest.mark.parametrize("mode", ["CG", "DG"])
 def test_C_01_equals_C_10_without_round_off_entries(p, mode):

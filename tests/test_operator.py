@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import pickle
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,10 +13,10 @@ from hypothesis import strategies as st
 
 from nondivfem import (
     CordesViolated,
-    apply_system,
     assemble_nsz,
     assemble_rhs,
     bisect,
+    boundary_dofs,
     build_preconditioner,
     build_rect_mesh,
     build_space,
@@ -519,14 +520,22 @@ def test_B_peaks_at_most_4_times_what_it_keeps(name, continuity):
     assert peak <= 4 * kept
 
 
-@pytest.mark.parametrize("mode", ["CG", "DG"])
+@pytest.mark.parametrize("mode", ["CG", "DG", "nsz"])
 def test_system_matrices_own_exactly_sized_arrays(mode):
-    # pruning after the COO-to-CSR conversion or after dropping entries must
-    # not leave data and indices as views of the longer COO-sized buffers
-    op = build_system(make_problem("exp1", kappa=0.9), build_rect_mesh(0, 1, 0, 1, 4, 4), 2,
-                      mode, eta1=1.0)
-    hop = op.hessian_op
-    for A in [hop.M_W, hop.C_trace, op.S] + op.B[0] + op.B[1] + hop.C[0] + hop.C[1]:
+    # pruning after the COO-to-CSR conversion, after dropping entries or in
+    # the Dirichlet elimination must not leave data and indices as views of
+    # longer buffers
+    problem = make_problem("exp1", kappa=0.9)
+    mesh = build_rect_mesh(0, 1, 0, 1, 4, 4)
+    if mode == "nsz":
+        V = build_space(mesh, 2, "CG")
+        mats = [assemble_nsz(V, _coefficient_sample(problem, V), 1.0)[0]]
+    else:
+        op = build_system(problem, mesh, 2, mode, eta1=1.0)
+        hop = op.hessian_op
+        mats = ([hop.M_W, hop.C_trace, op.S, build_preconditioner(op).matrix]
+                + op.B[0] + op.B[1] + hop.C[0] + hop.C[1])
+    for A in mats:
         assert A.nnz > 0
         assert A.data.base is None and A.indices.base is None
         assert A.data.size == A.indices.size == A.nnz
@@ -679,7 +688,7 @@ def test_B_stores_no_zeros_of_a_vanishing_coefficient_block():
     zeros = sp.csr_matrix((np.zeros_like(B00.data), B00.indices, B00.indptr), shape=B00.shape)
     filled = dataclasses.replace(op, B=[[op.B[0][0], zeros], [zeros, op.B[1][1]]])
     u = np.random.default_rng(5).standard_normal(op.n_dofs)
-    assert np.array_equal(apply_system(op, u), apply_system(filled, u))
+    assert np.array_equal(op.apply(u), filled.apply(u))
 
 
 @pytest.mark.parametrize("scheme", ["CG", "DG", "nsz"])
@@ -712,11 +721,11 @@ def test_apply_zero_and_boundary_identity():
     problem = make_problem("exp1")
     mesh = build_rect_mesh(0, 1, 0, 1, 4, 4)
     op = build_system(problem, mesh, p=2)
-    assert np.all(apply_system(op, np.zeros(op.n_dofs)) == 0.0)
+    assert np.all(op.apply(np.zeros(op.n_dofs)) == 0.0)
     k = int(np.flatnonzero(~op.free_mask)[0])
     e = np.zeros(op.n_dofs)
     e[k] = 1.0
-    out = apply_system(op, e)
+    out = op.apply(e)
     assert out[k] == 1.0
     # a fixed dof does not leak into any other row
     assert np.abs(np.delete(out, k)).max() == 0.0
@@ -732,7 +741,7 @@ def test_system_identity_coefficient_is_spd():
     for k in range(n):
         e = np.zeros(n)
         e[k] = 1.0
-        K[:, k] = apply_system(op, e)
+        K[:, k] = op.apply(e)
     free = op.free_mask
     Kff = K[np.ix_(free, free)]
     assert np.abs(Kff - Kff.T).max() < 1e-10
@@ -760,7 +769,7 @@ def test_apply_matches_dense_reassembly():
     for _ in range(5):
         u = rng.standard_normal(op.n_dofs)
         expect = np.where(free, K @ np.where(free, u, 0.0), u)
-        got = apply_system(op, u)
+        got = op.apply(u)
         assert np.abs(got - expect).max() < 1e-9
 
 
@@ -804,7 +813,7 @@ def test_system_invariant_under_coefficient_scaling():
     assert np.isclose(op1.cordes.epsilon, op2.cordes.epsilon, atol=1e-12)
     rng = np.random.default_rng(9)
     u = rng.standard_normal(op1.n_dofs)
-    assert np.abs(apply_system(op1, u) - apply_system(op2, u)).max() < 1e-11
+    assert np.abs(op1.apply(u) - op2.apply(u)).max() < 1e-11
     assert np.abs(assemble_rhs(op1) - assemble_rhs(op2)).max() < 1e-11
 
 
@@ -817,7 +826,7 @@ def test_coercivity_witness():
     for _ in range(100):
         u = rng.standard_normal(op.n_dofs)
         u[~op.free_mask] = 0.0
-        val = u @ apply_system(op, u)
+        val = u @ op.apply(u)
         assert val > 0.0
 
 
@@ -889,7 +898,7 @@ def test_dg_preconditioner_is_the_system_matrix(name, p):
     pre = build_preconditioner(op)
     for _ in range(3):
         u = rng.standard_normal(op.n_dofs)
-        Ku = apply_system(op, u)
+        Ku = op.apply(u)
         assert np.linalg.norm(pre.matrix @ u - Ku) <= 1e-12 * np.linalg.norm(Ku)
     sol = solve_problem(problem, mesh, p, scheme="recovery-dg", eta1=1.0)
     assert sol.report.converged and sol.report.iterations == 0
@@ -961,7 +970,7 @@ def test_dg_operators_match_superlu_mass_solves(p):
     ref = dataclasses.replace(
         op, hessian_op=dataclasses.replace(hop, M_lu=sp.linalg.splu(hop.M_W.tocsc())))
     u = rng.standard_normal(op.n_dofs)
-    pairs = [(apply_system(op, u), apply_system(ref, u)), (assemble_rhs(op), assemble_rhs(ref))]
+    pairs = [(op.apply(u), ref.apply(u)), (assemble_rhs(op), assemble_rhs(ref))]
     for row, ref_row in zip(recover_hessian(hop, u), recover_hessian(ref.hessian_op, u)):
         pairs += [(h.coeffs, h_ref.coeffs) for h, h_ref in zip(row, ref_row)]
     for x, y in pairs:
@@ -980,12 +989,20 @@ def test_nsz_requires_penalty():
         assemble_nsz(V, _coefficient_sample(problem, V), eta1=0.0)
 
 
-def test_nsz_warns_for_degree_one():
+def test_nsz_at_degree_one_is_the_penalty_alone():
+    # the cellwise Hessians of P1 vanish: the matrix is the eliminated
+    # penalty and the rhs is zero, assembled without a warning
     mesh = build_rect_mesh(0, 1, 0, 1, 2, 2)
     V = build_space(mesh, 1, "CG")
     problem = make_problem("exp1")
-    with pytest.warns(UserWarning):
-        assemble_nsz(V, _coefficient_sample(problem, V), eta1=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        K, rhs = assemble_nsz(V, _coefficient_sample(problem, V), eta1=1.0)
+    free = np.ones(V.n_dofs, dtype=bool)
+    free[boundary_dofs(V)] = False
+    want = _eliminate_dirichlet(assemble_stabilization(V, 1.0), free)
+    assert abs(K - want).max() == 0.0
+    assert not rhs.any()
 
 
 def test_nsz_reproduces_polynomial_solution():

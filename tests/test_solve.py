@@ -219,27 +219,31 @@ def test_solve_exp1_h2_rate():
 
 
 # Lowest last L2 EOC over exp1 (kappa = 0.5) and exp3, default penalties, as
-# measured: recovery-cg 2.75 / 3.02, recovery-dg 1.87 / 3.35, nsz 1.67 / 3.88
-# at p = 2 (16^2 -> 32^2) / p = 3 (8^2 -> 16^2), less a margin
+# measured: recovery-cg 1.23 at p = 1 (16^2 -> 32^2), and recovery-cg
+# 2.75 / 3.02, recovery-dg 1.87 / 3.35, nsz 1.67 / 3.88 at p = 2 (16^2 -> 32^2)
+# / p = 3 (8^2 -> 16^2), less a margin.  DG recovery and nsz start at p = 2
+# (`bench._MIN_DEGREE`)
 L2_RATE_FLOOR = {
+    ("recovery-cg", 1): 1.1,
     ("recovery-cg", 2): 2.5, ("recovery-cg", 3): 2.8,
     ("recovery-dg", 2): 1.7, ("recovery-dg", 3): 3.1,
     ("nsz", 2): 1.5, ("nsz", 3): 3.6,
 }
 
 
-@pytest.mark.parametrize("p", [2, 3])
-@pytest.mark.parametrize("scheme", ["recovery-cg", "recovery-dg", "nsz"])
-@pytest.mark.parametrize("name, params", [("exp1", {"kappa": 0.5}), ("exp3", {})],
-                         ids=["exp1", "exp3"])
+@pytest.mark.parametrize("name, params, scheme, p", [
+    pytest.param(name, params, scheme, p, id="%s-%s-%d" % (name, scheme, p))
+    for name, params in (("exp1", {"kappa": 0.5}), ("exp3", {}))
+    for scheme, p in sorted(L2_RATE_FLOOR)])
 def test_every_scheme_converges_at_its_rates(name, params, scheme, p):
-    # H1 at p and H2_h at p - 1, each within 0.2, and L2 above its floor, from
-    # the last step of two uniform meshes.  nsz on exp3 at p = 2 is still
-    # pre-asymptotic in L2 and H1 at 32^2 (H1 EOC 1.71, 1.84 at 64^2), so
-    # only its floor and its H2_h rate are pinned.
+    # H1 at p and, from p = 2 on, H2_h at p - 1, each within 0.2, and L2 above
+    # its floor, from the last step of two uniform meshes.  At p = 1 the
+    # H2_h error does not converge (CG 57.2 -> 60.0 on exp1).  nsz on exp3 at
+    # p = 2 is still pre-asymptotic in L2 and H1 at 32^2 (H1 EOC 1.71, 1.84
+    # at 64^2), so only its floor and its H2_h rate are pinned.
     problem = make_problem(name, **params)
     errs, hs = [], []
-    for n in ((16, 32) if p == 2 else (8, 16)):
+    for n in ((8, 16) if p == 3 else (16, 32)):
         mesh = build_rect_mesh(*problem.bounds, n, n)
         sol = solve_problem(problem, mesh, p, scheme=scheme)
         assert sol.report.converged
@@ -247,7 +251,8 @@ def test_every_scheme_converges_at_its_rates(name, params, scheme, p):
         hs.append(mesh.h_max)
     l2, h1, h2h = (eoc(zip(hs, [getattr(e, k) for e in errs]))[0] for k in ("l2", "h1", "h2h"))
     assert l2 >= L2_RATE_FLOOR[scheme, p]
-    assert abs(h2h - (p - 1)) <= 0.2
+    if p >= 2:
+        assert abs(h2h - (p - 1)) <= 0.2
     if (name, scheme, p) != ("exp3", "nsz", 2):
         assert abs(h1 - p) <= 0.2
 
@@ -325,7 +330,8 @@ def test_nsz_default_tol_keeps_the_factored_solve():
 
 
 def test_dg_recovery_steps_when_the_assembled_system_is_perturbed(monkeypatch):
-    # a starting guess off by more than tol is corrected by GMRES steps
+    # a starting guess off by more than tol after the refinement step is
+    # corrected by GMRES steps; at 1 + 1e-6 the refinement alone meets tol
     problem = make_problem("exp3")
     mesh = build_rect_mesh(*problem.bounds, 8, 8)
     exact = solve_problem(problem, mesh, 2, scheme="recovery-dg")
@@ -334,13 +340,34 @@ def test_dg_recovery_steps_when_the_assembled_system_is_perturbed(monkeypatch):
     def perturbed(op):
         P = build_preconditioner(op).matrix.copy()
         k = int(np.argmax(np.abs(P.diagonal()) * op.free_mask))
-        P[k, k] *= 1.0 + 1e-6
+        P[k, k] *= 1.0 + 1e-4
         return Preconditioner(matrix=P, lu=_factor(P))
 
     monkeypatch.setattr(solve_module, "build_preconditioner", perturbed)
     sol = solve_problem(problem, mesh, 2, scheme="recovery-dg")
     assert sol.report.converged and sol.report.iterations >= 1
     assert np.abs(sol.u_h.coeffs - exact.u_h.coeffs).max() <= 1e-6 * np.abs(exact.u_h.coeffs).max()
+
+
+def test_dg_recovery_does_not_follow_round_off_of_the_assembled_system(monkeypatch):
+    # the refinement step against the matrix-free apply makes the solution a
+    # function of the operator: a few ulps on every entry of K, which the DG
+    # system amplifies about 1e7 times in a plain factored solve, move it by
+    # round-off only
+    problem = make_problem("exp3")
+    mesh = build_rect_mesh(*problem.bounds, 16, 16)
+    exact = solve_problem(problem, mesh, 2, scheme="recovery-dg").u_h.coeffs
+    rng = np.random.default_rng(7)
+
+    def scaled(op):
+        P = build_preconditioner(op).matrix.copy()
+        P.data *= 1.0 + 4.0 * np.finfo(float).eps * rng.choice([-1.0, 1.0], P.nnz)
+        return Preconditioner(matrix=P, lu=_factor(P))
+
+    monkeypatch.setattr(solve_module, "build_preconditioner", scaled)
+    sol = solve_problem(problem, mesh, 2, scheme="recovery-dg")
+    assert sol.report.iterations == 0
+    assert np.abs(sol.u_h.coeffs - exact).max() < 1e-12 * np.abs(exact).max()
 
 
 def test_nsz_solve_report_shape():
