@@ -31,11 +31,15 @@ def doerfler_mark(eta_T, theta):
     """Doerfler's bulk criterion on squared indicators: the smallest prefix
     of cells, sorted by eta_T descending, with sum of marked eta_T^2 >=
     theta^2 * sum of all eta_T^2.  `eta_T` is the per-cell indicator array.
-    Ties break by cell id; cells with eta_T = 0 are never marked.
+    Ties break by cell id; cells with eta_T = 0 are never marked.  An empty
+    field, an indicator that is not finite or negative, and a theta outside
+    (0, 1] raise ValueError.
     """
     eta_T = np.asarray(eta_T, dtype=np.float64)
     if eta_T.size == 0:
         raise ValueError("empty estimator field")
+    if not np.all(np.isfinite(eta_T) & (eta_T >= 0.0)):
+        raise ValueError("indicators must be finite and >= 0")
     if not 0.0 < theta <= 1.0:
         raise ValueError("theta must be in (0, 1]")
     vals = eta_T**2

@@ -12,7 +12,8 @@ this reduces to three scalar systems M_W h_ij = C_ij u, as C_10 = C_01,
 sharing one mass matrix.  The stored components (0, 0), (0, 1) and (1, 1)
 and their weights 1, 2, 1 in a sum over all four are defined here once
 (`_I`, `_J`, `_WEIGHTS`); `assemble_C`, `recover_hessian`,
-`operator.assemble_B` and `operator.build_preconditioner` read them, and
+`operator.assemble_B`, `operator.build_preconditioner` and
+`operator.assemble_nsz` read them, and
 `_symmetric` gives the 2x2 list whose (1, 0) entry is its (0, 1) entry.
 `assemble_C` builds C_00, C_01 and C_11 for either test space with one
 volume kernel and one facet loop.  Facet terms that couple a cell with

@@ -627,26 +627,31 @@ def assemble_nsz(space_V, sample, eta1):
     (the form is not coercive without it).  At degree 1 the cellwise
     Hessians vanish, so the matrix is the penalty alone and the rhs is zero;
     the command line refuses that degree (`bench._MIN_DEGREE`).
+    As D2(phi) = Jinv^T H_ref Jinv for the reference Hessian H_ref,
+    X : D2(phi) = (Jinv X Jinv^T) : H_ref: the geometry is contracted with
+    X = gamma A at each point and with X = I (the trace) on each cell, then
+    with H_ref over its three stored components (`hessian._I`, `_J`,
+    `_WEIGHTS`), as `hessian.assemble_C` maps its gradients; no physical
+    Hessian is formed.  The volume block is one product of the weighted
+    gamma A : D2(phi_l) with tr D2(phi_k), and the rhs reuses tr D2(phi_k).
     """
     if not eta1 > 0:
         raise ValueError("the direct scheme requires eta1 > 0")
     mesh = space_V.mesh
     q = sample.rule
-    H_ref = space_V.ref.tabulate_hess(q.points)
-    Jinv = mesh.cell_inv_jacobians
-    H = np.einsum("cki,qlkm,cmj->cqlij", Jinv, H_ref, Jinv)
-    gq = sample.gamma
-    AH = np.einsum("cqij,cqlij->cql", sample.A, H)         # A : D2(phi_l)
-    trH = H[..., 0, 0] + H[..., 1, 1]
-    wdet = q.weights[None, :] * mesh.cell_det[:, None]
-    blk = np.einsum("cq,cq,cql,cqk->ckl", wdet, gq, AH, trH)
+    wg = q.weights[None, :] * mesh.cell_det[:, None] * sample.gamma   # w det gamma
+    H_ref = space_V.ref.tabulate_hess(q.points)[..., _I, _J] * _WEIGHTS   # (q, n, 3)
+    rows, cols = mesh.cell_inv_jacobians[:, _I], mesh.cell_inv_jacobians[:, _J]  # (cells, 3, 2)
+    gA = np.einsum("cq,cmi,cqij,cmj->cqm", wg, rows, sample.A, cols, optimize=True)
+    AH = np.einsum("cqm,qlm->cql", gA, H_ref)              # w det gamma A : D2(phi_l)
+    trH = np.einsum("cmi,cmi,qkm->cqk", rows, cols, H_ref, optimize=True)  # tr D2(phi_k)
+    blk = np.einsum("cql,cqk->ckl", AH, trH, optimize=True)
 
     dm = space_V.dof_map
     n = space_V.n_dofs
     K = scatter(blk, dm, dm, (n, n)) + assemble_stabilization(space_V, eta1)
 
-    fq = sample.f * gq * wdet
-    rhs_blk = np.einsum("cq,cqk->ck", fq, trH)
+    rhs_blk = np.einsum("cq,cqk->ck", sample.f * wg, trH)
     rhs = np.bincount(dm.ravel(), rhs_blk.ravel(), minlength=n)
 
     free = np.ones(n, dtype=bool)

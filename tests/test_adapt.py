@@ -82,6 +82,10 @@ def test_mark_rejects_bad_input():
         doerfler_mark(np.array([1.0]), 0.0)
     with pytest.raises(ValueError):
         doerfler_mark(np.array([1.0]), 1.5)
+    # an infinite indicator would go unmarked and a NaN would mark nothing
+    for eta in ([1.0, np.inf, 2.0], [np.nan, 1.0, 2.0], [1.0, -np.inf], [1.0, -0.5, 2.0]):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            doerfler_mark(np.array(eta), 0.5)
 
 
 def test_mark_all_zero_marks_nothing():

@@ -1042,6 +1042,55 @@ def test_nsz_boundary_rows():
     assert np.all(rhs[bd] == 0.0)
 
 
+def _nsz_oracle(problem, V, eta1):
+    """Dense cellwise-Hessian matrix and rhs summed cell by cell and point by
+    point: physical Hessians Jinv^T H_ref Jinv, then gamma A : D2(phi_l) times
+    tr D2(phi_k), plus the facet penalty, with the boundary rows and columns
+    replaced by the identity."""
+    mesh = V.mesh
+    q = quadrature(2 * V.degree + 2)
+    H_ref = V.ref.tabulate_hess(q.points)                  # (q, nloc, 2, 2)
+    K = assemble_stabilization(V, eta1).toarray()
+    rhs = np.zeros(V.n_dofs)
+    for c in range(mesh.n_cells):
+        Jinv = mesh.cell_inv_jacobians[c]
+        d = V.dof_map[c]
+        for xi, w, H_q in zip(q.points, q.weights, H_ref):
+            x = mesh.vertices[mesh.cells[c, 0]] + mesh.cell_jacobians[c] @ xi
+            A = problem.A(x[None])[0]
+            gamma = np.trace(A) / np.sum(A * A)
+            H = np.array([Jinv.T @ h @ Jinv for h in H_q])   # (nloc, 2, 2)
+            AH = np.einsum("ij,lij->l", gamma * A, H)
+            trH = H[:, 0, 0] + H[:, 1, 1]
+            wdet = w * mesh.cell_det[c]
+            K[np.ix_(d, d)] += wdet * np.outer(trH, AH)
+            rhs[d] += wdet * gamma * problem.f(x[None])[0] * trH
+    bd = boundary_dofs(V)
+    K[bd, :] = 0.0
+    K[:, bd] = 0.0
+    K[bd, bd] = 1.0
+    rhs[bd] = 0.0
+    return K, rhs
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+@pytest.mark.parametrize("name", ["exp1", "exp3", "exp4"])
+def test_nsz_matches_the_pointwise_oracle(name, p):
+    # exp3's A is discontinuous across the axes, which cut through the cells
+    # of a 3x3 mesh, so gamma A varies from cell to cell and within cells;
+    # its gamma is constant off the axes, exp4's is not
+    problem = make_problem(name, **({"kappa": 0.9} if name == "exp1" else {}))
+    rng = np.random.default_rng(p)
+    mesh = build_rect_mesh(*problem.bounds, 3, 3)
+    for _ in range(2):
+        mesh = bisect(mesh, rng.choice(mesh.n_cells, size=mesh.n_cells // 3, replace=False))
+    V = build_space(mesh, p, "CG")
+    K, rhs = assemble_nsz(V, _coefficient_sample(problem, V), eta1=1.0)
+    K_oracle, rhs_oracle = _nsz_oracle(problem, V, 1.0)
+    assert np.abs(K.toarray() - K_oracle).max() <= 1e-12 * np.abs(K_oracle).max()
+    assert np.abs(rhs - rhs_oracle).max() <= 1e-12 * np.abs(rhs_oracle).max()
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_nsz_direct_solve_residual(p):
     problem = make_problem("exp1", kappa=0.9)
