@@ -36,7 +36,6 @@ from .operator import (
 from .solve import gmres, solve_problem, Solution, SolveReport
 from .estimate import (
     ErrorNorms,
-    EstimatorField,
     error_norms,
     estimate_level,
     local_estimator,
@@ -75,7 +74,6 @@ __all__ = [
     "Solution",
     "SolveReport",
     "ErrorNorms",
-    "EstimatorField",
     "error_norms",
     "local_estimator",
     "estimate_level",

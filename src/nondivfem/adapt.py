@@ -42,14 +42,16 @@ def doerfler_mark(eta_T, theta):
         raise ValueError("indicators must be finite and >= 0")
     if not 0.0 < theta <= 1.0:
         raise ValueError("theta must be in (0, 1]")
-    vals = eta_T**2
-    vmax = vals.max()
-    if vmax == 0.0:
+    emax = eta_T.max()
+    if emax == 0.0:
         return np.array([], dtype=np.int64)
-    # order by the values rounded to 12 digits relative to the largest, so
-    # cells whose indicators agree in exact arithmetic (mirror-image cells)
-    # are ordered by cell id and not by round-off
-    order = np.argsort(-np.round(vals / vmax, 12), kind="stable")
+    # squares of the indicators scaled by the largest, in [0, 1], so no
+    # finite field overflows or underflows to all zeros
+    vals = (eta_T / emax) ** 2
+    # order by the values rounded to 12 digits, so cells whose indicators
+    # agree in exact arithmetic (mirror-image cells) are ordered by cell id
+    # and not by round-off
+    order = np.argsort(-np.round(vals, 12), kind="stable")
     csum = np.cumsum(vals[order])
     total = csum[-1]
     target = theta**2 * total
@@ -70,20 +72,20 @@ def initial_mesh(problem, n=None):
 
 
 def _solve_and_estimate(problem, mesh, p, level, **solve_options):
-    """Solve one level and estimate it: (AdaptiveRecord, EstimatorField)."""
+    """Solve one level and estimate it: (AdaptiveRecord, eta_T)."""
     sol = solve_problem(problem, mesh, p, **solve_options)
-    est, errors = estimate_level(sol.u_h, problem)
+    eta_T, errors = estimate_level(sol.u_h, problem)
     record = AdaptiveRecord(
         level=level,
         n_dofs=sol.u_h.space.n_dofs,
-        eta_global=est.eta_global,
+        eta_global=float(np.sqrt(np.sum(eta_T**2))),
         gmres_iterations=sol.report.iterations,
         converged=sol.report.converged,
         true_residual=sol.report.final_true_residual,
         errors=errors,
         h_max=mesh.h_max,
     )
-    return record, est
+    return record, eta_T
 
 
 def adaptive_loop(
@@ -115,10 +117,10 @@ def adaptive_loop(
                 raise ValueError("the initial mesh has %d dofs, more than max_dofs = %d"
                                  % (n_dofs, max_dofs))
             break
-        record, est = _solve_and_estimate(problem, mesh, p, len(records), scheme=scheme,
-                                          eta1=eta1, tol=tol)
+        record, eta_T = _solve_and_estimate(problem, mesh, p, len(records), scheme=scheme,
+                                            eta1=eta1, tol=tol)
         records.append(record)
-        marked = doerfler_mark(est.eta_T, theta)
+        marked = doerfler_mark(eta_T, theta)
         if len(marked) == 0:
             break
         mesh = bisect(mesh, marked)

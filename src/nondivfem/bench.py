@@ -55,6 +55,13 @@ def _check_degree(scheme, degree):
         raise ValueError("%s needs degree >= %d, got %d" % (scheme, _MIN_DEGREE[scheme], degree))
 
 
+def _refuse_set(config, names, user):
+    """Raise ValueError when a field in `names` differs from its default."""
+    for f in fields(config):
+        if f.name in names and getattr(config, f.name) != f.default:
+            raise ValueError("%s is not used by %s" % (f.name, user))
+
+
 @dataclass
 class RunConfig:
     experiment: str
@@ -90,9 +97,7 @@ class RunConfig:
             raise ValueError("eta1 must be finite and >= 0")
         if not 0.0 < self.tol < np.inf:
             raise ValueError("tol must be finite and > 0")
-        for f in fields(self):
-            if f.name in _IGNORED_BY[self.refinement] and getattr(self, f.name) != f.default:
-                raise ValueError("%s is not used by %s refinement" % (f.name, self.refinement))
+        _refuse_set(self, _IGNORED_BY[self.refinement], "%s refinement" % self.refinement)
         return self
 
     def make_problem(self):
@@ -285,9 +290,12 @@ def run_scheme_comparison(config, degrees=(2, 3, 4)):
     Returns (header, rows, failed): a cell whose solve raised, did not
     converge or lies below its scheme's lowest degree is left empty and
     named in `failed`; without an exact solution every cell is empty.
-    A degree below 1 raises ValueError before anything is solved.
+    A degree below 1, or a config `scheme` or `degree` other than the
+    default (every scheme runs at each of `degrees`), raises ValueError
+    before anything is solved.
     """
     config.validate()
+    _refuse_set(config, ("scheme", "degree"), "compare")
     if any(p < 1 for p in degrees):
         raise ValueError("degrees must be >= 1, got %s" % list(degrees))
     problem = config.make_problem()

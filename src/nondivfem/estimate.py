@@ -20,7 +20,6 @@ from .space import evaluate, facet_quadrature, normal_jumps, physical_points, qu
 
 __all__ = [
     "ErrorNorms",
-    "EstimatorField",
     "error_norms",
     "local_estimator",
     "estimate_level",
@@ -39,18 +38,6 @@ class ErrorNorms:
     # terms of its interior facets, each facet charged to both cells; left
     # out of == and repr, which compare and print the norms
     h2h_T: np.ndarray = field(compare=False, repr=False)
-
-
-@dataclass
-class EstimatorField:
-    eta_T: np.ndarray
-
-    def __eq__(self, other):
-        return isinstance(other, EstimatorField) and np.array_equal(self.eta_T, other.eta_T)
-
-    @property
-    def eta_global(self):
-        return float(np.sqrt(np.sum(self.eta_T**2)))
 
 
 @dataclass
@@ -106,7 +93,7 @@ def _estimator(d, problem, A, gamma):
     AH = np.einsum("cqij,cqij->cq", A, d.hess)
     resid = gamma * (problem.f(d.pts) - AH)
     eta_sq = _charge_jumps(d, np.einsum("cq,cq->c", d.wdet, resid**2))
-    return EstimatorField(eta_T=np.sqrt(eta_sq))
+    return np.sqrt(eta_sq)
 
 
 def _error_norms(d, exact):
@@ -132,11 +119,13 @@ def estimate_level(u_h, problem):
     one solved level, from a single evaluation of u_h and its jumps and of
     A and f.  gamma = tr(A)/||A||_F^2 comes from that sample of A.
 
-    Returns (EstimatorField, ErrorNorms or None).  The per-cell eta_T and
-    the per-cell H2_h errors h2h_T of the ErrorNorms charge each facet's
-    jump term alike, so they compare cell by cell.  The values equal those
-    of separate local_estimator (given the CordesInfo's gamma) and
-    error_norms calls bit for bit.
+    Returns (eta_T, ErrorNorms or None), eta_T the (n_cells,) indicator
+    array that `doerfler_mark` takes; the global estimator is
+    sqrt(sum(eta_T**2)).  The per-cell eta_T and the per-cell H2_h errors
+    h2h_T of the ErrorNorms charge each facet's jump term alike, so they
+    compare cell by cell.  The values equal those of separate
+    local_estimator (given the CordesInfo's gamma) and error_norms calls
+    bit for bit.
     """
     d = _level_data(u_h)
     errors = None
@@ -156,8 +145,9 @@ def error_norms(u_h, exact):
 
 
 def local_estimator(u_h, problem, gamma):
-    """Cellwise eta_T: volume residual of the rescaled equation plus
-    normal-gradient jump terms, each interior facet charged to both cells.
+    """Cellwise eta_T, an (n_cells,) array: volume residual of the rescaled
+    equation plus normal-gradient jump terms, each interior facet charged
+    to both cells.
     """
     d = _level_data(u_h)
     return _estimator(d, problem, problem.A(d.pts), gamma(d.pts))

@@ -71,6 +71,10 @@ class Mesh:
         self.cells = np.ascontiguousarray(cells, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise ValueError("vertices must be an (n, 2) array")
+        finite = np.isfinite(self.vertices).all(axis=1)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise ValueError("vertex %d has non-finite coordinates %s" % (bad, self.vertices[bad]))
         if self.cells.ndim != 2 or self.cells.shape[1] != 3:
             raise ValueError("cells must be an (n, 3) array")
         if np.any((self.cells < 0) | (self.cells >= self.n_vertices)):

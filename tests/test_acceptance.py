@@ -189,10 +189,10 @@ def test_criterion_7_estimator_efficiency():
         n = 2**k
         mesh = build_rect_mesh(0, 1, 0, 1, n, n)
         sol = solve_problem(problem, mesh, p=2)
-        est, err = estimate_level(sol.u_h, problem)
+        eta, err = estimate_level(sol.u_h, problem)
         bound = 2.0 * err.h2h_T + 1e-8
-        violations += int(np.sum(est.eta_T > bound))
-        worst = max(worst, float((est.eta_T / bound).max()))
+        violations += int(np.sum(eta > bound))
+        worst = max(worst, float((eta / bound).max()))
         cells_checked += mesh.n_cells
     ok = violations == 0
     _report(7, ok, "%d cells, %d violations, worst eta_T / bound = %.2f"

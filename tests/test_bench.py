@@ -93,6 +93,12 @@ def test_uniform_study_rejects_adaptive_settings():
                        theta=0.5, max_dofs=1)
     with pytest.raises(ValueError, match="theta"):
         run_convergence(config)
+    # compare runs every scheme at each of its degrees: a config scheme or
+    # degree would be ignored
+    for unused in (dict(scheme="nsz", degree=3), dict(degree=3)):
+        config = RunConfig(experiment="exp1", levels=1, initial_n=2, **unused)
+        with pytest.raises(ValueError, match="is not used by compare"):
+            run_scheme_comparison(config, degrees=(2,))
 
 
 # ----------------------------------------------------------------------
@@ -624,8 +630,7 @@ def test_public_surface_is_pinned():
     import nondivfem
 
     assert sorted(nondivfem.__all__) == [
-        "AdaptiveRecord", "CordesInfo", "CordesViolated", "ErrorNorms", "EstimatorField",
-        "FEFunction", "FunctionSpace", "HessianOperator", "Mesh", "ProblemData",
+        "AdaptiveRecord", "CordesInfo", "CordesViolated", "ErrorNorms", "FEFunction", "FunctionSpace", "HessianOperator", "Mesh", "ProblemData",
         "QuadratureRule", "Solution", "SolveReport", "SystemOperator", "adaptive_loop",
         "assemble_mass_W", "assemble_nsz", "assemble_rhs", "bisect",
         "boundary_dofs", "build_hessian_operator", "build_preconditioner", "build_rect_mesh",

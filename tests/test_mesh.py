@@ -68,6 +68,10 @@ def test_invalid_inputs():
     # clockwise cell: negative signed area
     with pytest.raises(ValueError):
         Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 2, 1]]))
+    # a NaN vertex would pass the area check (nan <= 0 is False)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="vertex 2 has non-finite"):
+            Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, bad]]), np.array([[0, 1, 2]]))
 
 
 def test_edge_of_three_cells_is_rejected():
