@@ -80,17 +80,19 @@ class Mesh:
         if np.any((self.cells < 0) | (self.cells >= self.n_vertices)):
             raise ValueError("cell vertex indices must lie in [0, %d)" % self.n_vertices)
 
-        # affine cell maps x = v0 + J xi; det J = 2 |T| > 0 is part of the
-        # data contract (positive orientation)
+        # affine cell maps x = v0 + J xi; a finite det J = 2 |T| > 0 is part
+        # of the data contract (positive orientation); finite vertices far
+        # apart can still overflow it to inf or nan
         v = self.vertices[self.cells]
         J = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2)  # (M, 2, 2)
         self.cell_jacobians = J
-        self.cell_det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-        if np.any(self.cell_det <= 0.0):
-            bad = int(np.argmin(self.cell_det))
-            raise ValueError(
-                "cell %d has non-positive signed area %g" % (bad, 0.5 * self.cell_det[bad])
-            )
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.cell_det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+        ok = (self.cell_det > 0.0) & (self.cell_det < np.inf)
+        if not ok.all():
+            bad = int(np.argmin(ok))
+            raise ValueError("cell %d has signed area %g, not finite and positive"
+                             % (bad, 0.5 * self.cell_det[bad]))
         adj = np.stack([J[:, 1, 1], -J[:, 0, 1], -J[:, 1, 0], J[:, 0, 0]], axis=1)
         self.cell_inv_jacobians = (adj / self.cell_det[:, None]).reshape(-1, 2, 2)
         self.cell_areas = 0.5 * self.cell_det
@@ -188,12 +190,13 @@ def build_rect_mesh(x0, x1, y0, y1, nx, ny):
     """Structured triangulation of the rectangle (x0, x1) x (y0, y1).
 
     Each of the nx*ny grid squares is split into two triangles along the
-    bottom-left to top-right diagonal.
+    bottom-left to top-right diagonal.  The counts must be integers >= 1
+    (an integral float such as 2.0 is accepted).
     """
     if not (x1 > x0 and y1 > y0):
         raise ValueError("invalid rectangle bounds")
-    if nx < 1 or ny < 1:
-        raise ValueError("subdivision counts must be >= 1")
+    if not (float(nx).is_integer() and float(ny).is_integer() and nx >= 1 and ny >= 1):
+        raise ValueError("subdivision counts must be integers >= 1, not %r, %r" % (nx, ny))
     nx, ny = int(nx), int(ny)
 
     xs = np.linspace(x0, x1, nx + 1)
@@ -215,8 +218,12 @@ def bisect(mesh, marked):
 
     Every marked cell is bisected at least once, and the result is
     conforming; its cells are listed parent by parent (module docstring).
+    `marked` holds cell ids of an integer type; a boolean mask or float ids
+    raise TypeError, an empty list is accepted.
     """
-    marked = np.asarray(marked, dtype=np.int64)
+    marked = np.asarray(marked)
+    if marked.size and marked.dtype.kind not in "iu":
+        raise TypeError("marked cell ids must be integers, not %s" % marked.dtype)
     if np.any((marked < 0) | (marked >= mesh.n_cells)):
         raise IndexError("marked cell id out of range")
 
@@ -226,7 +233,7 @@ def bisect(mesh, marked):
     # facets of the refinement edge (a, b) and of the edges (c, a) and (b, c)
     f0, f1, f2 = (mesh.cell_facets[rows, (k + s) % 3] for s in (0, 2, 1))
     split = np.zeros(mesh.n_facets, dtype=bool)
-    split[f0[marked]] = True
+    split[f0[marked.astype(np.int64)]] = True
     # closure: a cell with a split edge has its refinement edge split too
     while True:
         pending = (split[f1] | split[f2]) & ~split[f0]

@@ -8,7 +8,9 @@ side and the preconditioner.  Where the preconditioner is the system
 matrix, on a DG test space and for the direct scheme, GMRES starts from
 its factored solve: the initial residual, one apply, compares that matrix
 with the apply, and GMRES takes no step when it meets the tolerance.  On a
-DG test space that solve is first refined once against the apply.
+DG test space that solve is first refined once against the apply.  GMRES
+has one tolerance, absolute and relative at once, and one iteration cap,
+`MAX_ITER`, shared by every call.
 """
 
 from dataclasses import dataclass, field
@@ -29,7 +31,7 @@ from .space import FEFunction, boundary_dofs, build_space
 __all__ = ["SolveReport", "Solution", "gmres", "solve_problem"]
 
 SCHEMES = ("recovery-cg", "recovery-dg", "nsz")
-MAX_ITER = 500  # GMRES iteration cap of every recovery solve
+MAX_ITER = 500  # Arnoldi step cap of every GMRES call
 
 
 @dataclass
@@ -52,24 +54,23 @@ class Solution:
     system: object = field(default=None, repr=False)
 
 
-def gmres(apply, b, precond=None, x0=None, tol_abs=1e-8, tol_rel=1e-8, max_iter=MAX_ITER):
+def gmres(apply, b, precond=None, x0=None, tol=1e-8):
     """Full GMRES with modified Gram-Schmidt and right preconditioning.
 
     Starts from x0 (zero when None), whose residual r0 = b - apply(x0) costs
-    one apply, and stops when the recursive residual estimate reaches
-    tol = max(tol_abs, tol_rel * ||b||), after min(max_iter, len(b)) Arnoldi
-    steps, or at an exact breakdown.  An x0 with ||r0|| <= tol comes back as
-    it is after 0 steps.  Returns (x, SolveReport); `iterations` counts
-    Arnoldi steps, and `converged` is whether the true residual
-    ||b - apply(x)|| is at most tol.
+    one apply, and stops when the recursive residual estimate reaches the
+    absolute and relative tolerance max(tol, tol * ||b||), after
+    min(MAX_ITER, len(b)) Arnoldi steps, or at an exact breakdown.  The cap
+    is the module's MAX_ITER, read at each call.  An x0 whose ||r0|| meets
+    the tolerance comes back as it is after 0 steps.  Returns
+    (x, SolveReport); `iterations` counts Arnoldi steps, and `converged` is
+    whether the true residual ||b - apply(x)|| meets the tolerance.
     """
     b = np.asarray(b, dtype=np.float64)
     n = b.shape[0]
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
     M = precond if precond is not None else (lambda r: r)
 
-    tol = max(tol_abs, tol_rel * float(np.linalg.norm(b)))
+    tol = max(tol, tol * float(np.linalg.norm(b)))
     if x0 is not None:
         x0 = np.array(x0, dtype=np.float64)
     r0 = b if x0 is None else b - apply(x0)
@@ -79,13 +80,13 @@ def gmres(apply, b, precond=None, x0=None, tol_abs=1e-8, tol_rel=1e-8, max_iter=
         return (np.zeros(n) if x0 is None else x0), SolveReport(0, history, True, beta)
 
     # the Krylov basis, the Hessenberg columns and the rotations grow by one
-    # entry per step, so memory follows the iterations taken, not max_iter
+    # entry per step, so memory follows the iterations taken, not MAX_ITER
     V = [r0 / beta]
     H = []          # column j: the rotated H[:j + 1, j], upper triangular
     cs, sn = [], []
     g = [beta]
 
-    for j in range(min(max_iter, n)):
+    for j in range(min(MAX_ITER, n)):
         # copy: apply or M may hand back their argument (e.g. the identity),
         # and the in-place orthogonalization below must not touch V
         w = np.array(apply(M(V[j])), dtype=np.float64)
@@ -181,7 +182,6 @@ def solve_problem(
         # DG system amplifies round-off about 1e7 times, so without it the
         # solution would follow the round-off of the assembled K
         x0 = x0 + P.solve(b - apply(x0))
-    x, report = gmres(apply, b, precond=P.solve, x0=x0, tol_abs=tol, tol_rel=tol,
-                      max_iter=MAX_ITER)
+    x, report = gmres(apply, b, precond=P.solve, x0=x0, tol=tol)
     x[boundary_dofs(space_V)] = 0.0
     return Solution(u_h=FEFunction(space_V, x), report=report, cordes=cordes, system=system)

@@ -101,6 +101,16 @@ def test_uniform_study_rejects_adaptive_settings():
             run_scheme_comparison(config, degrees=(2,))
 
 
+@pytest.mark.parametrize("refinement", ["uniform", "adaptive"])
+def test_study_refuses_a_fractional_initial_n(refinement):
+    # truncated, 2.5 cells per side would build the 2 x 2 mesh
+    levels = dict(levels=1) if refinement == "uniform" else {}
+    config = RunConfig(experiment="exp1", params={"kappa": 0.5}, refinement=refinement,
+                       initial_n=2.5, **levels)
+    with pytest.raises(ValueError, match="integers"):
+        run_convergence(config)
+
+
 # ----------------------------------------------------------------------
 # studies
 

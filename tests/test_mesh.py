@@ -63,6 +63,11 @@ def test_invalid_inputs():
         build_rect_mesh(1, 0, 0, 1, 1, 1)
     with pytest.raises(ValueError):
         build_rect_mesh(0, 1, 0, 1, 0, 1)
+    # int() alone would truncate a fractional count, 2.5 to the 2 x 2 mesh
+    for nx, ny in ((2.5, 2), (2, 2.5), (np.nan, 2), (np.inf, 2)):
+        with pytest.raises(ValueError, match="integers"):
+            build_rect_mesh(0, 1, 0, 1, nx, ny)
+    assert build_rect_mesh(0, 1, 0, 1, 2.0, np.int64(2)).n_cells == 8
     with pytest.raises(ValueError):
         Mesh(np.zeros((3, 3)), np.array([[0, 1, 2]]))
     # clockwise cell: negative signed area
@@ -72,6 +77,11 @@ def test_invalid_inputs():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="vertex 2 has non-finite"):
             Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, bad]]), np.array([[0, 1, 2]]))
+    # finite vertices whose signed area overflows: inf - inf is nan, which
+    # would pass a `<= 0` check, and a plain inf has no inverse Jacobian
+    for far in ([[0, 0], [1e200, 1e200], [1e200, 2e200]], [[0, 0], [1e200, 0], [0, 1e200]]):
+        with pytest.raises(ValueError, match="cell 0 has signed area"):
+            Mesh(np.array(far, dtype=float), np.array([[0, 1, 2]]))
 
 
 def test_edge_of_three_cells_is_rejected():
@@ -127,6 +137,20 @@ def test_bisect_bad_ids():
     m = build_rect_mesh(0, 1, 0, 1, 1, 1)
     with pytest.raises(IndexError):
         bisect(m, [5])
+
+
+def test_bisect_refuses_ids_that_are_not_integers():
+    # a cast to int64 would turn a boolean mask of cell 5 into the ids
+    # [0, 1], and [5.7] into [5]
+    m = build_rect_mesh(0, 1, 0, 1, 2, 2)
+    mask = np.zeros(m.n_cells, dtype=bool)
+    mask[5] = True
+    for marked in (mask, [True], [5.7], np.array([5.0])):
+        with pytest.raises(TypeError, match="integers"):
+            bisect(m, marked)
+    for empty in ([], np.array([], dtype=np.int64)):
+        assert np.array_equal(bisect(m, empty).cells, m.cells)
+    assert np.array_equal(bisect(m, np.array([5], dtype=np.int32)).cells, bisect(m, [5]).cells)
 
 
 def _max_aspect_ratio(mesh):

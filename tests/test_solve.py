@@ -31,7 +31,7 @@ def _exact_dict(problem):
 
 def test_gmres_identity_converges_immediately():
     b = np.array([1.0, -2.0, 3.0])
-    x, rep = gmres(lambda v: v, b, tol_abs=1e-12, tol_rel=1e-12)
+    x, rep = gmres(lambda v: v, b, tol=1e-12)
     assert rep.converged
     assert rep.iterations == 1
     assert np.allclose(x, b)
@@ -40,7 +40,7 @@ def test_gmres_identity_converges_immediately():
 def test_gmres_diagonal_needs_at_most_n_steps():
     D = np.array([1.0, 2.0, 3.0])
     b = np.array([1.0, 1.0, 1.0])
-    x, rep = gmres(lambda v: D * v, b, tol_abs=1e-12, tol_rel=1e-12)
+    x, rep = gmres(lambda v: D * v, b, tol=1e-12)
     assert rep.converged
     assert rep.iterations <= 3
     assert np.abs(x - b / D).max() < 1e-10
@@ -56,18 +56,24 @@ def test_gmres_history_monotone():
     rng = np.random.default_rng(0)
     A = np.eye(20) + 0.3 * rng.standard_normal((20, 20))
     b = rng.standard_normal(20)
-    _, rep = gmres(lambda v: A @ v, b, tol_abs=1e-10, tol_rel=1e-10)
+    _, rep = gmres(lambda v: A @ v, b, tol=1e-10)
     assert rep.converged
     h = np.array(rep.residual_history)
     assert np.all(np.diff(h) <= 1e-13 * h[0])
     assert len(h) == rep.iterations + 1
 
 
-def test_gmres_respects_max_iter():
+def _absolute(stop, b):
+    """The tol whose stopping value max(tol, tol * ||b||) is `stop`."""
+    return stop / max(1.0, float(np.linalg.norm(b)))
+
+
+def test_gmres_respects_max_iter(monkeypatch):
     rng = np.random.default_rng(1)
     A = np.eye(40) + rng.standard_normal((40, 40))
     b = rng.standard_normal(40)
-    _, rep = gmres(lambda v: A @ v, b, tol_abs=1e-14, tol_rel=0.0, max_iter=3)
+    monkeypatch.setattr(solve_module, "MAX_ITER", 3)
+    _, rep = gmres(lambda v: A @ v, b, tol=_absolute(1e-14, b))
     assert rep.iterations == 3
     assert not rep.converged
 
@@ -77,7 +83,7 @@ def test_gmres_perfect_preconditioner_one_step():
     A = np.diag(np.linspace(1.0, 50.0, 30))
     Ainv = np.diag(1.0 / np.diag(A))
     b = rng.standard_normal(30)
-    _, rep = gmres(lambda v: A @ v, b, precond=lambda r: Ainv @ r, tol_abs=1e-10, tol_rel=1e-10)
+    _, rep = gmres(lambda v: A @ v, b, precond=lambda r: Ainv @ r, tol=1e-10)
     assert rep.converged and rep.iterations == 1
 
 
@@ -86,7 +92,7 @@ def test_gmres_right_preconditioning_reports_true_residual():
     A = np.eye(25) + 0.2 * rng.standard_normal((25, 25))
     Mfunc = lambda r: r / np.arange(1, 26)
     b = rng.standard_normal(25)
-    x, rep = gmres(lambda v: A @ v, b, precond=Mfunc, tol_abs=1e-9, tol_rel=0.0)
+    x, rep = gmres(lambda v: A @ v, b, precond=Mfunc, tol=_absolute(1e-9, b))
     assert rep.converged
     true = float(np.linalg.norm(b - A @ x))
     # the monitored residual of right-preconditioned GMRES is the true one
@@ -94,15 +100,17 @@ def test_gmres_right_preconditioning_reports_true_residual():
     assert true <= 1e-8
 
 
-def test_gmres_memory_follows_iterations_not_max_iter():
+def test_gmres_memory_follows_iterations_not_max_iter(monkeypatch):
     # about 100 Arnoldi steps, so the basis grows well past its first vectors
     rng = np.random.default_rng(5)
     n = 100
     A = 0.2 * np.eye(n) + rng.standard_normal((n, n)) / np.sqrt(n)
     b = rng.standard_normal(n)
+    tol = _absolute(1e-10, b)
+    monkeypatch.setattr(solve_module, "MAX_ITER", 10**6)
     tracemalloc.start()
     try:
-        x, rep = gmres(lambda v: A @ v, b, tol_abs=1e-10, tol_rel=0.0, max_iter=10**6)
+        x, rep = gmres(lambda v: A @ v, b, tol=tol)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -110,9 +118,8 @@ def test_gmres_memory_follows_iterations_not_max_iter():
     # a basis of max_iter + 1 rows would take 800 MB
     assert peak < 2_000_000
     # the growth does not change a single bit of the iteration
-    x_tight, rep_tight = gmres(
-        lambda v: A @ v, b, tol_abs=1e-10, tol_rel=0.0, max_iter=rep.iterations
-    )
+    monkeypatch.setattr(solve_module, "MAX_ITER", rep.iterations)
+    x_tight, rep_tight = gmres(lambda v: A @ v, b, tol=tol)
     assert np.array_equal(x, x_tight)
     assert rep_tight.residual_history == rep.residual_history
 
@@ -123,7 +130,7 @@ def test_gmres_stops_after_n_steps_and_judges_the_true_residual():
     rng = np.random.default_rng(6)
     A = np.eye(5) + 0.3 * rng.standard_normal((5, 5))
     b = rng.standard_normal(5)
-    _, rep = gmres(lambda v: A @ v, b, tol_abs=1e-300, tol_rel=0.0)
+    _, rep = gmres(lambda v: A @ v, b, tol=_absolute(1e-300, b))
     assert rep.iterations == 5
     assert not rep.converged
     assert rep.final_true_residual > 1e-300
@@ -137,7 +144,7 @@ def test_gmres_exact_initial_guess_takes_no_step():
     b = rng.standard_normal(12)
     x0 = np.linalg.solve(A, b)
     applies = []
-    x, rep = gmres(lambda v: applies.append(1) or A @ v, b, x0=x0, tol_abs=1e-10, tol_rel=1e-10)
+    x, rep = gmres(lambda v: applies.append(1) or A @ v, b, x0=x0, tol=1e-10)
     assert np.array_equal(x, x0) and len(applies) == 1
     assert rep.iterations == 0 and rep.converged
     assert rep.residual_history == [float(np.linalg.norm(b - A @ x0))]
@@ -149,9 +156,9 @@ def test_gmres_poor_initial_guess_converges_to_the_same_solution():
     A = np.eye(30) + 0.2 * rng.standard_normal((30, 30))
     b = rng.standard_normal(30)
     tol = 1e-10
-    x_ref, rep_ref = gmres(lambda v: A @ v, b, tol_abs=tol, tol_rel=tol)
+    x_ref, rep_ref = gmres(lambda v: A @ v, b, tol=tol)
     x0 = 10.0 * rng.standard_normal(30)
-    x, rep = gmres(lambda v: A @ v, b, x0=x0, tol_abs=tol, tol_rel=tol)
+    x, rep = gmres(lambda v: A @ v, b, x0=x0, tol=tol)
     assert rep_ref.converged and rep.converged and rep.iterations >= 1
     assert rep.residual_history[0] == float(np.linalg.norm(b - A @ x0))
     assert float(np.linalg.norm(b - A @ x)) == pytest.approx(rep.final_true_residual)
@@ -161,9 +168,22 @@ def test_gmres_poor_initial_guess_converges_to_the_same_solution():
     assert np.linalg.norm(x - x_ref) <= bound
 
 
-def test_gmres_rejects_bad_max_iter():
-    with pytest.raises(ValueError):
-        gmres(lambda v: v, np.ones(2), max_iter=0)
+def test_gmres_tolerance_is_absolute_below_a_unit_rhs_and_relative_above():
+    # the stopping value is max(tol, tol * ||b||): tol at ||b|| = 0.5 and
+    # 100 tol at ||b|| = 100.  An initial residual just inside it takes no
+    # step, one just outside takes at least one
+    D = np.array([1.0, 2.0, 4.0])
+    u = np.array([3.0, 0.0, 4.0]) / 5.0
+    e = np.array([0.0, 1.0, 0.0])
+    tol = 1e-8
+    for scale, stop in ((0.5, tol), (100.0, 100.0 * tol)):
+        b = scale * u
+        for factor, steps in ((0.9, False), (1.1, True)):
+            x0 = (b - factor * stop * e) / D
+            _, rep = gmres(lambda v: D * v, b, x0=x0, tol=tol)
+            assert rep.residual_history[0] == pytest.approx(factor * stop, rel=1e-6)
+            assert (rep.iterations >= 1) == steps
+            assert rep.converged and rep.final_true_residual <= stop
 
 
 # ----------------------------------------------------------------------
@@ -287,14 +307,15 @@ def test_solve_with_recovered_hessian():
     assert H[0][1].coeffs.shape == (sol.system.hessian_op.space_W.n_dofs,)
 
 
-def test_preconditioner_reduces_iterations():
+def test_preconditioner_reduces_iterations(monkeypatch):
     problem = make_problem("exp1", kappa=0.5)
     mesh = build_rect_mesh(0, 1, 0, 1, 16, 16)
     op = build_system(problem, mesh, p=2, eta1=1.0)
     b = assemble_rhs(op)
     P = build_preconditioner(op)
-    _, rep_pre = gmres(op.apply, b, precond=P.solve, tol_abs=1e-8, tol_rel=1e-8)
-    _, rep_raw = gmres(op.apply, b, tol_abs=1e-8, tol_rel=1e-8, max_iter=200)
+    _, rep_pre = gmres(op.apply, b, precond=P.solve, tol=1e-8)
+    monkeypatch.setattr(solve_module, "MAX_ITER", 200)
+    _, rep_raw = gmres(op.apply, b, tol=1e-8)
     assert rep_pre.converged
     assert rep_pre.iterations < rep_raw.iterations
 
