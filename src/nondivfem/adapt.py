@@ -96,12 +96,11 @@ def adaptive_loop(
     max_dofs=100000,
     eta1=None,
     mesh=None,
-    tol=1e-8,
 ):
     """Solve-estimate-mark-refine until the dof budget is exhausted.
 
-    Each level is solved by `solve_problem` with `scheme`, the gradient-jump
-    penalty `eta1` and `tol`, then marks its cells by Doerfler's bulk
+    Each level is solved by `solve_problem` with `scheme` and the
+    gradient-jump penalty `eta1`, then marks its cells by Doerfler's bulk
     criterion on squared indicators (`doerfler_mark` at `theta`) and bisects
     them.  Returns one AdaptiveRecord per solved level.  Levels are solved
     as long as the mesh has at most max_dofs degrees of freedom, so n_dofs
@@ -118,7 +117,7 @@ def adaptive_loop(
                                  % (n_dofs, max_dofs))
             break
         record, eta_T = _solve_and_estimate(problem, mesh, p, len(records), scheme=scheme,
-                                            eta1=eta1, tol=tol)
+                                            eta1=eta1)
         records.append(record)
         marked = doerfler_mark(eta_T, theta)
         if len(marked) == 0:

@@ -26,7 +26,7 @@ import numpy as np
 from .adapt import _solve_and_estimate, adaptive_loop, initial_mesh
 from .operator import CordesViolated, make_problem
 from .solve import SCHEMES, solve_problem
-from .space import _cg_dof_count
+from .space import _cg_dof_count, _is_degree
 
 __all__ = [
     "RunConfig",
@@ -50,7 +50,10 @@ _MIN_DEGREE = {"recovery-cg": 1, "recovery-dg": 2, "nsz": 2}
 
 
 def _check_degree(scheme, degree):
-    """Raise ValueError when `degree` is below `scheme`'s lowest degree."""
+    """Raise ValueError when `degree` is not an integer or is below
+    `scheme`'s lowest degree."""
+    if not _is_degree(degree):
+        raise ValueError("degree must be an integer >= 1, not %r" % (degree,))
     if degree < _MIN_DEGREE[scheme]:
         raise ValueError("%s needs degree >= %d, got %d" % (scheme, _MIN_DEGREE[scheme], degree))
 
@@ -72,7 +75,6 @@ class RunConfig:
     theta: float = 0.9
     levels: int = 5
     max_dofs: int = 100000
-    tol: float = 1e-8
     initial_n: int = None
     out: str = None
     params: dict = field(default_factory=dict)
@@ -95,8 +97,6 @@ class RunConfig:
             raise ValueError("max_dofs must be >= 1")
         if self.eta1 is not None and not 0.0 <= self.eta1 < np.inf:
             raise ValueError("eta1 must be finite and >= 0")
-        if not 0.0 < self.tol < np.inf:
-            raise ValueError("tol must be finite and > 0")
         _refuse_set(self, _IGNORED_BY[self.refinement], "%s refinement" % self.refinement)
         return self
 
@@ -142,7 +142,7 @@ def _solve_level(problem, config, level):
     """AdaptiveRecord of uniform level `level`."""
     record, _ = _solve_and_estimate(problem, _uniform_mesh(problem, config, level),
                                     config.degree, level, scheme=config.scheme,
-                                    eta1=config.eta1, tol=config.tol)
+                                    eta1=config.eta1)
     return record
 
 
@@ -233,7 +233,6 @@ def run_convergence(config):
             max_dofs=config.max_dofs,
             eta1=config.eta1,
             mesh=initial_mesh(problem, config.initial_n),
-            tol=config.tol,
         )
     else:
         records = _uniform_levels(problem, config)
@@ -251,7 +250,6 @@ def run_iteration_table(
     h_exponents=(3, 4, 5, 6),
     eta1_values=(0.0, 1.0),
     degree=2,
-    tol=1e-8,
     out=None,
 ):
     """GMRES iteration grid for the anisotropic smooth problem.
@@ -271,10 +269,7 @@ def run_iteration_table(
             mesh = initial_mesh(problem, 2**ex)
             for e1 in eta1_values:
                 try:
-                    sol = solve_problem(
-                        problem, mesh, degree, scheme="recovery-cg",
-                        eta1=e1, tol=tol,
-                    )
+                    sol = solve_problem(problem, mesh, degree, scheme="recovery-cg", eta1=e1)
                     row.append(sol.report.iterations if sol.report.converged else -1)
                 except (CordesViolated, RuntimeError):
                     row.append(-1)
@@ -290,14 +285,15 @@ def run_scheme_comparison(config, degrees=(2, 3, 4)):
     Returns (header, rows, failed): a cell whose solve raised, did not
     converge or lies below its scheme's lowest degree is left empty and
     named in `failed`; without an exact solution every cell is empty.
-    A degree below 1, or a config `scheme` or `degree` other than the
-    default (every scheme runs at each of `degrees`), raises ValueError
-    before anything is solved.
+    A degree that is not an integer >= 1, or a config `scheme` or `degree`
+    other than the default (every scheme runs at each of `degrees`), raises
+    ValueError before anything is solved.
     """
     config.validate()
     _refuse_set(config, ("scheme", "degree"), "compare")
-    if any(p < 1 for p in degrees):
-        raise ValueError("degrees must be >= 1, got %s" % list(degrees))
+    if not all(_is_degree(p) for p in degrees):
+        raise ValueError("degrees must be >= 1 and integers, got %s" % list(degrees))
+    degrees = [int(p) for p in degrees]
     problem = config.make_problem()
     header = ["degree", "Ndofs", "h_max"]
     for s in SCHEMES:
@@ -313,7 +309,7 @@ def run_scheme_comparison(config, degrees=(2, 3, 4)):
                 try:
                     _check_degree(s, p)
                     record, _ = _solve_and_estimate(problem, mesh, p, level, scheme=s,
-                                                    eta1=config.eta1, tol=config.tol)
+                                                    eta1=config.eta1)
                     if not record.converged:
                         raise RuntimeError(
                             "GMRES did not converge: true residual %g after %d iterations"
@@ -340,7 +336,6 @@ def _add_common(sub):
     sub.add_argument("--eta1", type=float, default=None,
                      help="gradient-jump penalty (default: recovery schemes 0 if eps >= 0.5 "
                           "else 1, nsz 1)")
-    sub.add_argument("--tol", type=float, default=1e-8, help="absolute and relative tolerance")
     sub.add_argument("--initial-n", type=int, default=None,
                      help="cells per side of the first mesh (default: the problem's own)")
     sub.add_argument("--out", default=None, help="CSV path (default: stdout)")
@@ -389,7 +384,6 @@ def build_parser():
                     help="comma-separated k of the mesh sizes h = 2^-k")
     it.add_argument("--eta1-values", default="0,1", help="comma-separated eta1 penalties")
     it.add_argument("--degree", type=int, default=2, help="polynomial degree p")
-    it.add_argument("--tol", type=float, default=1e-8, help="absolute and relative tolerance")
     it.add_argument("--out", default=None, help="CSV path (default: stdout)")
 
     cmp_ = sub.add_parser("compare", help="all three schemes on shared meshes", **exact)
@@ -412,10 +406,7 @@ def main(argv=None):
             kappas = [float(t) for t in args.kappas.split(",")]
             exps = [int(t) for t in args.h_exponents.split(",")]
             etas = [float(t) for t in args.eta1_values.split(",")]
-            _, rows = run_iteration_table(
-                kappas, exps, etas, degree=args.degree,
-                tol=args.tol, out=args.out,
-            )
+            _, rows = run_iteration_table(kappas, exps, etas, degree=args.degree, out=args.out)
             failed = any(v == -1 for row in rows for v in row[1:])
             return 3 if failed else 0
         if args.command == "compare":

@@ -10,7 +10,7 @@ its factored solve: the initial residual, one apply, compares that matrix
 with the apply, and GMRES takes no step when it meets the tolerance.  On a
 DG test space that solve is first refined once against the apply.  GMRES
 has one tolerance, absolute and relative at once, and one iteration cap,
-`MAX_ITER`, shared by every call.
+`MAX_ITER`; every solve uses the tolerance `TOL`.
 """
 
 from dataclasses import dataclass, field
@@ -32,6 +32,7 @@ __all__ = ["SolveReport", "Solution", "gmres", "solve_problem"]
 
 SCHEMES = ("recovery-cg", "recovery-dg", "nsz")
 MAX_ITER = 500  # Arnoldi step cap of every GMRES call
+TOL = 1e-8  # absolute and relative tolerance of every solve_problem call
 
 
 @dataclass
@@ -54,7 +55,7 @@ class Solution:
     system: object = field(default=None, repr=False)
 
 
-def gmres(apply, b, precond=None, x0=None, tol=1e-8):
+def gmres(apply, b, precond=None, x0=None, tol=TOL):
     """Full GMRES with modified Gram-Schmidt and right preconditioning.
 
     Starts from x0 (zero when None), whose residual r0 = b - apply(x0) costs
@@ -139,29 +140,27 @@ def solve_problem(
     p,
     scheme="recovery-cg",
     eta1=None,
-    tol=1e-8,
 ):
     """Assemble and solve one discrete problem on a fixed mesh.
 
     Every scheme assembles its right-hand side and a factored
     `operator.Preconditioner`, then makes the one preconditioned GMRES call
-    to the absolute and relative tolerance `tol`.  recovery-cg runs it from
-    zero on the matrix-free system with the diagonal surrogate
-    preconditioner.  For recovery-dg (see `build_preconditioner`) and nsz,
-    whose eliminated sparse matrix and factor are wrapped in a
-    Preconditioner too, P is the system matrix: GMRES starts from P^-1 b,
-    checks its residual and takes no step unless round-off leaves it above
-    tol.  recovery-dg first refines P^-1 b once against the matrix-free
-    apply, x0 + P^-1 (b - A x0), so its solution does not follow the
-    round-off of the assembled P.  The one penalty is eta1, on the
-    normal-gradient jumps across interior facets; nsz defaults it to 1 and
-    recovery to `build_system`'s rule.  Raises ValueError for a tol that is not finite and > 0.
+    to the absolute and relative tolerance TOL, read at each call.
+    recovery-cg runs it from zero on the matrix-free system with the
+    diagonal surrogate preconditioner.  For recovery-dg (see
+    `build_preconditioner`) and nsz, whose eliminated sparse matrix and
+    factor are wrapped in a Preconditioner too, P is the system matrix:
+    GMRES starts from P^-1 b, checks its residual and takes no step unless
+    round-off leaves it above TOL.  recovery-dg first refines P^-1 b once
+    against the matrix-free apply, x0 + P^-1 (b - A x0), so its solution
+    does not follow the round-off of the assembled P.  The one penalty is
+    eta1, on the normal-gradient jumps across interior facets; nsz defaults
+    it to 1 and recovery to `build_system`'s rule.  A degree p that is not
+    an integer >= 1 raises ValueError, as in `build_space`.
     Boundary coefficients of the returned function are exactly zero.
     """
     if scheme not in SCHEMES:
         raise ValueError("unknown scheme %r; choose from %s" % (scheme, list(SCHEMES)))
-    if not 0.0 < tol < np.inf:
-        raise ValueError("tol must be finite and > 0")
 
     if scheme == "nsz":
         space_V = build_space(mesh, p, "CG")
@@ -182,6 +181,6 @@ def solve_problem(
         # DG system amplifies round-off about 1e7 times, so without it the
         # solution would follow the round-off of the assembled K
         x0 = x0 + P.solve(b - apply(x0))
-    x, report = gmres(apply, b, precond=P.solve, x0=x0, tol=tol)
+    x, report = gmres(apply, b, precond=P.solve, x0=x0, tol=TOL)
     x[boundary_dofs(space_V)] = 0.0
     return Solution(u_h=FEFunction(space_V, x), report=report, cordes=cordes, system=system)

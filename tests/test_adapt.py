@@ -146,6 +146,13 @@ def test_adaptive_loop_rejects_initial_mesh_over_budget():
         adaptive_loop(make_problem("exp2"), p=2, max_dofs=80)
 
 
+def test_adaptive_loop_refuses_a_non_integral_degree():
+    # truncated, p = 2.5 would solve at p = 2 and count 33.0 dofs for 25
+    with pytest.raises(ValueError, match="degree must be an integer"):
+        adaptive_loop(make_problem("exp2"), p=2.5, max_dofs=100,
+                      mesh=initial_mesh(make_problem("exp2"), 2))
+
+
 def test_adaptive_loop_estimator_decreases():
     problem = make_problem("exp1", kappa=0.5)
     records = adaptive_loop(problem, p=2, theta=0.9, max_dofs=3000)

@@ -320,26 +320,37 @@ def test_preconditioner_reduces_iterations(monkeypatch):
     assert rep_pre.iterations < rep_raw.iterations
 
 
-@pytest.mark.parametrize("scheme", ["recovery-cg", "nsz"])
-@pytest.mark.parametrize("tol", [np.nan, np.inf])
-def test_solve_rejects_non_finite_tol(scheme, tol):
+def test_solve_problem_reads_tol_at_each_call(monkeypatch):
+    # one solve, judged against the module's TOL as it is when called
     problem = make_problem("exp1", kappa=0.5)
     mesh = build_rect_mesh(0, 1, 0, 1, 2, 2)
-    with pytest.raises(ValueError, match="tol"):
-        solve_problem(problem, mesh, p=2, scheme=scheme, tol=tol)
+    monkeypatch.setattr(solve_module, "TOL", 1e-300)
+    assert not solve_problem(problem, mesh, p=2).report.converged
+    monkeypatch.undo()
+    assert solve_problem(problem, mesh, p=2).report.converged
 
 
-def test_nsz_reports_an_unreachable_tol_as_not_converged():
-    # the factored solve starts GMRES, which judges it against tol
+@pytest.mark.parametrize("p", [2.5, True, np.float64(1.5)])
+def test_solve_refuses_a_non_integral_degree(p):
+    # truncated, 2.5 would solve at p = 2 and True at p = 1
+    problem = make_problem("exp1", kappa=0.5)
+    mesh = build_rect_mesh(0, 1, 0, 1, 2, 2)
+    with pytest.raises(ValueError, match="degree must be an integer"):
+        solve_problem(problem, mesh, p)
+
+
+def test_nsz_reports_an_unreachable_tol_as_not_converged(monkeypatch):
+    # the factored solve starts GMRES, which judges it against TOL
     problem = make_problem("exp1", kappa=0.5)
     mesh = build_rect_mesh(0, 1, 0, 1, 4, 4)
-    sol = solve_problem(problem, mesh, p=2, scheme="nsz", tol=1e-300)
+    monkeypatch.setattr(solve_module, "TOL", 1e-300)
+    sol = solve_problem(problem, mesh, p=2, scheme="nsz")
     assert not sol.report.converged
     assert sol.report.final_true_residual > 1e-300
 
 
 def test_nsz_default_tol_keeps_the_factored_solve():
-    # at the default tol GMRES takes no step, so u_h is the direct solve's
+    # at TOL GMRES takes no step, so u_h is the direct solve's
     # vector bit for bit
     problem = make_problem("exp1", kappa=0.9)
     mesh = build_rect_mesh(0, 1, 0, 1, 8, 8)

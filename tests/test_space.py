@@ -126,6 +126,21 @@ def test_build_space_validation():
         build_space(m, 1, "XXX")
 
 
+@pytest.mark.parametrize("p", [2.9, 1.5, True, np.True_, np.nan, np.inf])
+def test_build_space_refuses_a_degree_that_is_not_an_integer(p):
+    # truncated, 2.9 would build a P2 space and True a P1 space
+    m = build_rect_mesh(0, 1, 0, 1, 1, 1)
+    with pytest.raises(ValueError, match="degree must be an integer"):
+        build_space(m, p, "CG")
+
+
+@pytest.mark.parametrize("p", [2.0, np.int64(2), np.float64(2.0)])
+def test_build_space_takes_an_integral_degree_of_any_number_type(p):
+    m = build_rect_mesh(0, 1, 0, 1, 2, 2)
+    V = build_space(m, p, "CG")
+    assert V.n_dofs == build_space(m, 2, "CG").n_dofs == 25
+
+
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_cg_interpolation_single_valued(p):
     # interpolating a global polynomial must give identical values from
