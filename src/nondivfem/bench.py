@@ -8,10 +8,13 @@ Produces CSV files with the fixed column layout
 floats are written with repr, so identical configurations give
 byte-identical files and every value round-trips exactly.
 
-A uniform study solves its finest mesh in the calling process and, where
-the process may use at least two CPUs (Linux) and runs no other thread,
-all coarser meshes in one forked child; the rows are the same either way.
-`taskset -c 0` keeps a study on one CPU.
+`run`'s uniform study, `iters` and `compare` each pass their cells (the
+levels, the (h, kappa, eta1) cells, the (degree, level) cells) and a
+routine that solves one to `_solve_cells`.  Where the process may use at
+least two CPUs (Linux) and runs no other thread, one forked child solves
+the cheaper half of the cells by size, a uniform study's coarser meshes,
+while the calling process solves the rest; the rows and exit codes are
+the same either way.  `taskset -c 0` keeps any of them on one CPU.
 """
 
 import argparse
@@ -24,9 +27,10 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .adapt import _solve_and_estimate, adaptive_loop, initial_mesh
+from .mesh import _is_count
 from .operator import CordesViolated, make_problem
 from .solve import SCHEMES, solve_problem
-from .space import _cg_dof_count, _is_degree
+from .space import _cg_dof_count
 
 __all__ = [
     "RunConfig",
@@ -52,7 +56,7 @@ _MIN_DEGREE = {"recovery-cg": 1, "recovery-dg": 2, "nsz": 2}
 def _check_degree(scheme, degree):
     """Raise ValueError when `degree` is not an integer or is below
     `scheme`'s lowest degree."""
-    if not _is_degree(degree):
+    if not _is_count(degree):
         raise ValueError("degree must be an integer >= 1, not %r" % (degree,))
     if degree < _MIN_DEGREE[scheme]:
         raise ValueError("%s needs degree >= %d, got %d" % (scheme, _MIN_DEGREE[scheme], degree))
@@ -95,6 +99,8 @@ class RunConfig:
             raise ValueError("levels must be >= 1")
         if self.max_dofs < 1:
             raise ValueError("max_dofs must be >= 1")
+        if self.initial_n is not None and not _is_count(self.initial_n):
+            raise ValueError("cells per side must be integers >= 1, not %r" % (self.initial_n,))
         if self.eta1 is not None and not 0.0 <= self.eta1 < np.inf:
             raise ValueError("eta1 must be finite and >= 0")
         _refuse_set(self, _IGNORED_BY[self.refinement], "%s refinement" % self.refinement)
@@ -146,45 +152,44 @@ def _solve_level(problem, config, level):
     return record
 
 
-def _fork_pays_off(n_levels):
-    """Whether the coarser levels can run beside the finest one: the process
-    may use two CPUs and has no other thread that a fork could leave behind
-    holding a lock."""
-    return (n_levels >= 2 and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1)
+def _fork_pays_off():
+    """Whether cells can run beside each other: the process may use two CPUs
+    and has no other thread that a fork could leave behind holding a lock."""
+    return (hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+            and threading.active_count() == 1)
 
 
-def _solve_coarser(problem, config, levels, conn):
-    """Child side: send the levels' records, and (index, repr) of the first
-    level that raises.  Exceptions are not sent, as not all of them pickle."""
-    results, failure = [], None
-    for level in levels:
-        try:
-            results.append(_solve_level(problem, config, level))
-        except Exception as exc:
-            failure = (level, repr(exc))
-            break
-    conn.send((results, failure))
-    conn.close()
+def _solve_cells(solve, cells, sizes):
+    """[solve(c) for c in cells], in order.
 
-
-def _uniform_levels(problem, config):
-    """AdaptiveRecord of every uniform level, coarsest first.
-
-    Each level has about four times the dofs of the one before, so all
-    coarser levels together take less time than the finest one.  When
-    `_fork_pays_off`, one forked child solves them in order while this
-    process solves the finest level.  Failures match the sequential loop:
-    the exception of the coarsest failing level is raised, and a level
-    that failed in the child is solved again here to raise it with its own
-    type and traceback.
+    `sizes` are proportional to the cells' costs.  When `_fork_pays_off`,
+    one forked child solves the longest prefix of cells whose sizes sum to
+    at most half of the total, in order, while this process solves the
+    rest; a uniform study's child solves every level but the finest.
+    Failures match the sequential loop: the first failing cell in list
+    order raises, and a cell that failed in the child is solved again here
+    to raise it with its own type and traceback.  A child that dies raises
+    RuntimeError naming its exit code.
     """
-    levels = range(config.levels)
-    if not _fork_pays_off(len(levels)):
-        return [_solve_level(problem, config, level) for level in levels]
+    split = int(np.sum(np.cumsum(sizes) <= np.sum(sizes) / 2))
+    if split == 0 or not _fork_pays_off():
+        return [solve(c) for c in cells]
+
+    def solve_prefix(conn):
+        # the results, and the repr of the first failure: not all
+        # exceptions pickle
+        results, failure = [], None
+        try:
+            for c in cells[:split]:
+                results.append(solve(c))
+        except Exception as exc:
+            failure = repr(exc)
+        conn.send((results, failure))
+        conn.close()
+
     ctx = multiprocessing.get_context("fork")
     reader, writer = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_solve_coarser, args=(problem, config, levels[:-1], writer))
+    child = ctx.Process(target=solve_prefix, args=(writer,))
     # buffered output would otherwise be written by both processes
     sys.stdout.flush()
     sys.stderr.flush()
@@ -192,9 +197,9 @@ def _uniform_levels(problem, config):
     writer.close()
     try:
         try:
-            finest = _solve_level(problem, config, levels[-1])
+            rest = [solve(c) for c in cells[split:]]
         except Exception as exc:
-            finest = exc
+            rest = exc
         try:
             report = reader.recv()
         except EOFError:
@@ -206,17 +211,16 @@ def _uniform_levels(problem, config):
         child.join()
         reader.close()
     if report is None:
-        raise RuntimeError("the process solving the coarser meshes exited with code %s "
-                           "and no result" % child.exitcode)
+        raise RuntimeError("the forked process exited with code %s and no result"
+                           % child.exitcode)
     results, failure = report
     if failure is not None:
-        level, text = failure
-        _solve_level(problem, config, level)
-        raise RuntimeError("level %d failed in the child process with %s but not when "
-                           "solved again" % (level, text))
-    if isinstance(finest, Exception):
-        raise finest
-    return results + [finest]
+        solve(cells[len(results)])
+        raise RuntimeError("cell %r failed in the forked process with %s but not when "
+                           "solved again" % (cells[len(results)], failure))
+    if isinstance(rest, Exception):
+        raise rest
+    return results + rest
 
 
 def run_convergence(config):
@@ -235,7 +239,9 @@ def run_convergence(config):
             mesh=initial_mesh(problem, config.initial_n),
         )
     else:
-        records = _uniform_levels(problem, config)
+        levels = list(range(config.levels))
+        records = _solve_cells(lambda level: _solve_level(problem, config, level), levels,
+                               [4**level for level in levels])
     rows = []
     for r in records:
         e = r.errors
@@ -261,19 +267,21 @@ def run_iteration_table(
     for k in kappas:
         for e1 in eta1_values:
             header.append("kappa%s_eta1_%s" % (k, int(e1) if float(e1).is_integer() else e1))
-    rows = []
-    for ex in h_exponents:
-        row = [0.5**ex]
-        for k in kappas:
-            problem = make_problem("exp1", kappa=k)
-            mesh = initial_mesh(problem, 2**ex)
-            for e1 in eta1_values:
-                try:
-                    sol = solve_problem(problem, mesh, degree, scheme="recovery-cg", eta1=e1)
-                    row.append(sol.report.iterations if sol.report.converged else -1)
-                except (CordesViolated, RuntimeError):
-                    row.append(-1)
-        rows.append(row)
+
+    def count(cell):
+        ex, k, e1 = cell
+        problem = make_problem("exp1", kappa=k)
+        mesh = initial_mesh(problem, 2**ex)
+        try:
+            sol = solve_problem(problem, mesh, degree, scheme="recovery-cg", eta1=e1)
+            return sol.report.iterations if sol.report.converged else -1
+        except (CordesViolated, RuntimeError):
+            return -1
+
+    cells = [(ex, k, e1) for ex in h_exponents for k in kappas for e1 in eta1_values]
+    counts = _solve_cells(count, cells, [4**ex for ex, _, _ in cells])
+    m = len(kappas) * len(eta1_values)
+    rows = [[0.5**ex] + counts[i * m:(i + 1) * m] for i, ex in enumerate(h_exponents)]
     write_csv(out, header, rows)
     return header, rows
 
@@ -291,7 +299,7 @@ def run_scheme_comparison(config, degrees=(2, 3, 4)):
     """
     config.validate()
     _refuse_set(config, ("scheme", "degree"), "compare")
-    if not all(_is_degree(p) for p in degrees):
+    if not all(_is_count(p) for p in degrees):
         raise ValueError("degrees must be >= 1 and integers, got %s" % list(degrees))
     degrees = [int(p) for p in degrees]
     problem = config.make_problem()
@@ -299,27 +307,32 @@ def run_scheme_comparison(config, degrees=(2, 3, 4)):
     for s in SCHEMES:
         tag = s.replace("-", "_")
         header += ["%s_L2" % tag, "%s_H1" % tag, "%s_H2h" % tag]
-    rows, failed = [], []
-    for p in degrees:
-        for level in range(config.levels):
-            mesh = _uniform_mesh(problem, config, level)
-            n_dofs = _cg_dof_count(mesh, p)
-            row = [p, n_dofs, mesh.h_max]
-            for s in SCHEMES:
-                try:
-                    _check_degree(s, p)
-                    record, _ = _solve_and_estimate(problem, mesh, p, level, scheme=s,
-                                                    eta1=config.eta1)
-                    if not record.converged:
-                        raise RuntimeError(
-                            "GMRES did not converge: true residual %g after %d iterations"
-                            % (record.true_residual, record.gmres_iterations))
-                    e = record.errors
-                    row += [e.l2, e.h1, e.h2h] if e else [None, None, None]
-                except (CordesViolated, RuntimeError, ValueError) as exc:
-                    failed.append("degree %d, Ndofs %d, %s: %s" % (p, n_dofs, s, exc))
-                    row += [None, None, None]
-            rows.append(row)
+
+    def compare(cell):
+        p, level = cell
+        mesh = _uniform_mesh(problem, config, level)
+        n_dofs = _cg_dof_count(mesh, p)
+        row, failed = [p, n_dofs, mesh.h_max], []
+        for s in SCHEMES:
+            try:
+                _check_degree(s, p)
+                record, _ = _solve_and_estimate(problem, mesh, p, level, scheme=s,
+                                                eta1=config.eta1)
+                if not record.converged:
+                    raise RuntimeError(
+                        "GMRES did not converge: true residual %g after %d iterations"
+                        % (record.true_residual, record.gmres_iterations))
+                e = record.errors
+                row += [e.l2, e.h1, e.h2h] if e else [None, None, None]
+            except (CordesViolated, RuntimeError, ValueError) as exc:
+                failed.append("degree %d, Ndofs %d, %s: %s" % (p, n_dofs, s, exc))
+                row += [None, None, None]
+        return row, failed
+
+    cells = [(p, level) for p in degrees for level in range(config.levels)]
+    done = _solve_cells(compare, cells, [(p * 2**level)**2 for p, level in cells])
+    rows = [row for row, _ in done]
+    failed = [text for _, texts in done for text in texts]
     write_csv(config.out, header, rows)
     return header, rows, failed
 

@@ -186,16 +186,22 @@ class Mesh:
         return float(self.cell_diameters().max())
 
 
+def _is_count(n):
+    """Whether n is an integral number >= 1 and not a bool; 2.0 and numpy
+    integers are."""
+    return not isinstance(n, (bool, np.bool_)) and float(n).is_integer() and n >= 1
+
+
 def build_rect_mesh(x0, x1, y0, y1, nx, ny):
     """Structured triangulation of the rectangle (x0, x1) x (y0, y1).
 
     Each of the nx*ny grid squares is split into two triangles along the
     bottom-left to top-right diagonal.  The counts must be integers >= 1
-    (an integral float such as 2.0 is accepted).
+    (an integral float such as 2.0 is accepted, a bool is not).
     """
     if not (x1 > x0 and y1 > y0):
         raise ValueError("invalid rectangle bounds")
-    if not (float(nx).is_integer() and float(ny).is_integer() and nx >= 1 and ny >= 1):
+    if not (_is_count(nx) and _is_count(ny)):
         raise ValueError("subdivision counts must be integers >= 1, not %r, %r" % (nx, ny))
     nx, ny = int(nx), int(ny)
 

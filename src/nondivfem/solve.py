@@ -10,7 +10,8 @@ its factored solve: the initial residual, one apply, compares that matrix
 with the apply, and GMRES takes no step when it meets the tolerance.  On a
 DG test space that solve is first refined once against the apply.  GMRES
 has one tolerance, absolute and relative at once, and one iteration cap,
-`MAX_ITER`; every solve uses the tolerance `TOL`.
+`MAX_ITER`, shared by the cycles it restarts from its iterate while the
+true residual misses the tolerance; every solve uses the tolerance `TOL`.
 """
 
 from dataclasses import dataclass, field
@@ -59,79 +60,84 @@ def gmres(apply, b, precond=None, x0=None, tol=TOL):
     """Full GMRES with modified Gram-Schmidt and right preconditioning.
 
     Starts from x0 (zero when None), whose residual r0 = b - apply(x0) costs
-    one apply, and stops when the recursive residual estimate reaches the
-    absolute and relative tolerance max(tol, tol * ||b||), after
-    min(MAX_ITER, len(b)) Arnoldi steps, or at an exact breakdown.  The cap
-    is the module's MAX_ITER, read at each call.  An x0 whose ||r0|| meets
-    the tolerance comes back as it is after 0 steps.  Returns
-    (x, SolveReport); `iterations` counts Arnoldi steps, and `converged` is
-    whether the true residual ||b - apply(x)|| meets the tolerance.
+    one apply.  A cycle stops when the recursive residual estimate reaches
+    the absolute and relative tolerance max(tol, tol * ||b||), or at an
+    exact breakdown; where the true residual ||b - apply(x)|| still misses
+    the tolerance, GMRES restarts from x with that residual (GMRES(m), Saad
+    & Schultz 1986).  All cycles together take at most min(MAX_ITER, len(b))
+    Arnoldi steps; the cap is the module's MAX_ITER, read at each call.  An
+    x0 whose ||r0|| meets the tolerance comes back as it is after 0 steps.
+    Returns (x, SolveReport); `iterations` counts Arnoldi steps over all
+    cycles, `residual_history` holds each cycle's true initial residual
+    followed by its estimates, and `converged` is whether the true residual
+    meets the tolerance.
     """
     b = np.asarray(b, dtype=np.float64)
-    n = b.shape[0]
     M = precond if precond is not None else (lambda r: r)
 
     tol = max(tol, tol * float(np.linalg.norm(b)))
-    if x0 is not None:
-        x0 = np.array(x0, dtype=np.float64)
-    r0 = b if x0 is None else b - apply(x0)
-    beta = float(np.linalg.norm(r0))
-    history = [beta]
-    if beta <= tol:
-        return (np.zeros(n) if x0 is None else x0), SolveReport(0, history, True, beta)
+    x = None if x0 is None else np.array(x0, dtype=np.float64)
+    r = b if x is None else b - apply(x)
+    beta = float(np.linalg.norm(r))
+    history, steps, cap = [beta], 0, min(MAX_ITER, len(b))
+    # each pass is one Arnoldi cycle from the residual r of the iterate x; a
+    # cycle whose true residual misses the tolerance restarts from its x
+    while beta > tol and steps < cap:
+        if steps:
+            history.append(beta)
+        # the Krylov basis, the Hessenberg columns and the rotations grow by
+        # one entry per step, so memory follows the iterations taken
+        V = [r / beta]
+        H = []          # column j: the rotated H[:j + 1, j], upper triangular
+        cs, sn = [], []
+        g = [beta]
 
-    # the Krylov basis, the Hessenberg columns and the rotations grow by one
-    # entry per step, so memory follows the iterations taken, not MAX_ITER
-    V = [r0 / beta]
-    H = []          # column j: the rotated H[:j + 1, j], upper triangular
-    cs, sn = [], []
-    g = [beta]
+        for j in range(cap - steps):
+            # copy: apply or M may hand back their argument (e.g. the
+            # identity), and the in-place orthogonalization must not touch V
+            w = np.array(apply(M(V[j])), dtype=np.float64)
+            h = []
+            for v in V:
+                h.append(v @ w)
+                w -= h[-1] * v
+            hnext = float(np.linalg.norm(w))
+            h.append(hnext)
 
-    for j in range(min(MAX_ITER, n)):
-        # copy: apply or M may hand back their argument (e.g. the identity),
-        # and the in-place orthogonalization below must not touch V
-        w = np.array(apply(M(V[j])), dtype=np.float64)
-        h = []
-        for v in V:
-            h.append(v @ w)
-            w -= h[-1] * v
-        hnext = float(np.linalg.norm(w))
-        h.append(hnext)
+            # apply stored Givens rotations, then a new one to annihilate h[j + 1]
+            for i in range(j):
+                t = cs[i] * h[i] + sn[i] * h[i + 1]
+                h[i + 1] = -sn[i] * h[i] + cs[i] * h[i + 1]
+                h[i] = t
+            denom = np.hypot(h[j], h[j + 1])
+            cs.append(h[j] / denom if denom > 0 else 1.0)
+            sn.append(h[j + 1] / denom if denom > 0 else 0.0)
+            h[j:] = [denom]
+            H.append(h)
+            g.append(-sn[j] * g[j])
+            g[j] = cs[j] * g[j]
 
-        # apply stored Givens rotations, then a new one to annihilate h[j + 1]
-        for i in range(j):
-            t = cs[i] * h[i] + sn[i] * h[i + 1]
-            h[i + 1] = -sn[i] * h[i] + cs[i] * h[i + 1]
-            h[i] = t
-        denom = np.hypot(h[j], h[j + 1])
-        cs.append(h[j] / denom if denom > 0 else 1.0)
-        sn.append(h[j + 1] / denom if denom > 0 else 0.0)
-        h[j:] = [denom]
-        H.append(h)
-        g.append(-sn[j] * g[j])
-        g[j] = cs[j] * g[j]
+            res = abs(g[j + 1])
+            history.append(res)
+            if res <= tol:
+                break
+            if hnext == 0.0:
+                # exact breakdown: the Krylov space is invariant; the current
+                # least-squares solution is as good as it gets
+                break
+            V.append(w / hnext)
 
-        res = abs(g[j + 1])
-        history.append(res)
-        if res <= tol:
-            break
-        if hnext == 0.0:
-            # exact breakdown: the Krylov space is invariant; the current
-            # least-squares solution is as good as it gets
-            break
-        V.append(w / hnext)
-
-    # back substitution on the triangular system, then undo the right
-    # preconditioning
-    k = len(H)
-    R = np.zeros((k, k))
-    for j, h in enumerate(H):
-        R[:j + 1, j] = h
-    x = M(np.array(V[:k]).T @ np.linalg.solve(R, g[:k]))
-    if x0 is not None:
-        x = x0 + x
-    true_res = float(np.linalg.norm(b - apply(x)))
-    return x, SolveReport(k, history, true_res <= tol, true_res)
+        # back substitution on the triangular system, then undo the right
+        # preconditioning
+        k = len(H)
+        R = np.zeros((k, k))
+        for j, h in enumerate(H):
+            R[:j + 1, j] = h
+        dx = M(np.array(V[:k]).T @ np.linalg.solve(R, g[:k]))
+        x = dx if x is None else x + dx
+        r = b - apply(x)
+        beta = float(np.linalg.norm(r))
+        steps += k
+    return (np.zeros_like(b) if x is None else x), SolveReport(steps, history, beta <= tol, beta)
 
 
 def solve_problem(

@@ -16,6 +16,8 @@ from functools import cache
 import numpy as np
 import scipy.sparse as sp
 
+from .mesh import _is_count
+
 __all__ = [
     "QuadratureRule",
     "quadrature",
@@ -215,16 +217,10 @@ def _cg_dof_count(mesh, p):
     return mesh.n_vertices + (p - 1) * mesh.n_facets + (p - 1) * (p - 2) // 2 * mesh.n_cells
 
 
-def _is_degree(p):
-    """Whether p is an integral number >= 1 and not a bool; 2.0 and numpy
-    integers are."""
-    return not isinstance(p, (bool, np.bool_)) and float(p).is_integer() and p >= 1
-
-
 def build_space(mesh, p, continuity="CG"):
     """Build a Lagrange space of degree p, continuity 'CG' or 'DG'.  A
-    degree that is not an integer >= 1 (`_is_degree`) raises ValueError."""
-    if not _is_degree(p):
+    degree that is not an integer >= 1 (`mesh._is_count`) raises ValueError."""
+    if not _is_count(p):
         raise ValueError("degree must be an integer >= 1, not %r" % (p,))
     p = int(p)
     if continuity not in ("CG", "DG"):

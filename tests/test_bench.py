@@ -118,12 +118,14 @@ def test_study_takes_an_integral_degree_of_any_number_type():
 
 @pytest.mark.parametrize("refinement", ["uniform", "adaptive"])
 def test_study_refuses_a_fractional_initial_n(refinement):
-    # truncated, 2.5 cells per side would build the 2 x 2 mesh
+    # truncated, 2.5 cells per side would build the 2 x 2 mesh; True, which
+    # `initial_n * 2**level` turns into the int 1, would build the 1 x 1 one
     levels = dict(levels=1) if refinement == "uniform" else {}
-    config = RunConfig(experiment="exp1", params={"kappa": 0.5}, refinement=refinement,
-                       initial_n=2.5, **levels)
-    with pytest.raises(ValueError, match="integers"):
-        run_convergence(config)
+    for initial_n in (2.5, True, np.True_):
+        config = RunConfig(experiment="exp1", params={"kappa": 0.5}, refinement=refinement,
+                           initial_n=initial_n, **levels)
+        with pytest.raises(ValueError, match="integers"):
+            run_convergence(config)
 
 
 # ----------------------------------------------------------------------
@@ -169,23 +171,23 @@ def test_exp4_reports_estimator_only():
     assert etas[-1] < etas[0]
 
 
-def _record_pids(monkeypatch, path, fail=None):
-    """Wrap bench._solve_and_estimate: append the solving pid to `path`, and
-    let `fail(mesh)` raise or exit first."""
+def _record_pids(monkeypatch, path, fail=None, routine="_solve_and_estimate"):
+    """Wrap `routine` of bench, which takes (problem, mesh, ...): append the
+    solving pid to `path`, and let `fail(mesh)` raise or exit first."""
     import os
 
     import nondivfem.bench
 
-    real = nondivfem.bench._solve_and_estimate
+    real = getattr(nondivfem.bench, routine)
 
-    def wrapped(problem, mesh, p, level, **solve_options):
+    def wrapped(problem, mesh, *args, **kwargs):
         with open(path, "a") as fh:
             fh.write("%d\n" % os.getpid())
         if fail is not None:
             fail(mesh)
-        return real(problem, mesh, p, level, **solve_options)
+        return real(problem, mesh, *args, **kwargs)
 
-    monkeypatch.setattr(nondivfem.bench, "_solve_and_estimate", wrapped)
+    monkeypatch.setattr(nondivfem.bench, routine, wrapped)
 
 
 def _set_cpus(monkeypatch, cpus):
@@ -265,6 +267,117 @@ def test_forked_study_raises_when_the_child_dies(tmp_path, monkeypatch):
     out = tmp_path / "out.csv"
     with pytest.raises(RuntimeError, match="code 9"):
         run_convergence(_tiny_uniform(levels=3, out=str(out)))
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_solve_cells_forks_the_cheaper_half_of_the_cells(monkeypatch):
+    # the child solves the longest prefix whose sizes sum to at most half of
+    # the total: for sizes 4**level, every level but the finest
+    import multiprocessing
+    import os
+
+    from nondivfem.bench import _solve_cells
+
+    def pids(cells, sizes):
+        solved = _solve_cells(lambda c: (c, os.getpid()), cells, sizes)
+        assert [c for c, _ in solved] == list(cells)
+        assert multiprocessing.active_children() == []
+        return [pid != os.getpid() for _, pid in solved]
+
+    _set_cpus(monkeypatch, [0, 1])
+    assert pids(range(5), [4**level for level in range(5)]) == [True] * 4 + [False]
+    assert pids(range(2), [1, 4]) == [True, False]
+    assert pids([(2, 0), (2, 1), (3, 0), (3, 1)], [4, 16, 9, 36]) == [True] * 3 + [False]
+    # one cell, or a first cell above half of the total: no fork
+    assert pids(range(1), [1]) == [False]
+    assert pids(range(3), [5, 2, 2]) == [False] * 3
+    _set_cpus(monkeypatch, [0])
+    assert pids(range(5), [4**level for level in range(5)]) == [False] * 5
+
+
+_FORKED_COMMANDS = [
+    ["iters", "--kappas", "0.9,0.99", "--h-exponents", "2,3", "--eta1-values", "0,1"],
+    ["compare", "--experiment", "exp1", "--kappa", "0.9", "--levels", "2", "--initial-n", "2",
+     "--degrees", "2,3"],
+]
+
+
+@pytest.mark.parametrize("argv", _FORKED_COMMANDS, ids=["iters", "compare"])
+def test_forked_commands_write_the_sequential_csv(argv, tmp_path, monkeypatch):
+    import multiprocessing
+
+    routine = "solve_problem" if argv[0] == "iters" else "_solve_and_estimate"
+    csv, pids = {}, {}
+    for cpus in ([0, 1], [0]):
+        pid_file = tmp_path / ("pids%d" % len(cpus))
+        _record_pids(monkeypatch, pid_file, routine=routine)
+        _set_cpus(monkeypatch, cpus)
+        out = tmp_path / ("out%d.csv" % len(cpus))
+        assert main(argv + ["--out", str(out)]) == 0
+        csv[len(cpus)] = out.read_bytes()
+        pids[len(cpus)] = set(pid_file.read_text().split())
+        assert multiprocessing.active_children() == []
+    assert csv[2] == csv[1]
+    assert len(pids[2]) == 2 and len(pids[1]) == 1
+
+
+def _h_exponent(mesh):
+    """k of a uniform mesh of the unit square with h = 2^-k."""
+    return int(np.log2(mesh.n_cells // 2) // 2)
+
+
+@pytest.mark.parametrize("errors, error", [
+    ({2: ValueError}, ValueError),
+    ({4: KeyError}, KeyError),
+    # the first failing cell in list order decides, as in a sequential loop;
+    # the child solves h = 2^-2 and 2^-3, this process 2^-4
+    ({2: KeyError, 4: ValueError}, KeyError),
+    ({3: ValueError, 4: KeyError}, ValueError),
+])
+def test_forked_iteration_table_raises_the_first_failure(errors, error, tmp_path, monkeypatch):
+    # types the table does not record as -1 propagate as they would unforked
+    import multiprocessing
+
+    def fail(mesh):
+        ex = _h_exponent(mesh)
+        if ex in errors:
+            raise errors[ex]("h = 2^-%d" % ex)
+
+    _record_pids(monkeypatch, tmp_path / "pids", fail, routine="solve_problem")
+    _set_cpus(monkeypatch, [0, 1])
+    out = tmp_path / "out.csv"
+    with pytest.raises(error, match="h = 2\\^-%d" % min(errors)):
+        run_iteration_table(kappas=(0.9,), h_exponents=(2, 3, 4), eta1_values=(1.0,),
+                            out=str(out))
+    assert not out.exists()
+    assert len(set((tmp_path / "pids").read_text().split())) == 2
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("fate, match", [
+    ("dies", "exited with code 9"),
+    ("raises", r"cell \(2, 0.9, 1.0\) failed in the forked process with "
+               r"ValueError\('child only'\) but not when solved again"),
+], ids=["dies", "raises"])
+def test_forked_iteration_table_reports_a_child_failure(fate, match, tmp_path, monkeypatch):
+    import multiprocessing
+    import os
+
+    parent = os.getpid()
+
+    def fail_in_child(mesh):
+        if os.getpid() != parent:
+            if fate == "dies":
+                os._exit(9)
+            raise ValueError("child only")
+
+    _record_pids(monkeypatch, tmp_path / "pids", fail_in_child, routine="solve_problem")
+    _set_cpus(monkeypatch, [0, 1])
+    out = tmp_path / "out.csv"
+    with pytest.raises(RuntimeError, match=match):
+        run_iteration_table(kappas=(0.9,), h_exponents=(2, 3, 4), eta1_values=(1.0,),
+                            out=str(out))
     assert not out.exists()
     assert multiprocessing.active_children() == []
 

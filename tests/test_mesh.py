@@ -64,7 +64,8 @@ def test_invalid_inputs():
     with pytest.raises(ValueError):
         build_rect_mesh(0, 1, 0, 1, 0, 1)
     # int() alone would truncate a fractional count, 2.5 to the 2 x 2 mesh
-    for nx, ny in ((2.5, 2), (2, 2.5), (np.nan, 2), (np.inf, 2)):
+    # and a bool is no count: True would build the 1 x 1 mesh
+    for nx, ny in ((2.5, 2), (2, 2.5), (np.nan, 2), (np.inf, 2), (True, True), (2, np.True_)):
         with pytest.raises(ValueError, match="integers"):
             build_rect_mesh(0, 1, 0, 1, nx, ny)
     assert build_rect_mesh(0, 1, 0, 1, 2.0, np.int64(2)).n_cells == 8

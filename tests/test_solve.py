@@ -18,7 +18,14 @@ from nondivfem import (
 import nondivfem.solve as solve_module
 from nondivfem.bench import RunConfig
 from nondivfem.hessian import _factor
-from nondivfem.operator import Preconditioner, _coefficient_sample, assemble_nsz
+from nondivfem.operator import (
+    Preconditioner,
+    ProblemData,
+    _coefficient_sample,
+    _const_matrix,
+    _product,
+    assemble_nsz,
+)
 
 
 def _exact_dict(problem):
@@ -238,11 +245,30 @@ def test_solve_exp1_h2_rate():
     assert 0.7 < rate < 1.4
 
 
+def _sin_sin_problem(A):
+    """u = sin 2 pi x sin 2 pi y on (0,1)^2 under the coefficient A; the
+    forcing A : D^2 u vanishes on the boundary, so ||b|| is small."""
+    tp = 2.0 * np.pi
+    exact = _product(lambda t: np.sin(tp * t), lambda t: tp * np.cos(tp * t),
+                     lambda t: -tp * tp * np.sin(tp * t))
+    hess = exact["exact_hess"]
+    return ProblemData(name="sin-sin", bounds=(0.0, 1.0, 0.0, 1.0), A=A,
+                       f=lambda x: np.einsum("...ij,...ij->...", A(x), hess(x)), **exact)
+
+
+def _smooth_varying_A(x):
+    X, Y = x[..., 0], x[..., 1]
+    s = 0.9 * np.sin(np.pi * X) * np.sin(np.pi * Y)
+    a00 = 2.0 + 0.5 * np.cos(np.pi * X)
+    return np.stack([np.stack([a00, s], -1), np.stack([s, np.full_like(X, 2.0)], -1)], -2)
+
+
 # Lowest last L2 EOC over exp1 (kappa = 0.5) and exp3, default penalties, as
 # measured: recovery-cg 1.23 at p = 1 (16^2 -> 32^2), and recovery-cg
 # 2.75 / 3.02, recovery-dg 1.87 / 3.35, nsz 1.67 / 3.88 at p = 2 (16^2 -> 32^2)
 # / p = 3 (8^2 -> 16^2), less a margin.  DG recovery and nsz start at p = 2
-# (`bench._MIN_DEGREE`)
+# (`bench._MIN_DEGREE`).  The sin-sin problem under the smooth varying A
+# reads 1.20, and 2.91 / 4.38, 2.02 / 4.00, 1.94 / 3.84
 L2_RATE_FLOOR = {
     ("recovery-cg", 1): 1.1,
     ("recovery-cg", 2): 2.5, ("recovery-cg", 3): 2.8,
@@ -251,17 +277,25 @@ L2_RATE_FLOOR = {
 }
 
 
-@pytest.mark.parametrize("name, params, scheme, p", [
-    pytest.param(name, params, scheme, p, id="%s-%s-%d" % (name, scheme, p))
-    for name, params in (("exp1", {"kappa": 0.5}), ("exp3", {}))
-    for scheme, p in sorted(L2_RATE_FLOOR)])
-def test_every_scheme_converges_at_its_rates(name, params, scheme, p):
+_RATE_PROBLEMS = {
+    "exp1": lambda: make_problem("exp1", kappa=0.5),
+    "exp3": lambda: make_problem("exp3"),
+    # the one problem outside the catalog, and the one gamma A that varies
+    # inside cells
+    "varying-A": lambda: _sin_sin_problem(_smooth_varying_A),
+}
+
+
+@pytest.mark.parametrize("name, scheme, p", [
+    pytest.param(name, scheme, p, id="%s-%s-%d" % (name, scheme, p))
+    for name in _RATE_PROBLEMS for scheme, p in sorted(L2_RATE_FLOOR)])
+def test_every_scheme_converges_at_its_rates(name, scheme, p):
     # H1 at p and, from p = 2 on, H2_h at p - 1, each within 0.2, and L2 above
     # its floor, from the last step of two uniform meshes.  At p = 1 the
     # H2_h error does not converge (CG 57.2 -> 60.0 on exp1).  nsz on exp3 at
     # p = 2 is still pre-asymptotic in L2 and H1 at 32^2 (H1 EOC 1.71, 1.84
     # at 64^2), so only its floor and its H2_h rate are pinned.
-    problem = make_problem(name, **params)
+    problem = _RATE_PROBLEMS[name]()
     errs, hs = [], []
     for n in ((8, 16) if p == 3 else (16, 32)):
         mesh = build_rect_mesh(*problem.bounds, n, n)
@@ -318,6 +352,46 @@ def test_preconditioner_reduces_iterations(monkeypatch):
     _, rep_raw = gmres(op.apply, b, tol=1e-8)
     assert rep_pre.converged
     assert rep_pre.iterations < rep_raw.iterations
+
+
+@pytest.mark.parametrize("A, n, p", [
+    (_const_matrix(np.eye(2)), 64, 2),
+    (_smooth_varying_A, 32, 3),
+], ids=["poisson-64-p2", "varying-A-32-p3"])
+def test_solve_reaches_the_tolerance_it_reports(A, n, p):
+    # one Arnoldi cycle stops on its recursive estimate while the true
+    # residual is still above TOL * ||b||; GMRES restarts from its iterate
+    sol = solve_problem(_sin_sin_problem(A), build_rect_mesh(0, 1, 0, 1, n, n), p)
+    b_norm = float(np.linalg.norm(assemble_rhs(sol.system)))
+    assert sol.report.converged
+    assert sol.report.final_true_residual <= solve_module.TOL * b_norm
+
+
+def test_gmres_restarts_from_its_iterate_within_one_cap(monkeypatch):
+    # a preconditioner that rounds to single precision is not the linear map
+    # GMRES assumes: the first cycle's estimate meets tol while its iterate
+    # misses it by about 1e-7, and a restart from that iterate reaches tol
+    rng = np.random.default_rng(9)
+    n = 40
+    A = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+    b = rng.standard_normal(n)
+    single = lambda r: r.astype(np.float32).astype(np.float64)
+    stop = 1e-10 * np.linalg.norm(b)
+    x, rep = gmres(lambda v: A @ v, b, precond=single, tol=1e-10)
+    assert rep.converged and rep.final_true_residual <= stop
+    assert rep.final_true_residual == float(np.linalg.norm(b - A @ x))
+    # two cycles: the first one's estimates, then the restart's true initial
+    # residual, above the stopping value, and the second one's estimates
+    h = rep.residual_history
+    assert len(h) == rep.iterations + 2
+    first = int(np.argmax(np.diff(h) > 0))      # steps of the first cycle
+    assert h[first] <= stop < h[first + 1]
+    assert 0 < first < rep.iterations
+    # the cycles share the cap: two steps past the first cycle end the solve
+    monkeypatch.setattr(solve_module, "MAX_ITER", first + 2)
+    _, capped = gmres(lambda v: A @ v, b, precond=single, tol=1e-10)
+    assert capped.iterations == first + 2 and not capped.converged
+    assert capped.residual_history[:first + 2] == h[:first + 2]
 
 
 def test_solve_problem_reads_tol_at_each_call(monkeypatch):
