@@ -6,8 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimate import estimate_level
-from .mesh import bisect, build_rect_mesh
-from .solve import solve_problem
+from .mesh import _is_count, bisect, build_rect_mesh
+from .solve import SolveReport, solve_problem
 from .space import _cg_dof_count
 
 __all__ = ["AdaptiveRecord", "doerfler_mark", "adaptive_loop", "initial_mesh"]
@@ -15,16 +15,16 @@ __all__ = ["AdaptiveRecord", "doerfler_mark", "adaptive_loop", "initial_mesh"]
 
 @dataclass
 class AdaptiveRecord:
-    """One solved level; `true_residual` is GMRES's final ||b - A u_h||."""
+    """One solved level: the values of its CSV row, `n_dofs`, `h_max`, the
+    ErrorNorms `errors` (None without an exact solution) and `eta_global`,
+    and `report`, the level's SolveReport from `solve_problem`, which holds
+    its GMRES iterations, convergence flag and final true residual."""
 
-    level: int
     n_dofs: int
+    h_max: float
+    errors: object
     eta_global: float
-    gmres_iterations: int
-    converged: bool
-    true_residual: float
-    errors: object = None
-    h_max: float = np.nan
+    report: SolveReport
 
 
 def doerfler_mark(eta_T, theta):
@@ -71,21 +71,14 @@ def initial_mesh(problem, n=None):
     return build_rect_mesh(x0, x1, y0, y1, n, n)
 
 
-def _solve_and_estimate(problem, mesh, p, level, **solve_options):
-    """Solve one level and estimate it: (AdaptiveRecord, eta_T)."""
+def _solve_and_estimate(problem, mesh, p, **solve_options):
+    """Solve one level with `solve_problem` and estimate it with
+    `estimate_level`: (AdaptiveRecord, eta_T).  The record holds the level's
+    dofs, h_max, error norms and global estimator and its SolveReport."""
     sol = solve_problem(problem, mesh, p, **solve_options)
     eta_T, errors = estimate_level(sol.u_h, problem)
-    record = AdaptiveRecord(
-        level=level,
-        n_dofs=sol.u_h.space.n_dofs,
-        eta_global=float(np.sqrt(np.sum(eta_T**2))),
-        gmres_iterations=sol.report.iterations,
-        converged=sol.report.converged,
-        true_residual=sol.report.final_true_residual,
-        errors=errors,
-        h_max=mesh.h_max,
-    )
-    return record, eta_T
+    return AdaptiveRecord(sol.u_h.space.n_dofs, mesh.h_max, errors,
+                          float(np.sqrt(np.sum(eta_T**2))), sol.report), eta_T
 
 
 def adaptive_loop(
@@ -104,9 +97,12 @@ def adaptive_loop(
     criterion on squared indicators (`doerfler_mark` at `theta`) and bisects
     them.  Returns one AdaptiveRecord per solved level.  Levels are solved
     as long as the mesh has at most max_dofs degrees of freedom, so n_dofs
-    is strictly increasing and bounded by the budget.  Raises ValueError
-    when the initial mesh already has more than max_dofs.
+    is strictly increasing and bounded by the budget.  Raises ValueError,
+    before anything is solved, when max_dofs is not an integer >= 1 or the
+    initial mesh already has more than max_dofs.
     """
+    if not _is_count(max_dofs):
+        raise ValueError("max_dofs must be an integer >= 1, not %r" % (max_dofs,))
     mesh = mesh if mesh is not None else initial_mesh(problem)
     records = []
     while True:
@@ -116,8 +112,7 @@ def adaptive_loop(
                 raise ValueError("the initial mesh has %d dofs, more than max_dofs = %d"
                                  % (n_dofs, max_dofs))
             break
-        record, eta_T = _solve_and_estimate(problem, mesh, p, len(records), scheme=scheme,
-                                            eta1=eta1)
+        record, eta_T = _solve_and_estimate(problem, mesh, p, scheme=scheme, eta1=eta1)
         records.append(record)
         marked = doerfler_mark(eta_T, theta)
         if len(marked) == 0:

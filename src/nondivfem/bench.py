@@ -95,10 +95,12 @@ class RunConfig:
             raise ValueError("refinement must be 'uniform' or 'adaptive'")
         if not 0.0 < self.theta <= 1.0:
             raise ValueError("theta must be in (0, 1]")
-        if self.levels < 1:
-            raise ValueError("levels must be >= 1")
-        if self.max_dofs < 1:
-            raise ValueError("max_dofs must be >= 1")
+        for name in ("levels", "max_dofs"):
+            n = getattr(self, name)
+            if n < 1:
+                raise ValueError("%s must be >= 1" % name)
+            if not _is_count(n):
+                raise ValueError("%s must be an integer >= 1, not %r" % (name, n))
         if self.initial_n is not None and not _is_count(self.initial_n):
             raise ValueError("cells per side must be integers >= 1, not %r" % (self.initial_n,))
         if self.eta1 is not None and not 0.0 <= self.eta1 < np.inf:
@@ -147,8 +149,7 @@ def _uniform_mesh(problem, config, level):
 def _solve_level(problem, config, level):
     """AdaptiveRecord of uniform level `level`."""
     record, _ = _solve_and_estimate(problem, _uniform_mesh(problem, config, level),
-                                    config.degree, level, scheme=config.scheme,
-                                    eta1=config.eta1)
+                                    config.degree, scheme=config.scheme, eta1=config.eta1)
     return record
 
 
@@ -225,7 +226,12 @@ def _solve_cells(solve, cells, sizes):
 
 def run_convergence(config):
     """Uniform or adaptive refinement study: one AdaptiveRecord per level,
-    written as one CSV row each; returns (rows, all_converged)."""
+    written as one CSV row each; returns (rows, all_converged).
+
+    A row is the record's n_dofs, h_max, the l2, h1 and h2h of its errors
+    (empty without an exact solution), eta_global and the iterations of its
+    SolveReport; all_converged holds when every level's report converged.
+    """
     config.validate()
     problem = config.make_problem()
     if config.refinement == "adaptive":
@@ -246,9 +252,9 @@ def run_convergence(config):
     for r in records:
         e = r.errors
         l2, h1, h2h = (e.l2, e.h1, e.h2h) if e else (None, None, None)
-        rows.append([r.n_dofs, r.h_max, l2, h1, h2h, r.eta_global, r.gmres_iterations])
+        rows.append([r.n_dofs, r.h_max, l2, h1, h2h, r.eta_global, r.report.iterations])
     write_csv(config.out, CSV_HEADER, rows)
-    return rows, all(r.converged for r in records)
+    return rows, all(r.report.converged for r in records)
 
 
 def run_iteration_table(
@@ -316,12 +322,11 @@ def run_scheme_comparison(config, degrees=(2, 3, 4)):
         for s in SCHEMES:
             try:
                 _check_degree(s, p)
-                record, _ = _solve_and_estimate(problem, mesh, p, level, scheme=s,
-                                                eta1=config.eta1)
-                if not record.converged:
+                record, _ = _solve_and_estimate(problem, mesh, p, scheme=s, eta1=config.eta1)
+                if not record.report.converged:
                     raise RuntimeError(
                         "GMRES did not converge: true residual %g after %d iterations"
-                        % (record.true_residual, record.gmres_iterations))
+                        % (record.report.final_true_residual, record.report.iterations))
                 e = record.errors
                 row += [e.l2, e.h1, e.h2h] if e else [None, None, None]
             except (CordesViolated, RuntimeError, ValueError) as exc:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operator import _gamma
+from .operator import _gamma, _require_finite
 from .space import evaluate, facet_quadrature, normal_jumps, physical_points, quadrature
 
 __all__ = [
@@ -89,9 +89,14 @@ def _charge_jumps(d, cell_sq):
 
 
 def _estimator(d, problem, A, gamma):
-    """eta_T from the values A and gamma of the coefficient at d.pts."""
+    """eta_T from the values A and gamma of the coefficient at d.pts; raises
+    ValueError naming the first point where A or f is not finite."""
+    f = problem.f(d.pts)
+    pts = d.pts.reshape(-1, 2)
+    _require_finite(A, pts, "A")
+    _require_finite(f, pts, "f")
     AH = np.einsum("cqij,cqij->cq", A, d.hess)
-    resid = gamma * (problem.f(d.pts) - AH)
+    resid = gamma * (f - AH)
     eta_sq = _charge_jumps(d, np.einsum("cq,cq->c", d.wdet, resid**2))
     return np.sqrt(eta_sq)
 
@@ -154,7 +159,9 @@ def local_estimator(u_h, problem, gamma):
 
 
 def eoc(series):
-    """Experimental orders from (h, error) pairs: log-ratio slopes."""
+    """Experimental orders from (h, error) pairs: log-ratio slopes.  Fewer
+    than two pairs, a value <= 0 and two equal consecutive h raise
+    ValueError."""
     series = list(series)
     if len(series) < 2:
         raise ValueError("need at least two (h, error) entries")
@@ -162,13 +169,18 @@ def eoc(series):
     es = np.array([s[1] for s in series], dtype=np.float64)
     if np.any(hs <= 0) or np.any(es <= 0):
         raise ValueError("h and error values must be positive")
+    if np.any(hs[:-1] == hs[1:]):
+        raise ValueError("consecutive h values must differ")
     return list(np.log(es[:-1] / es[1:]) / np.log(hs[:-1] / hs[1:]))
 
 
 def ls_slope(x, y):
-    """Least-squares slope of log(y) against log(x)."""
+    """Least-squares slope of log(y) against log(x).  A value <= 0 and
+    fewer than two distinct x raise ValueError."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if np.any(x <= 0) or np.any(y <= 0):
         raise ValueError("values must be positive")
+    if np.unique(x).size < 2:
+        raise ValueError("need at least two distinct x values")
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])

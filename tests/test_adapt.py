@@ -1,9 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import nondivfem.adapt
 from nondivfem import (
+    AdaptiveRecord,
+    SolveReport,
     adaptive_loop,
     doerfler_mark,
     eoc,
@@ -133,8 +138,11 @@ def test_adaptive_loop_structure():
     n = [r.n_dofs for r in records]
     assert all(b > a for a, b in zip(n, n[1:]))
     assert n[-1] <= 2000
-    assert [r.level for r in records] == list(range(len(records)))
+    assert [f.name for f in dataclasses.fields(AdaptiveRecord)] == [
+        "n_dofs", "h_max", "errors", "eta_global", "report"]
     for r in records:
+        assert isinstance(r.report, SolveReport)
+        assert r.report.converged and r.report.iterations >= 1
         assert r.eta_global > 0
         assert r.errors is not None
         assert np.isfinite(r.h_max)
@@ -144,6 +152,18 @@ def test_adaptive_loop_rejects_initial_mesh_over_budget():
     # 4x4 cells at p = 2 have 81 dofs: no level fits, so no record
     with pytest.raises(ValueError, match="max_dofs"):
         adaptive_loop(make_problem("exp2"), p=2, max_dofs=80)
+
+
+@pytest.mark.parametrize("max_dofs", [2.5, True, np.inf, np.nan, 0])
+def test_adaptive_loop_refuses_a_budget_that_is_not_a_count(max_dofs, monkeypatch):
+    # with inf or nan, `n_dofs > max_dofs` never holds and an exp2 study
+    # would refine until memory runs out; nothing may be solved
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved with max_dofs = %r" % (max_dofs,))
+
+    monkeypatch.setattr(nondivfem.adapt, "solve_problem", no_solve)
+    with pytest.raises(ValueError, match="max_dofs must be an integer >= 1"):
+        adaptive_loop(make_problem("exp2"), p=2, max_dofs=max_dofs)
 
 
 def test_adaptive_loop_refuses_a_non_integral_degree():

@@ -1,12 +1,16 @@
+import dataclasses
+import inspect
 import re
 
 import numpy as np
 import pytest
 
+import nondivfem.adapt
 import nondivfem.solve
 from nondivfem.bench import (
     CSV_HEADER,
     RunConfig,
+    build_parser,
     main,
     run_convergence,
     run_iteration_table,
@@ -81,6 +85,12 @@ def test_config_validation():
     for value in (np.nan, np.inf):
         with pytest.raises(ValueError, match="must be finite"):
             _tiny_uniform(eta1=value).validate()
+    # a count below 1, all that the CLI can pass, keeps the short message
+    for value in (0, -3, np.int64(0)):
+        with pytest.raises(ValueError, match="^levels must be >= 1$"):
+            _tiny_uniform(levels=value).validate()
+        with pytest.raises(ValueError, match="^max_dofs must be >= 1$"):
+            RunConfig(experiment="exp2", refinement="adaptive", max_dofs=value).validate()
     # a field the chosen refinement never reads must keep its default
     for refinement, name, value in (("uniform", "theta", 0.5), ("uniform", "max_dofs", 1),
                                     ("adaptive", "levels", 2)):
@@ -126,6 +136,27 @@ def test_study_refuses_a_fractional_initial_n(refinement):
                            initial_n=initial_n, **levels)
         with pytest.raises(ValueError, match="integers"):
             run_convergence(config)
+
+
+@pytest.mark.parametrize("refinement, name, value", [
+    ("uniform", "levels", 2.5), ("uniform", "levels", True), ("uniform", "levels", np.inf),
+    ("uniform", "levels", np.nan), ("adaptive", "max_dofs", 2.5),
+    ("adaptive", "max_dofs", True), ("adaptive", "max_dofs", np.inf),
+    ("adaptive", "max_dofs", np.nan), ("adaptive", "max_dofs", np.True_)])
+def test_study_refuses_counts_that_are_not_integers(tmp_path, monkeypatch, refinement, name,
+                                                     value):
+    # a max_dofs of inf or nan would never end an exp2 study, so the
+    # refusal must come before anything is solved
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved with %s = %r" % (name, value))
+
+    monkeypatch.setattr(nondivfem.adapt, "solve_problem", no_solve)
+    out = tmp_path / "x.csv"
+    config = RunConfig(experiment="exp2", refinement=refinement, initial_n=2, out=str(out),
+                       **{name: value})
+    with pytest.raises(ValueError, match="%s must be an integer >= 1" % name):
+        run_convergence(config)
+    assert not out.exists()
 
 
 # ----------------------------------------------------------------------
@@ -475,6 +506,35 @@ def test_cli_writes_stdout_by_default(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0] == ",".join(CSV_HEADER)
+
+
+def test_cli_defaults_are_the_library_defaults():
+    # build_parser restates the defaults of RunConfig and of the table
+    # routines; a default changed in one place only must fail here
+    parser = build_parser()
+    for command in ("run", "adapt", "compare"):
+        args = vars(parser.parse_args([command, "--experiment", "exp1"]))
+        checked = 0
+        for f in dataclasses.fields(RunConfig):
+            if f.name in args and f.default is not dataclasses.MISSING:
+                # compare's own default: four uniform meshes
+                want = 4 if (command, f.name) == ("compare", "levels") else f.default
+                assert args[f.name] == want, (command, f.name)
+                checked += 1
+        assert checked >= 4, command
+
+    def parsed(text, kind):
+        """A comma-separated list option as main parses it."""
+        return tuple(kind(t) for t in text.split(","))
+
+    table = inspect.signature(run_iteration_table).parameters
+    args = parser.parse_args(["iters"])
+    for dest, kind in (("kappas", float), ("h_exponents", int), ("eta1_values", float)):
+        assert parsed(getattr(args, dest), kind) == tuple(table[dest].default), dest
+    assert (args.degree, args.out) == (table["degree"].default, table["out"].default)
+    degrees = inspect.signature(run_scheme_comparison).parameters["degrees"].default
+    args = parser.parse_args(["compare", "--experiment", "exp1"])
+    assert parsed(args.degrees, int) == tuple(degrees)
 
 
 def test_cli_rejects_unknown_experiment():

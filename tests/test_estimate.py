@@ -1,9 +1,12 @@
 import dataclasses
+import re
+import warnings
 
 import numpy as np
 import pytest
 
 from nondivfem import (
+    adaptive_loop,
     bisect,
     build_rect_mesh,
     build_space,
@@ -17,7 +20,8 @@ from nondivfem import (
     solve_problem,
 )
 from nondivfem.estimate import _gradient_jumps_sq, _level_data, estimate_level
-from nondivfem.space import FEFunction, facet_quadrature
+from nondivfem.operator import ProblemData
+from nondivfem.space import FEFunction, facet_quadrature, physical_points, quadrature
 
 from fe_oracle import pullback_points, tabulate_at
 
@@ -195,6 +199,45 @@ def test_estimator_residual_only_for_zero_uh():
     assert np.isclose(np.sqrt(np.sum(eta**2)), np.sqrt(areas.sum()), atol=1e-12)
 
 
+def _nan_at_one_estimator_point(name):
+    """8 x 8 mesh and a problem with A = I and f = 1, except that `name`
+    ("A" or "f") is NaN at the first point of cell 0 of the estimator's
+    2p + 4 rule at p = 2, which no assembly point (2p + 2 rule) meets."""
+    mesh = build_rect_mesh(-1, 1, -1, 1, 8, 8)
+    q = quadrature(8)
+    pts = physical_points(mesh, np.arange(mesh.n_cells),
+                          np.broadcast_to(q.points, (mesh.n_cells,) + q.points.shape))
+    bad = pts[0, 0].copy()
+
+    def poisoned(values, x):
+        hit = np.all(x == bad, axis=-1)
+        values[hit] = np.nan
+        return values
+
+    A = lambda x: np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2)).copy()
+    f = lambda x: np.ones(x.shape[:-1])
+    coeffs = {"A": A, "f": f}
+    coeffs[name] = lambda x, g=coeffs[name]: poisoned(g(x), x)
+    return mesh, ProblemData(name="nan", bounds=(-1, 1, -1, 1), **coeffs), bad
+
+
+@pytest.mark.parametrize("name", ["A", "f"])
+def test_estimator_refuses_a_coefficient_that_is_not_finite(name):
+    # assembly checks A and f at its own points; the estimator's points
+    # are others, and a NaN there would give eta_T = nan without an error
+    mesh, problem, bad = _nan_at_one_estimator_point(name)
+    sol = solve_problem(problem, mesh, p=2)
+    assert sol.report.converged
+    message = "%s is not finite at %s" % (name, re.escape(str(bad)))
+    with pytest.raises(ValueError, match=message):
+        estimate_level(sol.u_h, problem)
+    with pytest.raises(ValueError, match=message):
+        local_estimator(sol.u_h, problem, sol.cordes.gamma)
+    # the loop stops at the estimate, not later at the marking
+    with pytest.raises(ValueError, match=message):
+        adaptive_loop(problem, p=2, max_dofs=10**4, mesh=mesh)
+
+
 def test_estimator_vanishes_for_exact_polynomial_solution():
     problem = make_problem("poly")
     mesh = build_rect_mesh(0, 1, 0, 1, 3, 3)
@@ -245,6 +288,8 @@ def test_eoc_basic():
     assert np.allclose(out, [3.0, 3.0])
     out = eoc([(1.0, 1.0), (0.5, 1.0)])
     assert np.isclose(out[0], 0.0)
+    hs, es = np.array([1.0, 0.5, 0.25]), np.array([1.0, 0.3, 0.05])
+    assert eoc(zip(hs, es)) == list(np.log(es[:-1] / es[1:]) / np.log(hs[:-1] / hs[1:]))
 
 
 def test_eoc_rejects_bad_input():
@@ -256,8 +301,25 @@ def test_eoc_rejects_bad_input():
         eoc([(0.0, 1.0), (0.5, 0.2)])
 
 
+def test_rate_helpers_refuse_degenerate_input(capfd):
+    # refused before any division or LAPACK call: nothing is warned or printed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="consecutive h values must differ"):
+            eoc([(0.5, 1.0), (0.5, 0.5)])
+        with pytest.raises(ValueError, match="consecutive h values must differ"):
+            eoc([(1.0, 2.0), (0.5, 1.0), (0.5, 0.5)])
+        for x, y in (([1.0], [1.0]), ([0.5, 0.5], [1.0, 2.0]), ([], [])):
+            with pytest.raises(ValueError, match="two distinct x values"):
+                ls_slope(x, y)
+    assert capfd.readouterr().err == ""
+
+
 def test_ls_slope():
     h = np.array([1.0, 0.5, 0.25, 0.125])
     assert np.isclose(ls_slope(h, 3.0 * h**2), 2.0)
+    # a repeated x is fine while two values differ
+    x, y = np.array([1.0, 0.5, 0.5, 0.25]), np.array([1.0, 0.3, 0.2, 0.05])
+    assert ls_slope(x, y) == float(np.polyfit(np.log(x), np.log(y), 1)[0])
     with pytest.raises(ValueError):
         ls_slope(h, -h)
