@@ -8,7 +8,7 @@ import numpy as np
 from .estimate import estimate_level
 from .mesh import _is_count, bisect, build_rect_mesh
 from .solve import SolveReport, solve_problem
-from .space import _cg_dof_count
+from .space import _cg_dof_count, _require_degree
 
 __all__ = ["AdaptiveRecord", "doerfler_mark", "adaptive_loop", "initial_mesh"]
 
@@ -27,6 +27,12 @@ class AdaptiveRecord:
     report: SolveReport
 
 
+def _require_theta(theta):
+    """Raise ValueError unless the marking fraction theta lies in (0, 1]."""
+    if not 0.0 < theta <= 1.0:
+        raise ValueError("theta must be in (0, 1]")
+
+
 def doerfler_mark(eta_T, theta):
     """Doerfler's bulk criterion on squared indicators: the smallest prefix
     of cells, sorted by eta_T descending, with sum of marked eta_T^2 >=
@@ -40,8 +46,7 @@ def doerfler_mark(eta_T, theta):
         raise ValueError("empty estimator field")
     if not np.all(np.isfinite(eta_T) & (eta_T >= 0.0)):
         raise ValueError("indicators must be finite and >= 0")
-    if not 0.0 < theta <= 1.0:
-        raise ValueError("theta must be in (0, 1]")
+    _require_theta(theta)
     emax = eta_T.max()
     if emax == 0.0:
         return np.array([], dtype=np.int64)
@@ -98,9 +103,12 @@ def adaptive_loop(
     them.  Returns one AdaptiveRecord per solved level.  Levels are solved
     as long as the mesh has at most max_dofs degrees of freedom, so n_dofs
     is strictly increasing and bounded by the budget.  Raises ValueError,
-    before anything is solved, when max_dofs is not an integer >= 1 or the
-    initial mesh already has more than max_dofs.
+    before anything is solved or counted, when p or max_dofs is not an
+    integer >= 1 or theta lies outside (0, 1], and before anything is
+    solved when the initial mesh already has more than max_dofs.
     """
+    _require_degree(p)
+    _require_theta(theta)
     if not _is_count(max_dofs):
         raise ValueError("max_dofs must be an integer >= 1, not %r" % (max_dofs,))
     mesh = mesh if mesh is not None else initial_mesh(problem)

@@ -26,11 +26,11 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .adapt import _solve_and_estimate, adaptive_loop, initial_mesh
+from .adapt import _require_theta, _solve_and_estimate, adaptive_loop, initial_mesh
 from .mesh import _is_count
 from .operator import CordesViolated, make_problem
 from .solve import SCHEMES, solve_problem
-from .space import _cg_dof_count
+from .space import _cg_dof_count, _require_degree
 
 __all__ = [
     "RunConfig",
@@ -56,8 +56,7 @@ _MIN_DEGREE = {"recovery-cg": 1, "recovery-dg": 2, "nsz": 2}
 def _check_degree(scheme, degree):
     """Raise ValueError when `degree` is not an integer or is below
     `scheme`'s lowest degree."""
-    if not _is_count(degree):
-        raise ValueError("degree must be an integer >= 1, not %r" % (degree,))
+    _require_degree(degree)
     if degree < _MIN_DEGREE[scheme]:
         raise ValueError("%s needs degree >= %d, got %d" % (scheme, _MIN_DEGREE[scheme], degree))
 
@@ -93,8 +92,7 @@ class RunConfig:
         _check_degree(self.scheme, self.degree)
         if self.refinement not in ("uniform", "adaptive"):
             raise ValueError("refinement must be 'uniform' or 'adaptive'")
-        if not 0.0 < self.theta <= 1.0:
-            raise ValueError("theta must be in (0, 1]")
+        _require_theta(self.theta)
         for name in ("levels", "max_dofs"):
             n = getattr(self, name)
             if n < 1:

@@ -64,11 +64,14 @@ class Mesh:
         Local index of each cell's newest-vertex bisection edge.  When not
         given, each cell is assigned its longest edge (ties: first local
         index attaining the maximum).
+
+    `cells` and `refinement_edges` must hold integers: float or bool arrays
+    raise TypeError rather than being truncated.
     """
 
     def __init__(self, vertices, cells, refinement_edges=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=np.float64)
-        self.cells = np.ascontiguousarray(cells, dtype=np.int64)
+        self.cells = _ids(cells, "cell vertex indices")
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise ValueError("vertices must be an (n, 2) array")
         finite = np.isfinite(self.vertices).all(axis=1)
@@ -99,7 +102,7 @@ class Mesh:
 
         if refinement_edges is None:
             refinement_edges = np.argmax(self._edge_lengths(), axis=1)
-        self.refinement_edges = np.ascontiguousarray(refinement_edges, dtype=np.int64)
+        self.refinement_edges = _ids(refinement_edges, "refinement edges")
         if self.refinement_edges.shape != (self.n_cells,):
             raise ValueError("refinement_edges must have one entry per cell")
         if np.any((self.refinement_edges < 0) | (self.refinement_edges > 2)):
@@ -175,15 +178,22 @@ class Mesh:
     def boundary_facets(self):
         return np.nonzero(self.boundary_flags)[0]
 
-    def boundary_vertices(self):
-        return np.unique(self.facets[self.boundary_flags])
-
     def cell_diameters(self):
         return self._edge_lengths().max(axis=1)
 
     @property
     def h_max(self):
         return float(self.cell_diameters().max())
+
+
+def _ids(a, what):
+    """`a` as a contiguous int64 array.  An array of another kind, float or
+    bool, raises TypeError instead of being truncated; an empty one is
+    accepted."""
+    a = np.asarray(a)
+    if a.size and a.dtype.kind not in "iu":
+        raise TypeError("%s must be integers, not %s" % (what, a.dtype))
+    return np.ascontiguousarray(a, dtype=np.int64)
 
 
 def _is_count(n):
@@ -227,9 +237,7 @@ def bisect(mesh, marked):
     `marked` holds cell ids of an integer type; a boolean mask or float ids
     raise TypeError, an empty list is accepted.
     """
-    marked = np.asarray(marked)
-    if marked.size and marked.dtype.kind not in "iu":
-        raise TypeError("marked cell ids must be integers, not %s" % marked.dtype)
+    marked = _ids(marked, "marked cell ids")
     if np.any((marked < 0) | (marked >= mesh.n_cells)):
         raise IndexError("marked cell id out of range")
 
@@ -239,7 +247,7 @@ def bisect(mesh, marked):
     # facets of the refinement edge (a, b) and of the edges (c, a) and (b, c)
     f0, f1, f2 = (mesh.cell_facets[rows, (k + s) % 3] for s in (0, 2, 1))
     split = np.zeros(mesh.n_facets, dtype=bool)
-    split[f0[marked.astype(np.int64)]] = True
+    split[f0[marked]] = True
     # closure: a cell with a split edge has its refinement edge split too
     while True:
         pending = (split[f1] | split[f2]) & ~split[f0]

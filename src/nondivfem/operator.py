@@ -84,8 +84,8 @@ class ProblemData:
 
     All fields are vectorized callables over point arrays of shape (n, 2):
     A returns (n, 2, 2), f returns (n,), exact_* return (n,), (n, 2),
-    (n, 2, 2) respectively.  exact_u is None for problems without a known
-    solution.
+    (n, 2, 2) respectively.  The three exact_* fields are None for problems
+    without a known solution; giving one or two of them raises ValueError.
     """
 
     name: str
@@ -97,6 +97,12 @@ class ProblemData:
     exact_hess: object = None
     initial_n: int = 4
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        missing = [n for n in ("exact_u", "exact_grad", "exact_hess") if getattr(self, n) is None]
+        if 0 < len(missing) < 3:
+            raise ValueError("problem %r has a partial exact solution: %s missing"
+                             % (self.name, ", ".join(missing)))
 
     @property
     def has_exact(self):

@@ -217,11 +217,16 @@ def _cg_dof_count(mesh, p):
     return mesh.n_vertices + (p - 1) * mesh.n_facets + (p - 1) * (p - 2) // 2 * mesh.n_cells
 
 
-def build_space(mesh, p, continuity="CG"):
-    """Build a Lagrange space of degree p, continuity 'CG' or 'DG'.  A
-    degree that is not an integer >= 1 (`mesh._is_count`) raises ValueError."""
+def _require_degree(p):
+    """Raise ValueError unless the degree p is an integer >= 1 (`mesh._is_count`)."""
     if not _is_count(p):
         raise ValueError("degree must be an integer >= 1, not %r" % (p,))
+
+
+def build_space(mesh, p, continuity="CG"):
+    """Build a Lagrange space of degree p, continuity 'CG' or 'DG'.  A
+    degree that is not an integer >= 1 (`_require_degree`) raises ValueError."""
+    _require_degree(p)
     p = int(p)
     if continuity not in ("CG", "DG"):
         raise ValueError("continuity must be 'CG' or 'DG'")
@@ -235,24 +240,16 @@ def build_space(mesh, p, continuity="CG"):
     else:
         dof_map = np.empty((n_cells, n_loc), dtype=np.int64)
         dof_map[:, 0:3] = mesh.cells
-        offset = mesh.n_vertices
-        ne = ref.n_edge
-        if ne > 0:
-            for k in range(3):
-                fid = mesh.cell_facets[:, k]                # local edge k facet ids
-                base = offset + fid[:, None] * ne
-                # facet dofs run lo -> hi; a cell that runs its edge k
-                # backwards lists them in reverse
-                fw = base + np.arange(ne)[None, :]
-                bw = base + np.arange(ne - 1, -1, -1)[None, :]
-                cols = 3 + k * ne + np.arange(ne)
-                dof_map[:, cols] = np.where(mesh.cell_edge_flipped[:, k, None], bw, fw)
-        offset += mesh.n_facets * ne
-        ni = ref.n_interior
-        if ni > 0:
-            dof_map[:, 3 + 3 * ne :] = (
-                offset + np.arange(n_cells)[:, None] * ni + np.arange(ni)[None, :]
-            )
+        ne, ni = ref.n_edge, ref.n_interior
+        j = np.arange(ne)
+        for k in range(3):
+            # facet dofs run lo -> hi; a cell that runs its edge k
+            # backwards lists them in reverse
+            first = mesh.n_vertices + mesh.cell_facets[:, k, None] * ne
+            dof_map[:, ref.edge_dofs[k, 2:]] = first + np.where(
+                mesh.cell_edge_flipped[:, k, None], ne - 1 - j, j)
+        offset = mesh.n_vertices + mesh.n_facets * ne
+        dof_map[:, n_loc - ni:] = offset + np.arange(n_cells)[:, None] * ni + np.arange(ni)
         n_dofs = _cg_dof_count(mesh, p)
 
     # physical node coordinates (consistent across cells for CG by construction)
@@ -273,17 +270,15 @@ def build_space(mesh, p, continuity="CG"):
 
 
 def boundary_dofs(space):
-    """Global dofs whose Lagrange nodes lie on the domain boundary (CG only)."""
+    """Global dofs whose Lagrange nodes lie on the domain boundary (CG only):
+    the dofs of each boundary facet's edge, read from the `dof_map` row of
+    its cell through `ReferenceElement.edge_dofs`."""
     if space.continuity != "CG":
         raise ValueError("boundary dofs are only defined for CG spaces")
     mesh = space.mesh
-    dofs = [mesh.boundary_vertices()]
-    ne = space.ref.n_edge
-    if ne > 0:
-        bf = mesh.boundary_facets()
-        base = mesh.n_vertices + bf[:, None] * ne + np.arange(ne)[None, :]
-        dofs.append(base.ravel())
-    return np.unique(np.concatenate(dofs))
+    bf = mesh.boundary_facets()
+    cells, local = mesh.facet_cells[bf, 0], mesh.facet_local[bf, 0]
+    return np.unique(space.dof_map[cells[:, None], space.ref.edge_dofs[local]])
 
 
 def interpolate(space, f):

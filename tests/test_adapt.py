@@ -167,10 +167,24 @@ def test_adaptive_loop_refuses_a_budget_that_is_not_a_count(max_dofs, monkeypatc
 
 
 def test_adaptive_loop_refuses_a_non_integral_degree():
-    # truncated, p = 2.5 would solve at p = 2 and count 33.0 dofs for 25
-    with pytest.raises(ValueError, match="degree must be an integer"):
-        adaptive_loop(make_problem("exp2"), p=2.5, max_dofs=100,
-                      mesh=initial_mesh(make_problem("exp2"), 2))
+    # truncated, p = 2.5 would solve at p = 2 and count 33.0 dofs for 25;
+    # with max_dofs = 10 the degree, not the dof count of p = 2.5, is named
+    for max_dofs in (100, 10):
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            adaptive_loop(make_problem("exp2"), p=2.5, max_dofs=max_dofs,
+                          mesh=initial_mesh(make_problem("exp2"), 2))
+
+
+@pytest.mark.parametrize("theta", [1.5, np.nan, 0.0, -0.5, np.inf])
+def test_adaptive_loop_refuses_theta_outside_the_unit_interval(theta, monkeypatch):
+    # doerfler_mark refuses it too, but only after the first level has
+    # been solved and estimated; nothing may be solved
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved with theta = %r" % (theta,))
+
+    monkeypatch.setattr(nondivfem.adapt, "solve_problem", no_solve)
+    with pytest.raises(ValueError, match=r"theta must be in \(0, 1\]"):
+        adaptive_loop(make_problem("exp2"), p=2, theta=theta, max_dofs=1000)
 
 
 def test_adaptive_loop_estimator_decreases():

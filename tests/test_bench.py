@@ -824,6 +824,29 @@ def test_benchmark_selftest_passes():
     assert out.returncode == 0, out.stderr[-2000:]
 
 
+def test_benchmark_span_targets_exist():
+    # the span recorder skips a target it cannot find, and its span then
+    # reads 0 with no error; a rename must fail here instead
+    import importlib
+    import runpy
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    targets = runpy.run_path(str(root / "perfbench" / "spans.py"))["TARGETS"]
+    assert len(targets) == 21
+    missing = []
+    for span, (module, attr, _) in targets.items():
+        mod = importlib.import_module("nondivfem." + module)
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            fn = vars(getattr(mod, cls_name, object)).get(meth)
+        else:
+            fn = getattr(mod, attr, None)
+        if not callable(fn):
+            missing.append(span)
+    assert missing == []
+
+
 def test_every_exported_name_resolves():
     import importlib
     import pkgutil

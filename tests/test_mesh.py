@@ -154,6 +154,23 @@ def test_bisect_refuses_ids_that_are_not_integers():
     assert np.array_equal(bisect(m, np.array([5], dtype=np.int32)).cells, bisect(m, [5]).cells)
 
 
+@pytest.mark.parametrize("cells, edges", [
+    ([[0, 1.7, 2]], None),                      # truncated to [0, 1, 2]
+    (np.array([[0.0, 1.0, 2.0]]), None),        # integral floats too
+    (np.array([[True, False, True]]), None),
+    ([[0, 1, 2]], [1.9]),                       # truncated to edge 1
+    ([[0, 1, 2]], np.array([1.0])),
+    ([[0, 1, 2]], [True]),                      # would be edge 1
+], ids=["fractional-cell", "float-cell", "bool-cell", "fractional-edge", "float-edge", "bool-edge"])
+def test_mesh_refuses_vertex_ids_and_refinement_edges_that_are_not_integers(cells, edges):
+    v = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    with pytest.raises(TypeError, match="integers"):
+        Mesh(v, cells, refinement_edges=edges)
+    m = Mesh(v, np.array([[0, 1, 2]], dtype=np.int32), refinement_edges=np.array([1], dtype=np.uint8))
+    assert m.cells.dtype == m.refinement_edges.dtype == np.int64
+    assert m.refinement_edges.tolist() == [1]
+
+
 def _max_aspect_ratio(mesh):
     """Largest h_T / rho_T, rho_T the diameter of the inscribed circle."""
     v = mesh.vertices[mesh.cells]

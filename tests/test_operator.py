@@ -72,6 +72,22 @@ def test_catalog_parameters_recorded():
     assert make_problem("poly").has_exact is True
 
 
+@pytest.mark.parametrize("given", [("exact_u",), ("exact_grad",), ("exact_u", "exact_grad"),
+                                   ("exact_u", "exact_hess")])
+def test_problem_refuses_a_partial_exact_solution(given):
+    # with exact_u alone the problem solves and the error norms then call
+    # a missing exact_grad
+    poly = make_problem("poly")
+    fields = ("exact_u", "exact_grad", "exact_hess")
+    with pytest.raises(ValueError, match="partial exact solution") as err:
+        ProblemData(name="part", bounds=poly.bounds, A=poly.A, f=poly.f,
+                    **{n: getattr(poly, n) for n in given})
+    assert all((n in str(err.value)) == (n not in given) for n in fields)
+    assert dataclasses.replace(poly, exact_u=None, exact_grad=None, exact_hess=None).has_exact is False
+    with pytest.raises(ValueError, match="exact_hess missing"):
+        dataclasses.replace(poly, exact_hess=None)
+
+
 def test_exp1_forcing_value():
     # at (1/4, 1/4) the cos factors vanish and f = -8 pi^2
     p = make_problem("exp1", kappa=0.99)

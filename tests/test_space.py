@@ -110,6 +110,21 @@ def test_boundary_dofs():
     # the interior dof sits at the square's center
     free = np.setdiff1d(np.arange(9), bd)
     assert np.allclose(V2.node_coords[free[0]], [0.5, 0.5])
+    # a geometric oracle that does not depend on the numbering: on a
+    # bisected rectangle, the boundary dofs are exactly the dofs whose
+    # nodes lie on one of its four sides
+    x0, x1, y0, y1 = -1.0, 2.0, 0.5, 1.25
+    m = build_rect_mesh(x0, x1, y0, y1, 3, 2)
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        m = bisect(m, rng.choice(m.n_cells, m.n_cells // 3, replace=False))
+    for p in (1, 2, 3, 4):
+        V = build_space(m, p, "CG")
+        x, y = V.node_coords.T
+        on_side = np.isclose(x, x0) | np.isclose(x, x1) | np.isclose(y, y0) | np.isclose(y, y1)
+        bd = boundary_dofs(V)
+        assert bd.dtype == np.int64
+        assert np.array_equal(bd, np.flatnonzero(on_side)), p
 
 
 def test_boundary_dofs_rejects_dg():
