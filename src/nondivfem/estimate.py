@@ -102,9 +102,15 @@ def _estimator(d, problem, A, gamma):
 
 
 def _error_norms(d, exact):
-    du = d.vals - exact["u"](d.pts)
-    dg = d.grads - exact["grad"](d.pts)
-    dh = d.hess - exact["hess"](d.pts)
+    """ErrorNorms of d against the exact fields; raises ValueError naming
+    the first point where u, grad or hess is not finite."""
+    pts = d.pts.reshape(-1, 2)
+    fields = {key: exact[key](d.pts) for key in ("u", "grad", "hess")}
+    for key, values in fields.items():
+        _require_finite(values, pts, key)
+    du = d.vals - fields["u"]
+    dg = d.grads - fields["grad"]
+    dh = d.hess - fields["hess"]
     l2_sq = float(np.einsum("cq,cq->", d.wdet, du**2))
     h1_semi_sq = float(np.einsum("cq,cqi->", d.wdet, dg**2))
     dh_sq = dh**2
@@ -144,7 +150,8 @@ def estimate_level(u_h, problem):
 def error_norms(u_h, exact):
     """L2, full H1 and broken H2_h errors of u_h against pointwise fields.
 
-    `exact` maps the keys "u", "grad", "hess" to vectorized callables.
+    `exact` maps the keys "u", "grad", "hess" to vectorized callables; a
+    value that is not finite at one of the points raises ValueError.
     """
     return _error_norms(_level_data(u_h), exact)
 
@@ -160,27 +167,27 @@ def local_estimator(u_h, problem, gamma):
 
 def eoc(series):
     """Experimental orders from (h, error) pairs: log-ratio slopes.  Fewer
-    than two pairs, a value <= 0 and two equal consecutive h raise
-    ValueError."""
+    than two pairs, a value that is not finite and positive, and two equal
+    consecutive h raise ValueError."""
     series = list(series)
     if len(series) < 2:
         raise ValueError("need at least two (h, error) entries")
     hs = np.array([s[0] for s in series], dtype=np.float64)
     es = np.array([s[1] for s in series], dtype=np.float64)
-    if np.any(hs <= 0) or np.any(es <= 0):
-        raise ValueError("h and error values must be positive")
+    if not np.all(np.isfinite(hs) & np.isfinite(es) & (hs > 0) & (es > 0)):
+        raise ValueError("h and error values must be finite and positive")
     if np.any(hs[:-1] == hs[1:]):
         raise ValueError("consecutive h values must differ")
     return list(np.log(es[:-1] / es[1:]) / np.log(hs[:-1] / hs[1:]))
 
 
 def ls_slope(x, y):
-    """Least-squares slope of log(y) against log(x).  A value <= 0 and
-    fewer than two distinct x raise ValueError."""
+    """Least-squares slope of log(y) against log(x).  A value that is not
+    finite and positive, and fewer than two distinct x raise ValueError."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if np.any(x <= 0) or np.any(y <= 0):
-        raise ValueError("values must be positive")
+    if not (np.all(np.isfinite(x) & (x > 0)) and np.all(np.isfinite(y) & (y > 0))):
+        raise ValueError("values must be finite and positive")
     if np.unique(x).size < 2:
         raise ValueError("need at least two distinct x values")
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])

@@ -376,9 +376,9 @@ class CordesInfo:
 
 def _require_finite(values, pts, name):
     """Raise ValueError naming the first point whose row of values is not finite."""
-    finite = np.isfinite(values).reshape(len(pts), -1).all(axis=1)
+    finite = np.isfinite(values).reshape(len(pts), -1)
     if not finite.all():
-        raise ValueError("%s is not finite at %s" % (name, pts[np.argmin(finite)]))
+        raise ValueError("%s is not finite at %s" % (name, pts[np.argmin(finite.all(axis=1))]))
 
 
 def _gamma(A):

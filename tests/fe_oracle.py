@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from nondivfem import Mesh
+from nondivfem.mesh import Mesh
 
 
 def tabulate_at(space, cells, ref_pts):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -6,15 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nondivfem.adapt
-from nondivfem import (
-    AdaptiveRecord,
-    SolveReport,
-    adaptive_loop,
-    doerfler_mark,
-    eoc,
-    initial_mesh,
-    make_problem,
-)
+from nondivfem import adaptive_loop, eoc, make_problem
+from nondivfem.adapt import AdaptiveRecord, doerfler_mark, initial_mesh
+from nondivfem.solve import SolveReport
 
 
 # ----------------------------------------------------------------------
@@ -87,6 +82,9 @@ def test_mark_rejects_bad_input():
     for eta in ([1.0, np.inf, 2.0], [np.nan, 1.0, 2.0], [1.0, -np.inf], [1.0, -0.5, 2.0]):
         with pytest.raises(ValueError, match="finite and >= 0"):
             doerfler_mark(np.array(eta), 0.5)
+    for eta in (np.ones((2, 2)), np.ones((3, 1)), np.float64(1.0)):
+        with pytest.raises(ValueError, match=re.escape("1-D array, not of shape %s" % (eta.shape,))):
+            doerfler_mark(eta, 0.5)
 
 
 def test_mark_all_zero_marks_nothing():

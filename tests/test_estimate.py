@@ -200,8 +200,9 @@ def test_estimator_residual_only_for_zero_uh():
 
 
 def _nan_at_one_estimator_point(name):
-    """8 x 8 mesh and a problem with A = I and f = 1, except that `name`
-    ("A" or "f") is NaN at the first point of cell 0 of the estimator's
+    """8 x 8 mesh and a problem with A = I, f = 1 and the exact fields
+    u = 0, grad u = 0, hess u = 0, except that `name` ("A", "f", "u", "grad"
+    or "hess") is NaN at the first point of cell 0 of the estimator's
     2p + 4 rule at p = 2, which no assembly point (2p + 2 rule) meets."""
     mesh = build_rect_mesh(-1, 1, -1, 1, 8, 8)
     q = quadrature(8)
@@ -216,9 +217,14 @@ def _nan_at_one_estimator_point(name):
 
     A = lambda x: np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2)).copy()
     f = lambda x: np.ones(x.shape[:-1])
-    coeffs = {"A": A, "f": f}
+    coeffs = {"A": A, "f": f, "u": lambda x: np.zeros(x.shape[:-1]),
+              "grad": lambda x: np.zeros(x.shape[:-1] + (2,)),
+              "hess": lambda x: np.zeros(x.shape[:-1] + (2, 2))}
     coeffs[name] = lambda x, g=coeffs[name]: poisoned(g(x), x)
-    return mesh, ProblemData(name="nan", bounds=(-1, 1, -1, 1), **coeffs), bad
+    problem = ProblemData(name="nan", bounds=(-1, 1, -1, 1), A=coeffs["A"], f=coeffs["f"],
+                          exact_u=coeffs["u"], exact_grad=coeffs["grad"],
+                          exact_hess=coeffs["hess"])
+    return mesh, problem, bad
 
 
 @pytest.mark.parametrize("name", ["A", "f"])
@@ -234,6 +240,22 @@ def test_estimator_refuses_a_coefficient_that_is_not_finite(name):
     with pytest.raises(ValueError, match=message):
         local_estimator(sol.u_h, problem, sol.cordes.gamma)
     # the loop stops at the estimate, not later at the marking
+    with pytest.raises(ValueError, match=message):
+        adaptive_loop(problem, p=2, max_dofs=10**4, mesh=mesh)
+
+
+@pytest.mark.parametrize("name", ["u", "grad", "hess"])
+def test_error_norms_refuse_an_exact_solution_that_is_not_finite(name):
+    # a NaN in the manufactured solution would give l2 = h1 = nan, and a
+    # study would write that row without an error
+    mesh, problem, bad = _nan_at_one_estimator_point(name)
+    sol = solve_problem(problem, mesh, p=2)
+    assert sol.report.converged
+    message = "%s is not finite at %s" % (name, re.escape(str(bad)))
+    with pytest.raises(ValueError, match=message):
+        estimate_level(sol.u_h, problem)
+    with pytest.raises(ValueError, match=message):
+        error_norms(sol.u_h, _exact_dict(problem))
     with pytest.raises(ValueError, match=message):
         adaptive_loop(problem, p=2, max_dofs=10**4, mesh=mesh)
 
@@ -312,6 +334,14 @@ def test_rate_helpers_refuse_degenerate_input(capfd):
         for x, y in (([1.0], [1.0]), ([0.5, 0.5], [1.0, 2.0]), ([], [])):
             with pytest.raises(ValueError, match="two distinct x values"):
                 ls_slope(x, y)
+        for bad in (np.nan, np.inf, -np.inf):
+            for series in ([(0.5, 1.0), (0.25, bad)], [(0.5, bad), (0.25, 1.0)],
+                           [(bad, 1.0), (0.25, 0.5)], [(0.5, 1.0), (bad, 0.5)]):
+                with pytest.raises(ValueError, match="must be finite"):
+                    eoc(series)
+            for x, y in (([1, 2, bad], [1, 2, 3]), ([1, 2, 3], [1, bad, 3])):
+                with pytest.raises(ValueError, match="must be finite"):
+                    ls_slope(x, y)
     assert capfd.readouterr().err == ""
 
 

@@ -5,16 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nondivfem import (
-    assemble_mass_W,
     bisect,
-    build_hessian_operator,
     build_rect_mesh,
     build_space,
     interpolate,
     recover_hessian,
 )
 from nondivfem import hessian
-from nondivfem.hessian import assemble_C
+from nondivfem.hessian import assemble_C, assemble_mass_W, build_hessian_operator
 from nondivfem.space import evaluate, facet_quadrature, physical_points, quadrature
 
 from fe_oracle import pullback_points, tabulate_at

@@ -4,7 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fe_oracle import reference_bisect, reference_dof_map, reference_facets
-from nondivfem import Mesh, bisect, build_rect_mesh, build_space
+from nondivfem import bisect, build_rect_mesh, build_space
+from nondivfem.mesh import Mesh
 
 
 def test_unit_square_two_cells():

@@ -12,12 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nondivfem import (
-    CordesViolated,
-    assemble_nsz,
-    assemble_rhs,
     bisect,
-    boundary_dofs,
-    build_preconditioner,
     build_rect_mesh,
     build_space,
     build_system,
@@ -30,15 +25,19 @@ from nondivfem import (
 import nondivfem.operator as nd_operator
 from nondivfem.hessian import _factor, _stored, assemble_mass_W
 from nondivfem.operator import (
+    CordesViolated,
     ProblemData,
     _coefficient_sample,
     _const_matrix,
     _eliminate_dirichlet,
     assemble_B,
     assemble_load,
+    assemble_nsz,
+    assemble_rhs,
     assemble_stabilization,
+    build_preconditioner,
 )
-from nondivfem.space import facet_quadrature, quadrature
+from nondivfem.space import boundary_dofs, facet_quadrature, quadrature
 
 
 def _sample_points(problem, n=200, seed=0):
@@ -1046,8 +1045,6 @@ def test_nsz_boundary_rows():
     mesh = build_rect_mesh(0, 1, 0, 1, 2, 2)
     V = build_space(mesh, 2, "CG")
     K, rhs = assemble_nsz(V, _coefficient_sample(problem, V), eta1=1.0)
-    from nondivfem import boundary_dofs
-
     bd = boundary_dofs(V)
     D = K.toarray()
     for k in bd:

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from nondivfem import (
-    assemble_rhs,
     build_rect_mesh,
-    build_preconditioner,
     build_system,
     eoc,
     error_norms,
@@ -25,6 +23,8 @@ from nondivfem.operator import (
     _const_matrix,
     _product,
     assemble_nsz,
+    assemble_rhs,
+    build_preconditioner,
 )
 
 
@@ -227,7 +227,7 @@ def test_solution_boundary_coefficients_are_zero():
     mesh = build_rect_mesh(0, 1, 0, 1, 4, 4)
     for scheme in ("recovery-cg", "recovery-dg", "nsz"):
         sol = solve_problem(problem, mesh, p=2, scheme=scheme)
-        from nondivfem import boundary_dofs
+        from nondivfem.space import boundary_dofs
 
         bd = boundary_dofs(sol.u_h.space)
         assert np.all(sol.u_h.coeffs[bd] == 0.0)

@@ -7,15 +7,17 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nondivfem import bisect, boundary_dofs, build_rect_mesh, build_space, interpolate, quadrature
+from nondivfem import bisect, build_rect_mesh, build_space, interpolate
 from nondivfem.space import (
     _cg_dof_count,
     _sym,
     _edge_points,
     _facet_edges,
+    boundary_dofs,
     evaluate,
     facet_quadrature,
     physical_points,
+    quadrature,
     reference_element,
     scatter,
 )
