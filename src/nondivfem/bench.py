@@ -61,6 +61,14 @@ def _check_degree(scheme, degree):
         raise ValueError("%s needs degree >= %d, got %d" % (scheme, _MIN_DEGREE[scheme], degree))
 
 
+def _require_out(out):
+    """Raise ValueError when the CSV path `out` is a directory or lies in a
+    missing one, so that a study refuses it before solving anything."""
+    if out is not None and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
+        raise ValueError("cannot write the CSV to %r: it is a directory or its directory "
+                         "does not exist" % (out,))
+
+
 def _refuse_set(config, names, user):
     """Raise ValueError when a field in `names` differs from its default."""
     for f in fields(config):
@@ -104,6 +112,7 @@ class RunConfig:
         if self.eta1 is not None and not 0.0 <= self.eta1 < np.inf:
             raise ValueError("eta1 must be finite and >= 0")
         _refuse_set(self, _IGNORED_BY[self.refinement], "%s refinement" % self.refinement)
+        _require_out(self.out)
         return self
 
     def make_problem(self):
@@ -265,8 +274,10 @@ def run_iteration_table(
     """GMRES iteration grid for the anisotropic smooth problem.
 
     Rows are mesh sizes h = 2^-k; columns are (kappa, eta1) pairs; failed
-    solves are recorded as -1.
+    solves are recorded as -1.  An `out` that is a directory or lies in a
+    missing one raises ValueError before anything is solved.
     """
+    _require_out(out)
     header = ["h"]
     for k in kappas:
         for e1 in eta1_values:
@@ -297,12 +308,13 @@ def run_scheme_comparison(config, degrees=(2, 3, 4)):
     Returns (header, rows, failed): a cell whose solve raised, did not
     converge or lies below its scheme's lowest degree is left empty and
     named in `failed`; without an exact solution every cell is empty.
-    A degree that is not an integer >= 1, or a config `scheme` or `degree`
-    other than the default (every scheme runs at each of `degrees`), raises
-    ValueError before anything is solved.
+    A degree that is not an integer >= 1, or a config `scheme`, `degree` or
+    `refinement` other than the default (every scheme runs at each of
+    `degrees` on uniform meshes), raises ValueError before anything is
+    solved.
     """
+    _refuse_set(config, ("scheme", "degree", "refinement"), "compare")
     config.validate()
-    _refuse_set(config, ("scheme", "degree"), "compare")
     if not all(_is_count(p) for p in degrees):
         raise ValueError("degrees must be >= 1 and integers, got %s" % list(degrees))
     degrees = [int(p) for p in degrees]

@@ -33,7 +33,6 @@ class ErrorNorms:
     l2: float
     h1: float
     h2h: float
-    h2_broken: float
     # per cell: sqrt of the cellwise Hessian error squared plus the jump
     # terms of its interior facets, each facet charged to both cells; left
     # out of == and repr, which compare and print the norms
@@ -114,13 +113,11 @@ def _error_norms(d, exact):
     l2_sq = float(np.einsum("cq,cq->", d.wdet, du**2))
     h1_semi_sq = float(np.einsum("cq,cqi->", d.wdet, dg**2))
     dh_sq = dh**2
-    h2_broken_sq = float(np.einsum("cq,cqij->", d.wdet, dh_sq))
-    h2h_sq = h2_broken_sq + float(d.jumps.sum())
+    h2h_sq = float(np.einsum("cq,cqij->", d.wdet, dh_sq)) + float(d.jumps.sum())
     return ErrorNorms(
         l2=np.sqrt(l2_sq),
         h1=np.sqrt(l2_sq + h1_semi_sq),
         h2h=np.sqrt(h2h_sq),
-        h2_broken=np.sqrt(h2_broken_sq),
         h2h_T=np.sqrt(_charge_jumps(d, np.einsum("cq,cqij->c", d.wdet, dh_sq))),
     )
 

@@ -178,12 +178,9 @@ class Mesh:
     def boundary_facets(self):
         return np.nonzero(self.boundary_flags)[0]
 
-    def cell_diameters(self):
-        return self._edge_lengths().max(axis=1)
-
     @property
     def h_max(self):
-        return float(self.cell_diameters().max())
+        return float(self._edge_lengths().max())
 
 
 def _ids(a, what):

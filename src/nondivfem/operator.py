@@ -38,7 +38,7 @@ degree 2p + 2, on which the Cordes check also runs.
 """
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -96,7 +96,6 @@ class ProblemData:
     exact_grad: object = None
     exact_hess: object = None
     initial_n: int = 4
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         missing = [n for n in ("exact_u", "exact_grad", "exact_hess") if getattr(self, n) is None]
@@ -154,7 +153,6 @@ def _problem_exp1(kappa=0.5):
         A=_const_matrix([[1.0, kappa], [kappa, 1.0]]),
         f=f,
         initial_n=4,
-        params={"kappa": kappa},
         **_product(lambda t: np.sin(tp * t), lambda t: tp * np.cos(tp * t),
                    lambda t: -tp * tp * np.sin(tp * t)),
     )
@@ -230,7 +228,6 @@ def _problem_exp2(alpha=1.5):
         exact_grad=grad,
         exact_hess=hess,
         initial_n=4,
-        params={"alpha": a},
     )
 
 
@@ -271,7 +268,6 @@ def _problem_exp3():
         A=A,
         f=f,
         initial_n=5,
-        params={},
         **_product(_phi, _phi_p, _phi_pp),
     )
 
@@ -294,7 +290,6 @@ def _problem_exp4():
         A=A,
         f=f,
         initial_n=8,
-        params={},
     )
 
 
@@ -312,7 +307,6 @@ def _problem_poly():
         A=_const_matrix(np.eye(2)),
         f=f,
         initial_n=2,
-        params={},
         **_product(lambda t: t * (1.0 - t), lambda t: 1.0 - 2.0 * t,
                    lambda t: np.full_like(t, -2.0)),
     )

@@ -27,7 +27,7 @@ from .operator import (
     build_preconditioner,
     build_system,
 )
-from .space import FEFunction, boundary_dofs, build_space
+from .space import FEFunction, build_space
 
 __all__ = ["SolveReport", "Solution", "gmres", "solve_problem"]
 
@@ -59,25 +59,26 @@ class Solution:
 def gmres(apply, b, precond=None, x0=None, tol=TOL):
     """Full GMRES with modified Gram-Schmidt and right preconditioning.
 
-    Starts from x0 (zero when None), whose residual r0 = b - apply(x0) costs
-    one apply.  A cycle stops when the recursive residual estimate reaches
-    the absolute and relative tolerance max(tol, tol * ||b||), or at an
-    exact breakdown; where the true residual ||b - apply(x)|| still misses
-    the tolerance, GMRES restarts from x with that residual (GMRES(m), Saad
-    & Schultz 1986).  All cycles together take at most min(MAX_ITER, len(b))
-    Arnoldi steps; the cap is the module's MAX_ITER, read at each call.  An
-    x0 whose ||r0|| meets the tolerance comes back as it is after 0 steps.
-    Returns (x, SolveReport); `iterations` counts Arnoldi steps over all
-    cycles, `residual_history` holds each cycle's true initial residual
-    followed by its estimates, and `converged` is whether the true residual
-    meets the tolerance.
+    Starts from x0, whose residual r0 = b - apply(x0) costs one apply, or
+    from zero with r0 = b and no apply when x0 is None.  A cycle stops when
+    the recursive residual estimate reaches the absolute and relative
+    tolerance max(tol, tol * ||b||), or at an exact breakdown; where the
+    true residual ||b - apply(x)|| still misses the tolerance, GMRES
+    restarts from x with that residual (GMRES(m), Saad & Schultz 1986).
+    All cycles together take at most min(MAX_ITER, len(b)) Arnoldi steps;
+    the cap is the module's MAX_ITER, read at each call.  An x0 whose ||r0||
+    meets the tolerance comes back as it is after 0 steps.  Returns
+    (x, SolveReport); `iterations` counts Arnoldi steps over all cycles,
+    `residual_history` holds each cycle's true initial residual followed by
+    its estimates, and `converged` is whether the true residual meets the
+    tolerance.
     """
     b = np.asarray(b, dtype=np.float64)
     M = precond if precond is not None else (lambda r: r)
 
     tol = max(tol, tol * float(np.linalg.norm(b)))
-    x = None if x0 is None else np.array(x0, dtype=np.float64)
-    r = b if x is None else b - apply(x)
+    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=np.float64)
+    r = b if x0 is None else b - apply(x)
     beta = float(np.linalg.norm(r))
     history, steps, cap = [beta], 0, min(MAX_ITER, len(b))
     # each pass is one Arnoldi cycle from the residual r of the iterate x; a
@@ -133,11 +134,11 @@ def gmres(apply, b, precond=None, x0=None, tol=TOL):
         for j, h in enumerate(H):
             R[:j + 1, j] = h
         dx = M(np.array(V[:k]).T @ np.linalg.solve(R, g[:k]))
-        x = dx if x is None else x + dx
+        x += dx
         r = b - apply(x)
         beta = float(np.linalg.norm(r))
         steps += k
-    return (np.zeros_like(b) if x is None else x), SolveReport(steps, history, beta <= tol, beta)
+    return x, SolveReport(steps, history, beta <= tol, beta)
 
 
 def solve_problem(
@@ -163,7 +164,11 @@ def solve_problem(
     eta1, on the normal-gradient jumps across interior facets; nsz defaults
     it to 1 and recovery to `build_system`'s rule.  A degree p that is not
     an integer >= 1 raises ValueError, as in `build_space`.
-    Boundary coefficients of the returned function are exactly zero.
+    Boundary coefficients of the returned function are exactly zero, as
+    every system fixes them: its rows and columns there are the identity
+    (`operator._eliminate_dirichlet`, `SystemOperator.apply`) and b is zero
+    there, so every start, Krylov vector, preconditioner solve and update
+    is zero there too.
     """
     if scheme not in SCHEMES:
         raise ValueError("unknown scheme %r; choose from %s" % (scheme, list(SCHEMES)))
@@ -188,5 +193,4 @@ def solve_problem(
         # solution would follow the round-off of the assembled K
         x0 = x0 + P.solve(b - apply(x0))
     x, report = gmres(apply, b, precond=P.solve, x0=x0, tol=TOL)
-    x[boundary_dofs(space_V)] = 0.0
     return Solution(u_h=FEFunction(space_V, x), report=report, cordes=cordes, system=system)

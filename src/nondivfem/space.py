@@ -253,8 +253,8 @@ def build_space(mesh, p, continuity="CG"):
         n_dofs = _cg_dof_count(mesh, p)
 
     # physical node coordinates (consistent across cells for CG by construction)
-    v0 = mesh.vertices[mesh.cells[:, 0]]
-    phys = v0[:, None, :] + np.einsum("cij,nj->cni", mesh.cell_jacobians, ref.nodes, optimize=True)
+    nodes = np.broadcast_to(ref.nodes, (n_cells,) + ref.nodes.shape)
+    phys = physical_points(mesh, np.arange(n_cells), nodes)
     node_coords = np.empty((n_dofs, 2))
     node_coords[dof_map.ravel()] = phys.reshape(-1, 2)
 

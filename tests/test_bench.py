@@ -111,6 +111,21 @@ def test_uniform_study_rejects_adaptive_settings():
             run_scheme_comparison(config, degrees=(2,))
 
 
+def test_scheme_comparison_refuses_adaptive_refinement(tmp_path, monkeypatch):
+    # compare solves uniform meshes only: an adaptive config would come back
+    # as uniform rows past its max_dofs, with no failure named
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a cell")
+
+    monkeypatch.setattr("nondivfem.bench._solve_and_estimate", no_solve)
+    out = tmp_path / "x.csv"
+    config = RunConfig(experiment="exp1", refinement="adaptive", theta=0.5, max_dofs=50,
+                       initial_n=2, out=str(out))
+    with pytest.raises(ValueError, match="refinement is not used by compare"):
+        run_scheme_comparison(config, degrees=(2,))
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("degree", [2.5, True])
 def test_study_refuses_a_non_integral_degree(tmp_path, degree):
     # truncated, degree 2.5 would write the p = 2 row and report converged
@@ -608,6 +623,32 @@ def test_cli_adaptive_study_over_budget_exits_2(tmp_path, capsys):
     assert rc == 2
     assert "max_dofs" in capsys.readouterr().err
     assert not path.exists()
+
+
+_STUDY_ARGV = {
+    "run": ["run", "--experiment", "exp1", "--levels", "2", "--initial-n", "2"],
+    "adapt": ["adapt", "--experiment", "exp2", "--max-dofs", "200"],
+    "iters": ["iters", "--kappas", "0.9", "--h-exponents", "2", "--eta1-values", "1"],
+    "compare": ["compare", "--experiment", "exp1", "--degrees", "2", "--levels", "1",
+                "--initial-n", "2"],
+}
+
+
+@pytest.mark.parametrize("command", list(_STUDY_ARGV))
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_cli_refuses_an_unwritable_out_before_solving(command, where, tmp_path, monkeypatch,
+                                                      capsys):
+    # the CSV is written after the last solve: an --out that cannot be
+    # opened must be a configuration error before the first one
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before refusing --out")
+
+    for module in ("nondivfem.adapt", "nondivfem.bench"):
+        monkeypatch.setattr(module + ".solve_problem", no_solve)
+    out = tmp_path / "missing" / "x.csv" if where == "missing directory" else tmp_path
+    assert main(_STUDY_ARGV[command] + ["--out", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists() and list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("experiment, option", [("exp3", "--kappa"), ("exp1", "--alpha"),

@@ -19,6 +19,7 @@ from nondivfem import (
     make_problem,
     solve_problem,
 )
+from nondivfem.adapt import _solve_and_estimate, initial_mesh
 from nondivfem.estimate import _gradient_jumps_sq, _level_data, estimate_level
 from nondivfem.operator import ProblemData
 from nondivfem.space import FEFunction, facet_quadrature, physical_points, quadrature
@@ -55,7 +56,7 @@ def test_norms_vanish_for_reproduced_function():
     assert err.l2 < 1e-12
     assert err.h1 < 1e-11
     assert err.h2h < 1e-9
-    assert err.h2_broken < 1e-9
+    assert np.all(err.h2h_T < 1e-9)
 
 
 def test_norms_of_zero_function():
@@ -68,9 +69,10 @@ def test_norms_of_zero_function():
     assert np.isclose(err.l2, 0.5, atol=1e-10)
     # full H1 norm: sqrt(1/4 + 2 pi^2)
     assert np.isclose(err.h1, np.sqrt(0.25 + 2 * np.pi**2), atol=1e-8)
-    # u_h = 0 has no gradient jumps, so h2h equals the broken seminorm
-    assert np.isclose(err.h2h, err.h2_broken, atol=1e-12)
-    assert np.isclose(err.h2_broken, 4.0 * np.pi**2, atol=1e-6)
+    # u_h = 0 has no gradient jumps, so h2h is the Hessian norm of sin sin,
+    # 4 pi^2, and its cell pieces add up to it
+    assert np.isclose(err.h2h, 4.0 * np.pi**2, atol=1e-6)
+    assert np.isclose(np.sum(err.h2h_T**2), err.h2h**2, rtol=1e-12)
 
 
 def test_h2h_dominates_broken_seminorm():
@@ -78,7 +80,11 @@ def test_h2h_dominates_broken_seminorm():
     mesh = build_rect_mesh(0, 1, 0, 1, 4, 4)
     sol = solve_problem(problem, mesh, p=2)
     err = error_norms(sol.u_h, _exact_dict(problem))
-    assert err.h2h >= err.h2_broken
+    # h2h^2 is the broken Hessian error squared plus the jump terms J, and the
+    # cell pieces h2h_T charge J to both cells: sum h2h_T^2 - h2h^2 = J >= 0
+    # and 2 h2h^2 - sum h2h_T^2 = broken^2 >= 0
+    assert err.h2h**2 <= np.sum(err.h2h_T**2)
+    assert np.sum(err.h2h_T**2) <= 2.0 * err.h2h**2
 
 
 @pytest.mark.parametrize("name", ["exp2", "exp4"])
@@ -297,6 +303,46 @@ def test_estimator_reliability_ratio_stable():
     ratios = np.array(ratios)
     assert ratios.min() > 0.05
     assert ratios.max() / ratios.min() < 5.0
+
+
+def _uniform_records(name, ns, scheme, **params):
+    problem = make_problem(name, **params)
+    return [_solve_and_estimate(problem, initial_mesh(problem, n), 2, scheme=scheme)[0]
+            for n in ns]
+
+
+_STUDIES = {
+    # the uniform-cg-p2 benchmark study (exp1 with its S assembled), the
+    # corner singularity of criterion 5 refined adaptively, and criterion 6's
+    # discontinuous A on a DG test space
+    "exp1-cg-uniform": lambda: _uniform_records("exp1", (4, 8, 16), "recovery-cg", kappa=0.9),
+    "exp2-cg-adaptive": lambda: adaptive_loop(make_problem("exp2"), p=2, theta=0.9,
+                                              max_dofs=5000),
+    "exp3-dg-uniform": lambda: _uniform_records("exp3", (8, 16, 32), "recovery-dg"),
+}
+
+
+@pytest.mark.parametrize("study", list(_STUDIES))
+def test_estimator_is_reliable_and_efficient_with_level_independent_constants(study):
+    # the a posteriori claim: c eta <= ||u - u_h||_{H2_h} <= C eta with c, C
+    # independent of the mesh.  Measured H2h / eta at p = 2: 1.139-1.145
+    # (exp1, kappa = 0.9, 4^2-16^2), 0.996-1.038 (exp2, 12 adaptive levels up
+    # to 5000 dofs), 1.082-1.114 (exp3, DG, 8^2-32^2)
+    records = _STUDIES[study]()
+    assert all(r.report.converged for r in records)
+    n = [r.n_dofs for r in records]
+    ratios = np.array([r.errors.h2h / r.eta_global for r in records])
+    # c = 1/sqrt(2) on every mesh: f = A : D2 u at each point, so the volume
+    # residual is |gamma A : D2_h(u - u_h)| <= sqrt(2) |D2_h(u - u_h)|, as
+    # |gamma A|_F = tr A / |A|_F <= sqrt(2); and eta^2 charges each jump term
+    # to both cells, H2h^2 once
+    assert ratios.min() >= 1.0 / np.sqrt(2.0)
+    # C: the theory's constant depends on the Cordes eps and on an enrichment
+    # constant that nothing here computes, so the test pins that it does not
+    # depend on the level: error and estimator share their rate, the optimal
+    # -1/2 in the dofs at p = 2, to a tenth of it (measured slopes of the
+    # ratio: +0.001, -0.006, -0.011)
+    assert abs(ls_slope(n, ratios)) <= 0.05
 
 
 # ----------------------------------------------------------------------

@@ -65,8 +65,11 @@ def test_make_problem_names_a_parameter_the_problem_lacks(name, param):
 
 
 def test_catalog_parameters_recorded():
-    assert make_problem("exp1", kappa=0.9).params["kappa"] == 0.9
-    assert make_problem("exp2", alpha=1.25).params["alpha"] == 1.25
+    x = np.array([[0.25, 0.5]])
+    assert make_problem("exp1", kappa=0.9).A(x)[..., 0, 1] == 0.9
+    # exp2's u = 2 x y r^(alpha - 2) (1 - x)(1 - y) at (1/2, 1/2), r^2 = 1/2
+    u = make_problem("exp2", alpha=1.25).exact_u(np.array([[0.5, 0.5]]))
+    assert np.isclose(u[0], 0.125 * 0.5 ** (-0.375), rtol=1e-14)
     assert make_problem("exp4").has_exact is False
     assert make_problem("poly").has_exact is True
 

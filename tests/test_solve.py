@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nondivfem import (
+    bisect,
     build_rect_mesh,
     build_system,
     eoc,
@@ -57,6 +58,20 @@ def test_gmres_zero_rhs():
     x, rep = gmres(lambda v: 2.0 * v, np.zeros(4))
     assert rep.converged and rep.iterations == 0
     assert np.all(x == 0.0)
+
+
+def test_gmres_from_zero_pays_no_apply_for_the_initial_residual():
+    # without x0 the initial residual is b itself: one cycle takes one apply
+    # per Arnoldi step and one for the true residual of its iterate
+    rng = np.random.default_rng(3)
+    A = np.eye(10) + 0.2 * rng.standard_normal((10, 10))
+    b = rng.standard_normal(10)
+    applies = []
+    x, rep = gmres(lambda v: applies.append(1) or A @ v, b, tol=1e-10)
+    assert rep.converged and len(rep.residual_history) == rep.iterations + 1  # one cycle
+    assert rep.residual_history[0] == float(np.linalg.norm(b))
+    assert len(applies) == rep.iterations + 1
+    assert np.abs(A @ x - b).max() < 1e-8
 
 
 def test_gmres_history_monotone():
@@ -223,14 +238,21 @@ def test_solve_reproduces_polynomial():
 
 
 def test_solution_boundary_coefficients_are_zero():
-    problem = make_problem("exp1", kappa=0.9)
-    mesh = build_rect_mesh(0, 1, 0, 1, 4, 4)
-    for scheme in ("recovery-cg", "recovery-dg", "nsz"):
-        sol = solve_problem(problem, mesh, p=2, scheme=scheme)
-        from nondivfem.space import boundary_dofs
+    # nothing zeroes them after the solve: the identity rows and columns of
+    # every system and the zero right-hand side there keep them exactly zero
+    # through every start, Krylov vector, preconditioner solve and update.
+    # exp1 at kappa = 0.5 has eps = 0.6, so eta1 = None runs penalty-free
+    from nondivfem.space import boundary_dofs
 
-        bd = boundary_dofs(sol.u_h.space)
-        assert np.all(sol.u_h.coeffs[bd] == 0.0)
+    problem = make_problem("exp1", kappa=0.5)
+    mesh = bisect(build_rect_mesh(0, 1, 0, 1, 3, 3), [0, 4, 11])
+    for scheme in ("recovery-cg", "recovery-dg", "nsz"):
+        for p in (1, 2, 3) if scheme != "nsz" else (2, 3):
+            for eta1 in (None, 1.0):
+                sol = solve_problem(problem, mesh, p=p, scheme=scheme, eta1=eta1)
+                assert sol.report.converged
+                bd = boundary_dofs(sol.u_h.space)
+                assert np.all(sol.u_h.coeffs[bd] == 0.0), (scheme, p, eta1)
 
 
 def test_solve_exp1_h2_rate():
