@@ -389,10 +389,13 @@ def cordes_analyze(problem, sample_points, A=None):
     has them already; otherwise they are evaluated here.  Only the sample
     points are checked, nothing between them.  Raises CordesViolated when
     the ratio ||A||_F^2/tr(A)^2 reaches 1 (the two-dimensional ellipticity
-    threshold) at any sampled point, and ValueError when A is not finite,
-    not symmetric or not positive definite.
+    threshold) at any sampled point, and ValueError when the sample is
+    empty (before A is evaluated) or A is not finite, not symmetric or not
+    positive definite.
     """
     pts = np.asarray(sample_points, dtype=np.float64).reshape(-1, 2)
+    if not len(pts):
+        raise ValueError("the Cordes sample is empty: there is no point to check")
     A = problem.A(pts) if A is None else A.reshape(-1, 2, 2)
     _require_finite(A, pts, "A")
     if np.abs(A - np.swapaxes(A, -1, -2)).max() > 1e-12:
@@ -431,12 +434,11 @@ class _CoefficientSample:
 
 def _coefficient_sample(problem, space):
     """Sample the coefficients once for every volume assembly on the space's
-    mesh and degree; raises CordesViolated before anything else is evaluated,
-    and ValueError for a non-finite A or f."""
-    mesh = space.mesh
+    mesh and degree, at the 2p + 2 rule mapped onto every cell by one
+    `physical_points` call; raises CordesViolated before anything else is
+    evaluated, and ValueError for a non-finite A or f."""
     q = quadrature(2 * space.degree + 2)
-    ref_pts = np.broadcast_to(q.points, (mesh.n_cells,) + q.points.shape)
-    pts = physical_points(mesh, np.arange(mesh.n_cells), ref_pts)
+    pts = physical_points(space.mesh, q.points)
     A = problem.A(pts)
     cordes = cordes_analyze(problem, pts, A)
     f = problem.f(pts)

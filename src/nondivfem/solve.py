@@ -62,16 +62,21 @@ def gmres(apply, b, precond=None, x0=None, tol=TOL):
     Starts from x0, whose residual r0 = b - apply(x0) costs one apply, or
     from zero with r0 = b and no apply when x0 is None.  A cycle stops when
     the recursive residual estimate reaches the absolute and relative
-    tolerance max(tol, tol * ||b||), or at an exact breakdown; where the
-    true residual ||b - apply(x)|| still misses the tolerance, GMRES
-    restarts from x with that residual (GMRES(m), Saad & Schultz 1986).
+    tolerance max(tol, tol * ||b||); where the true residual
+    ||b - apply(x)|| still misses it, GMRES restarts from x with that
+    residual (GMRES(m), Saad & Schultz 1986).  A step whose rotated pivot is
+    zero or round-off, at most len(b) * eps times the norm of that step's
+    apply(M(v_j)) (read from its Hessenberg column), is a breakdown: the
+    operator is singular on the Krylov space, so the step's column is
+    dropped, x solves the least-squares problem over the columns before it,
+    and GMRES stops without a restart.
     All cycles together take at most min(MAX_ITER, len(b)) Arnoldi steps;
     the cap is the module's MAX_ITER, read at each call.  An x0 whose ||r0||
     meets the tolerance comes back as it is after 0 steps.  Returns
-    (x, SolveReport); `iterations` counts Arnoldi steps over all cycles,
-    `residual_history` holds each cycle's true initial residual followed by
-    its estimates, and `converged` is whether the true residual meets the
-    tolerance.
+    (x, SolveReport); `iterations` counts Arnoldi steps over all cycles, a
+    breakdown's included, `residual_history` holds each cycle's true initial
+    residual followed by one estimate per step, and `converged` is whether
+    the true residual meets the tolerance.
     """
     b = np.asarray(b, dtype=np.float64)
     M = precond if precond is not None else (lambda r: r)
@@ -80,10 +85,10 @@ def gmres(apply, b, precond=None, x0=None, tol=TOL):
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=np.float64)
     r = b if x0 is None else b - apply(x)
     beta = float(np.linalg.norm(r))
-    history, steps, cap = [beta], 0, min(MAX_ITER, len(b))
+    history, steps, cap, broke = [beta], 0, min(MAX_ITER, len(b)), False
     # each pass is one Arnoldi cycle from the residual r of the iterate x; a
     # cycle whose true residual misses the tolerance restarts from its x
-    while beta > tol and steps < cap:
+    while beta > tol and steps < cap and not broke:
         if steps:
             history.append(beta)
         # the Krylov basis, the Hessenberg columns and the rotations grow by
@@ -110,8 +115,16 @@ def gmres(apply, b, precond=None, x0=None, tol=TOL):
                 h[i + 1] = -sn[i] * h[i] + cs[i] * h[i + 1]
                 h[i] = t
             denom = np.hypot(h[j], h[j + 1])
-            cs.append(h[j] / denom if denom > 0 else 1.0)
-            sn.append(h[j + 1] / denom if denom > 0 else 0.0)
+            # ||h|| is ||apply(M(v_j))||: V is orthonormal and the rotations
+            # keep the norm
+            if denom <= len(b) * np.finfo(np.float64).eps * np.linalg.norm(h):
+                # breakdown: apply(M(v_j)) lies in the span of the earlier
+                # steps' images, so this column would make R singular
+                history.append(abs(g[j]))
+                broke = True
+                break
+            cs.append(h[j] / denom)
+            sn.append(h[j + 1] / denom)
             h[j:] = [denom]
             H.append(h)
             g.append(-sn[j] * g[j])
@@ -120,24 +133,22 @@ def gmres(apply, b, precond=None, x0=None, tol=TOL):
             res = abs(g[j + 1])
             history.append(res)
             if res <= tol:
-                break
-            if hnext == 0.0:
-                # exact breakdown: the Krylov space is invariant; the current
-                # least-squares solution is as good as it gets
+                # hnext == 0 (an invariant Krylov space) lands here too, as
+                # the rotation then leaves a zero estimate
                 break
             V.append(w / hnext)
 
         # back substitution on the triangular system, then undo the right
         # preconditioning
         k = len(H)
-        R = np.zeros((k, k))
-        for j, h in enumerate(H):
-            R[:j + 1, j] = h
-        dx = M(np.array(V[:k]).T @ np.linalg.solve(R, g[:k]))
-        x += dx
+        if k:
+            R = np.zeros((k, k))
+            for j, h in enumerate(H):
+                R[:j + 1, j] = h
+            x += M(np.array(V[:k]).T @ np.linalg.solve(R, g[:k]))
         r = b - apply(x)
         beta = float(np.linalg.norm(r))
-        steps += k
+        steps += k + broke
     return x, SolveReport(steps, history, beta <= tol, beta)
 
 

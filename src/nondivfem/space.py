@@ -253,10 +253,8 @@ def build_space(mesh, p, continuity="CG"):
         n_dofs = _cg_dof_count(mesh, p)
 
     # physical node coordinates (consistent across cells for CG by construction)
-    nodes = np.broadcast_to(ref.nodes, (n_cells,) + ref.nodes.shape)
-    phys = physical_points(mesh, np.arange(n_cells), nodes)
     node_coords = np.empty((n_dofs, 2))
-    node_coords[dof_map.ravel()] = phys.reshape(-1, 2)
+    node_coords[dof_map.ravel()] = physical_points(mesh, ref.nodes).reshape(-1, 2)
 
     return FunctionSpace(
         mesh=mesh,
@@ -309,11 +307,17 @@ def evaluate(fn, quad):
     return vals, grads, hess
 
 
-def physical_points(mesh, cells, ref_pts):
-    """Map per-cell reference points to physical coordinates."""
-    v0 = mesh.vertices[mesh.cells[cells, 0]]
-    J = mesh.cell_jacobians[cells]
-    return v0[:, None, :] + np.einsum("nij,nqj->nqi", J, ref_pts, optimize=True)
+def physical_points(mesh, ref_pts):
+    """Map one reference point set (q, 2) onto every cell: the physical
+    points v0 + J xi, shape (n_cells, q, 2), in C order."""
+    v0 = mesh.vertices[mesh.cells[:, 0]]
+    # contracted per cell over a broadcast view, which gives C order; the
+    # (q, 2) set contracted as it is goes through BLAS, which returns the
+    # points q-major, so every later reshape copies them, and rounds them
+    # differently where J is not dyadic, which moves the coefficient
+    # sample and the adaptive mesh sequence on such meshes
+    ref = np.broadcast_to(ref_pts, (mesh.n_cells,) + ref_pts.shape)
+    return v0[:, None, :] + np.einsum("cij,cqj->cqi", mesh.cell_jacobians, ref, optimize=True)
 
 
 def _edge_points(t):

@@ -1,6 +1,8 @@
 import dataclasses
 import inspect
 import re
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,10 @@ from nondivfem.bench import (
     run_scheme_comparison,
     write_csv,
 )
+
+
+# the benchmark's workloads and its gate on their CSVs, read from perfbench/
+_WORKLOADS = runpy.run_path(str(Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"))
 
 
 def _read_csv(path):
@@ -863,6 +869,16 @@ def test_benchmark_selftest_passes():
     out = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=str(root),
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr[-2000:]
+
+
+@pytest.mark.parametrize("name", sorted(_WORKLOADS["WORKLOADS"]))
+def test_benchmark_workload_passes_its_gate(name, tmp_path):
+    # each full-size study meets the benchmark's own correctness gate, so an
+    # outputs_incorrect result fails here before any benchmark run
+    out = tmp_path / (name + ".csv")
+    _, converged = run_convergence(RunConfig(out=str(out), **_WORKLOADS["WORKLOADS"][name]))
+    gate = _WORKLOADS["check"](out.read_text(), _WORKLOADS["reference_text"](name), converged)
+    assert gate == []
 
 
 def test_benchmark_span_targets_exist():

@@ -212,8 +212,7 @@ def _nan_at_one_estimator_point(name):
     2p + 4 rule at p = 2, which no assembly point (2p + 2 rule) meets."""
     mesh = build_rect_mesh(-1, 1, -1, 1, 8, 8)
     q = quadrature(8)
-    pts = physical_points(mesh, np.arange(mesh.n_cells),
-                          np.broadcast_to(q.points, (mesh.n_cells,) + q.points.shape))
+    pts = physical_points(mesh, q.points)
     bad = pts[0, 0].copy()
 
     def poisoned(values, x):

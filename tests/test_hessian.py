@@ -278,7 +278,7 @@ def test_recover_global_polynomial_exactly(mode, p):
     u = interpolate(V, f)
     H = recover_hessian(op, u.coeffs)
     q = quadrature(2 * p)
-    pts = physical_points(m, np.arange(m.n_cells), np.broadcast_to(q.points, (m.n_cells,) + q.points.shape))
+    pts = physical_points(m, q.points)
     X, Y = pts[..., 0], pts[..., 1]
     exact = {
         (0, 0): p * (p - 1) * X ** (p - 2),
@@ -442,7 +442,7 @@ def test_recovery_is_l2_projection_for_smooth_u():
     refpts = np.broadcast_to(q.points, (m.n_cells,) + q.points.shape)
     cells = np.arange(m.n_cells)
     vals_w, _ = tabulate_at(W, cells, refpts)
-    pts = physical_points(m, cells, refpts)
+    pts = physical_points(m, q.points)
     X, Y = pts[..., 0], pts[..., 1]
     targets = {(0, 0): 6 * X, (0, 1): -np.ones_like(X), (1, 1): 6 * Y}
     lu = sp.linalg.splu(M)
@@ -460,8 +460,7 @@ def _h2_seminorm_error_of_recovery(mode, mesh):
     u = interpolate(V, lambda x: np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1]))
     H = recover_hessian(op, u.coeffs)
     q = quadrature(8)
-    cells = np.arange(mesh.n_cells)
-    pts = physical_points(mesh, cells, np.broadcast_to(q.points, (mesh.n_cells,) + q.points.shape))
+    pts = physical_points(mesh, q.points)
     X, Y = pts[..., 0], pts[..., 1]
     pi2 = np.pi**2
     exact = {

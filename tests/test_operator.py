@@ -17,11 +17,13 @@ from nondivfem import (
     build_space,
     build_system,
     cordes_analyze,
+    estimate_level,
     interpolate,
     make_problem,
     recover_hessian,
     solve_problem,
 )
+import nondivfem.estimate as nd_estimate
 import nondivfem.operator as nd_operator
 from nondivfem.hessian import _factor, _stored, assemble_mass_W
 from nondivfem.operator import (
@@ -37,7 +39,7 @@ from nondivfem.operator import (
     assemble_stabilization,
     build_preconditioner,
 )
-from nondivfem.space import boundary_dofs, facet_quadrature, quadrature
+from nondivfem.space import FEFunction, boundary_dofs, facet_quadrature, quadrature
 
 
 def _sample_points(problem, n=200, seed=0):
@@ -356,6 +358,18 @@ def test_cordes_rejects_degenerate():
     )
     with pytest.raises((ValueError, CordesViolated)):
         cordes_analyze(prob, np.array([[0.5, 0.5]]))
+
+
+def test_cordes_rejects_an_empty_sample():
+    # no point means no eps: refused by name before A is evaluated
+    def A(x):
+        raise AssertionError("A evaluated on an empty sample")
+
+    prob = ProblemData(name="c", bounds=(0, 1, 0, 1), A=A, f=lambda x: np.zeros(x.shape[:-1]))
+    with pytest.raises(ValueError, match="sample is empty"):
+        cordes_analyze(prob, np.zeros((0, 2)))
+    with pytest.raises(ValueError, match="sample is empty"):
+        cordes_analyze(prob, np.zeros((0, 2)), np.zeros((0, 2, 2)))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -712,7 +726,8 @@ def test_B_stores_no_zeros_of_a_vanishing_coefficient_block():
 @pytest.mark.parametrize("scheme", ["CG", "DG", "nsz"])
 def test_one_coefficient_sample_per_mesh(scheme, monkeypatch):
     # the Cordes check, B, the load and the nsz matrix share one sample: its
-    # points are computed once, and A and f are evaluated once each
+    # points are computed once, and A and f are evaluated once each; the
+    # estimator maps its own rule once more and evaluates A and f there once
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -725,14 +740,21 @@ def test_one_coefficient_sample_per_mesh(scheme, monkeypatch):
     problem = dataclasses.replace(base, A=counted("A", base.A), f=counted("f", base.f))
     monkeypatch.setattr(nd_operator, "physical_points",
                         counted("points", nd_operator.physical_points))
+    monkeypatch.setattr(nd_estimate, "physical_points",
+                        counted("estimate points", nd_estimate.physical_points))
     mesh = build_rect_mesh(*problem.bounds, 4, 4)
     if scheme == "nsz":
-        solve_problem(problem, mesh, 2, scheme="nsz")
+        u_h = solve_problem(problem, mesh, 2, scheme="nsz").u_h
     else:
-        build_system(problem, mesh, 2, mode=scheme)
+        op = build_system(problem, mesh, 2, mode=scheme)
+        u_h = FEFunction(op.space_V, np.zeros(op.n_dofs))
     assert calls["points"] == 1
     assert calls["f"] == 1
     assert calls["A"] == 1
+    estimate_level(u_h, problem)
+    assert calls["points"] == 1 and calls["estimate points"] == 1
+    assert calls["f"] == 2
+    assert calls["A"] == 2
 
 
 def test_apply_zero_and_boundary_identity():

@@ -85,6 +85,29 @@ def test_gmres_history_monotone():
     assert len(h) == rep.iterations + 1
 
 
+def test_gmres_on_the_zero_operator_breaks_down_at_its_first_step():
+    # apply(v_0) = 0: the step is a breakdown, so no column is kept and x
+    # stays zero, with ||b|| as its true residual
+    x, rep = gmres(lambda v: np.zeros_like(v), np.ones(4))
+    assert np.all(x == 0.0)
+    assert rep.iterations == 1 and not rep.converged
+    assert rep.final_true_residual == 2.0
+
+
+def test_gmres_on_a_singular_diagonal_keeps_the_columns_before_the_breakdown():
+    # the second step's pivot is round-off (about 1e-16 of its image), not
+    # zero; dropping that column leaves the least-squares iterate (1, 1, 1, 1)
+    # with residual 1 instead of an iterate of about 1e15
+    A = np.diag([1.0, 1.0, 1.0, 0.0])
+    b = np.ones(4)
+    x, rep = gmres(lambda v: A @ v, b)
+    assert np.all(np.isfinite(x)) and not rep.converged
+    assert rep.final_true_residual == float(np.linalg.norm(b - A @ x))
+    assert rep.final_true_residual <= np.linalg.norm(b)
+    assert rep.final_true_residual == pytest.approx(1.0)
+    assert len(rep.residual_history) == rep.iterations + 1  # no restart
+
+
 def _absolute(stop, b):
     """The tol whose stopping value max(tol, tol * ||b||) is `stop`."""
     return stop / max(1.0, float(np.linalg.norm(b)))

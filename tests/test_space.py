@@ -171,7 +171,7 @@ def test_cg_interpolation_single_valued(p):
     u = interpolate(V, f)
     q = quadrature(2 * p + 2)
     vals, _, _ = evaluate(u, q)
-    pts = physical_points(m, np.arange(m.n_cells), np.broadcast_to(q.points, (m.n_cells,) + q.points.shape))
+    pts = physical_points(m, q.points)
     exact = (1.0 + pts[..., 0]) ** p - 0.5 * pts[..., 1] ** min(p, 2)
     assert np.abs(vals - exact).max() < 1e-11
 
@@ -192,7 +192,7 @@ def test_evaluate_derivatives_of_cubic():
     u = interpolate(V, lambda x: x[:, 0] ** 3 - 3 * x[:, 0] * x[:, 1] ** 2)
     q = quadrature(6)
     vals, grads, hess = evaluate(u, q)
-    pts = physical_points(m, np.arange(m.n_cells), np.broadcast_to(q.points, (m.n_cells,) + q.points.shape))
+    pts = physical_points(m, q.points)
     X, Y = pts[..., 0], pts[..., 1]
     assert np.abs(vals - (X**3 - 3 * X * Y**2)).max() < 1e-11
     assert np.abs(grads[..., 0] - (3 * X**2 - 3 * Y**2)).max() < 1e-10
@@ -219,9 +219,28 @@ def test_interpolation_reproduces_polynomials(p, coeffs):
     u = interpolate(V, f)
     q = quadrature(2 * p)
     vals, _, _ = evaluate(u, q)
-    pts = physical_points(m, np.arange(m.n_cells), np.broadcast_to(q.points, (m.n_cells,) + q.points.shape))
+    pts = physical_points(m, q.points)
     exact = a + b * pts[..., 0] ** p + c * pts[..., 1] * pts[..., 0] ** (p - 1)
     assert np.abs(vals - exact).max() < 1e-10 * max(1.0, abs(a) + abs(b) + abs(c))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=4))
+def test_physical_points_map_one_rule_onto_every_cell(seed, p):
+    # every point set the library maps (the assembly rule 2p + 2, the
+    # a posteriori rule 2p + 4 and the Lagrange nodes) lands where each
+    # cell's own affine map v0 + J xi puts it, point by point
+    rng = np.random.default_rng(seed)
+    mesh = build_rect_mesh(-1, 1, -1, 1, 2, 2)
+    for _ in range(4):
+        mesh = bisect(mesh, rng.choice(mesh.n_cells, size=max(1, mesh.n_cells // 3), replace=False))
+    v0 = mesh.vertices[mesh.cells[:, 0]]
+    for ref_pts in (quadrature(2 * p + 2).points, quadrature(2 * p + 4).points,
+                    reference_element(p).nodes):
+        pts = physical_points(mesh, ref_pts)
+        assert pts.shape == (mesh.n_cells, len(ref_pts), 2) and pts.flags.c_contiguous
+        for k, xi in enumerate(ref_pts):
+            assert np.abs(pts[:, k] - (v0 + mesh.cell_jacobians @ xi)).max() <= 1e-15
 
 
 @settings(max_examples=25, deadline=None)
@@ -238,7 +257,8 @@ def test_facet_trace_points_lie_on_the_facet(seed, p):
     target = va[:, None, :] + t[None, :, None] * (vb - va)[:, None, :]
     for side, facets in ((0, np.arange(mesh.n_facets)), (1, mesh.interior_facets())):
         cells, rows = _facet_edges(mesh, facets, side)
-        pts = physical_points(mesh, cells, _edge_points(t)[rows])
+        v0 = mesh.vertices[mesh.cells[cells, 0]]
+        pts = v0[:, None, :] + np.einsum("fij,ftj->fti", mesh.cell_jacobians[cells], _edge_points(t)[rows])
         assert np.abs(pts - target[facets]).max() <= 1e-14
 
 
